@@ -4,9 +4,11 @@
 
 Run from the root of a source checkout. The workload runs in its own
 single-threaded process (BLAS and OpenMP threads set to 1) that imports
-the package from ./src. With --trace 0 the run first starts SETUP_SAMPLES
-processes that only set up, so setup_s is a median, then measures the
-workload for --seconds and prints the end-to-end metrics. With --trace 1 it
+the package from ./src. With --trace 0 the run starts SETUP_SAMPLES
+processes that only set up, half before and half after the measuring
+one, so setup_s is a median over set-ups spread across the run; the
+measuring process runs the workload for --seconds, and the run prints the
+end-to-end metrics. With --trace 1 it
 prints the per-layer metrics of a traced run instead and writes the spans
 to .perfbench-out/. Metric names and units come from BENCHMARK.json. The
 last line of stdout is one JSON object with "correct", "attempted",
@@ -88,12 +90,13 @@ def main(argv=None) -> int:
 
     deadline = time.perf_counter() + RUN_LIMIT_S
     common = ["--workload", args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)]
+    setup_only = common + ["--trace", "0", "--setup-only"]
+    half = 0 if args.trace else SETUP_SAMPLES // 2
     try:
-        setups = []
-        if not args.trace:
-            for _ in range(SETUP_SAMPLES):
-                setups.append(run_child(common + ["--trace", "0", "--setup-only"], deadline)[0])
+        setups = [run_child(setup_only, deadline)[0] for _ in range(half)]
         ready_s, result = run_child(common + ["--trace", str(args.trace)], deadline)
+        setups.append(ready_s)
+        setups += [run_child(setup_only, deadline)[0] for _ in range(half)]
     except (ChildError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -106,7 +109,6 @@ def main(argv=None) -> int:
         metrics = {name: result["metrics"][name] for name in units}
         print(f"spans: {os.path.join(OUT_DIR, args.workload + '-spans.jsonl')}")
     else:
-        setups.append(ready_s)
         result["setup_s"] = statistics.median(setups)
         metrics = {name: result[name] for name in units}
         print(f"{args.workload}: {result['ops']} operations, {result['frame_samples']} frame samples, "

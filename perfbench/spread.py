@@ -4,7 +4,9 @@
     python3 perfbench/spread.py --compare .perfbench-out/spread-set-a.json .perfbench-out/spread-set-b.json
 
 Run i uses seed seed-base + i and visits the workloads in an order rotated
-by i, so no workload always runs first or last. For every end-to-end
+by that seed, so no workload always runs first or last, and sets with
+seed bases that differ modulo the number of workloads start on different
+workloads. For every end-to-end
 metric of every workload it prints the median, the quartiles (as
 statistics.quantiles(values, n=4) gives them) and the spread, the
 interquartile distance as a share of the median, next to the metric's
@@ -47,12 +49,14 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "spread": (q3 - q1) / median, "values": values}
 
 
-def collect(bench: dict, runs: int, seed_base: int, workloads: list[str]) -> dict:
+def collect(bench: dict, runs: int, seed_base: int) -> dict:
+    workloads = [w["name"] for w in bench["workloads"]]
     results: dict[str, list[dict]] = {w: [] for w in workloads}
     for i in range(runs):
-        order = workloads[i % len(workloads):] + workloads[:i % len(workloads)]
+        seed = seed_base + i
+        order = workloads[seed % len(workloads):] + workloads[:seed % len(workloads)]
         for workload in order:
-            out = run_once(bench, workload, seed_base + i)
+            out = run_once(bench, workload, seed)
             results[workload].append(out)
             print(f"run {i} {workload}: " + " ".join(
                 f"{k}={v['value']:.6g} {v['unit']}" for k, v in out["metrics"].items()
@@ -95,7 +99,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed-base", type=int, default=0)
-    p.add_argument("--workloads", default="")
     p.add_argument("--label", default="latest")
     p.add_argument("--compare", nargs=2, metavar="SPREAD_JSON")
     args = p.parse_args(argv)
@@ -107,8 +110,7 @@ def main(argv=None) -> int:
                 sets.append(json.load(fh))
         compare(bench, *sets)
         return 0
-    workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    report = collect(bench, args.runs, args.seed_base, workloads)
+    report = collect(bench, args.runs, args.seed_base)
     print_report(bench, report)
     os.makedirs(OUT_DIR, exist_ok=True)
     path = os.path.join(OUT_DIR, f"spread-{args.label}.json")

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import array
 import os
 import sys
 
@@ -15,6 +16,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [HERE, os.path.join(os.path.dirname(HERE), "src")]
 
 import checks  # noqa: E402
+import worker  # noqa: E402
 from tracing import Tracer, count_calls  # noqa: E402
 
 from streamgate import (  # noqa: E402
@@ -201,3 +203,35 @@ def test_tracer_records_parents_and_self_time():
     assert 0 <= self_per_frame[0] < per_frame[0]
     _, counts = count_calls(lambda: checks.parse_cli_csv("a\n1\n"))
     assert counts == {}
+
+
+def _unreadable_output(workload):
+    def execute(cfg):
+        with open(workload.out, "w", encoding="utf-8") as fh:
+            fh.write("not a table\n")
+        print(f"wrote {workload.out}")
+        return 0
+
+    return execute
+
+
+def _raising(cfg):
+    raise RuntimeError("broken command")
+
+
+@pytest.mark.parametrize("make_execute", [_unreadable_output, lambda workload: _raising])
+def test_grid_operation_with_bad_output_fails_and_run_is_not_correct(tmp_path, make_execute):
+    workload = worker.GridWorkload("ablate-grid", 0, str(tmp_path))
+    op = workload.op(execute=make_execute(workload))
+    assert (op.attempted, op.failed) == (1, 1)
+    tally = worker._tally([op], [])
+    assert (tally["correct"], tally["failed"]) == (False, 1)
+
+
+def test_frame_latency_is_median_over_operations_of_their_percentile():
+    def op(frame_us):
+        return worker.Op(0.0, 0.0, 1, 0, frame_ns=array.array("q", [int(x * 1e3) for x in frame_us]))
+
+    ops = [op([1, 2, 3, 100]), op([10, 20, 30, 40, 50]), op([5, 6, 7])]
+    assert worker._latency_us(ops, 50) == pytest.approx(6.0)
+    assert worker._latency_us(ops, 100) == pytest.approx(50.0)

@@ -28,9 +28,6 @@ from tracing import Tracer, count_calls
 import streamgate
 from streamgate import (
     AttnSource,
-    CoverageSchedule,
-    GateConfig,
-    ScheduleKind,
     Strategy,
     StreamCursor,
     cli,
@@ -52,9 +49,6 @@ STREAM_FRAMES = 1200  # > 1000 so p99 of one session has 12 samples beyond it
 # Frame latencies are read on the process CPU clock: on a shared host the
 # scheduler runs other tenants' work in bursts of 3-21 ms, which would set
 # a wall-clock p99 on their own. The program is single-threaded compute.
-# They are summarised per block of LATENCY_BLOCK consecutive frames, so
-# the p99 of a block has 12 samples beyond it.
-LATENCY_BLOCK = 1200
 STREAM_DRIFT_RATE = "0.05"
 GATE_SAMPLE_EVERY = 8  # traced run: replay the gate components on every 8th call
 REFERENCE_EVERY = 25  # stream: float64 recomputation on every 25th frame
@@ -74,6 +68,7 @@ class Op:
     attempted: int
     failed: int
     failures: list[str] = field(default_factory=list)
+    frame_ns: array.array = field(default_factory=lambda: array.array("q"))  # per-frame CPU times
 
 
 class FrameClock:
@@ -236,17 +231,22 @@ class GridWorkload:
         start = time.perf_counter()
         try:
             status, printed = self._invoke(parse or cli.parse_config, execute or cli.execute)
-        except Exception:  # an operation that raises counts as failed; the run goes on
+            wall = time.perf_counter() - start
+            failures = self._verify(status, printed)
+        except Exception as exc:  # raising, or output the checks cannot read, fails the operation
             traceback.print_exc()
-            status, printed = -1, "raised"
-        wall = time.perf_counter() - start
-        failures = self._verify(status, printed)
+            wall, failures = time.perf_counter() - start, [f"cli: raised {exc!r}"]
         return Op(wall, time.perf_counter() - start, 1, int(bool(failures)), failures)
 
-    def untraced(self, seconds: float) -> tuple[list[Op], array.array]:
+    def untraced(self, seconds: float) -> list[Op]:
         with FrameClock() as frame_clock:
-            ops = run_for(self.op, seconds)
-        return ops, frame_clock.samples
+
+            def one() -> Op:
+                op = self.op()
+                op.frame_ns, frame_clock.samples = frame_clock.samples, array.array("q")
+                return op
+
+            return run_for(one, seconds)
 
     def traced(self, tracer: Tracer, seconds: float) -> tuple[list[Op], TracedLayers, dict]:
         layers = TracedLayers(tracer)
@@ -277,7 +277,10 @@ class GridWorkload:
 
     def profiled(self) -> tuple[dict[str, int], int]:
         (status, printed), counts = count_calls(lambda: self._invoke(cli.parse_config, cli.execute))
-        self.problems += self._verify(status, printed)
+        try:
+            self.problems += self._verify(status, printed)
+        except Exception as exc:
+            self.problems.append(f"cli: checks raised {exc!r} on the profiled output")
         return counts, self.frames
 
 
@@ -296,13 +299,14 @@ class StreamWorkload:
         self.cfg = cfg
         self.weights = make_weights(n_layers=cfg.layers, channels=cfg.channels,
                                     obs_channels=cfg.obs_channels, seed=cfg.model_seed)
+        # The world spec and gate config that execute() builds for `run`, and
+        # the scene and stream that evaluation.session_for_seed derives from
+        # the seed; the session itself is streamed here frame by frame.
+        self.world = cli._world_spec(cfg)
+        self.gate_cfg = cli._gate_config(cfg)
         scene_seed, self.stream_seed = evaluation.experiment_seeds(seed)
-        self.scene = generate_scene(cfg.regions, cfg.obs_channels, cfg.dynamic_fraction,
-                                    cfg.drift_rate, seed=scene_seed)
-        self.schedule = CoverageSchedule(kind=ScheduleKind(cfg.schedule),
-                                         window=cfg.frame_tokens, period=cfg.period)
-        self.gate_cfg = GateConfig(tau=cfg.tau, eps_mean=cfg.eps_mean, spat_gain=cfg.spat_gain,
-                                   spat_bias=cfg.spat_bias, attn_source=AttnSource(cfg.attn_source))
+        w = self.world
+        self.scene = generate_scene(w.regions, w.obs_channels, w.dynamic_fraction, w.drift_rate, seed=scene_seed)
         self.state0 = initial_state(self.scene, self.weights)
         self.frames = cfg.frames
         self.final_state: np.ndarray | None = None
@@ -331,7 +335,7 @@ class StreamWorkload:
     def _stream(self, fns, tracer: Tracer | None, checking: bool):
         step, encode, decode, gate, read = fns
         weights, gate_cfg, source = self.weights, self.gate_cfg, self.gate_cfg.attn_source
-        cursor = StreamCursor(self.scene, self.schedule, self.cfg.noise_sigma, self.stream_seed)
+        cursor = StreamCursor(self.scene, self.world.schedule, self.world.noise_sigma, self.stream_seed)
         state, prev_c, prev_f = self.state0, None, None
         clock, cpu = time.perf_counter_ns, time.process_time_ns
         latencies = array.array("q")
@@ -366,7 +370,7 @@ class StreamWorkload:
             failures.append("stream: final state differs from the first session of the run")
         return wall_ns, latencies, failed, failures
 
-    def op(self, fns=None, tracer: Tracer | None = None) -> tuple[Op, array.array]:
+    def op(self, fns=None, tracer: Tracer | None = None) -> Op:
         start = time.perf_counter()
         try:
             if tracer is None:
@@ -377,23 +381,17 @@ class StreamWorkload:
         except Exception:  # a session that raises counts all its frames as failed; the run goes on
             traceback.print_exc()
             elapsed = time.perf_counter() - start
-            return Op(elapsed, elapsed, self.frames, self.frames, ["stream: raised"]), array.array("q")
-        return Op(wall_ns / 1e9, time.perf_counter() - start, self.frames, failed, failures), latencies
+            return Op(elapsed, elapsed, self.frames, self.frames, ["stream: raised"])
+        elapsed = time.perf_counter() - start
+        return Op(wall_ns / 1e9, elapsed, self.frames, failed, failures, latencies)
 
-    def untraced(self, seconds: float) -> tuple[list[Op], array.array]:
-        samples = array.array("q")
-
-        def one() -> Op:
-            op, latencies = self.op()
-            samples.extend(latencies)
-            return op
-
-        return run_for(one, seconds), samples
+    def untraced(self, seconds: float) -> list[Op]:
+        return run_for(self.op, seconds)
 
     def traced(self, tracer: Tracer, seconds: float) -> tuple[list[Op], TracedLayers, dict]:
         layers = TracedLayers(tracer)
         fns = (layers.step, layers.encode, layers.decode, layers.gate, layers.readout)
-        ops = run_for(lambda: self.op(fns, tracer)[0], seconds)
+        ops = run_for(lambda: self.op(fns, tracer), seconds)
         header = ["t", "mask_mean", "mask_min", "mask_max"]
         summary = [{"strategy": "fused", "frames": self.frames}]
         tracer.wrap("cli.write", cli.write_csv)(self.out, self.cfg, header, self.mask_log, summary)
@@ -421,42 +419,44 @@ def run_for(op, seconds: float) -> list[Op]:
             return ops
 
 
-def _blocked_percentile_us(samples: array.array, q: float) -> float:
-    """Median over blocks of LATENCY_BLOCK consecutive frames of each block's q-th percentile.
+def _latency_us(ops: list[Op], q: float) -> float:
+    """Median over operations of each operation's q-th percentile of its frame samples.
 
-    The host has slow phases lasting seconds; a percentile of the pooled
-    samples moves with the share of the run they cover, the median over
-    sub-second blocks much less.
+    A grid operation's samples cover all its strategies, so a change to
+    any one strategy's frames moves the figure. On the stream one
+    operation is one 1,200-frame session, and the median over sessions
+    damps the host's slow phases, which last seconds.
     """
-    n = len(samples) // LATENCY_BLOCK * LATENCY_BLOCK
-    blocks = np.frombuffer(samples, dtype=np.int64)[:n].astype(np.float64).reshape(-1, LATENCY_BLOCK)
-    return float(np.median(np.percentile(blocks, q, axis=1))) / 1e3
+    per_op = [np.percentile(np.frombuffer(o.frame_ns, dtype=np.int64), q) for o in ops if len(o.frame_ns)]
+    return _median(per_op) / 1e3 if per_op else float("nan")
 
 
-def _tally(ops: list[Op]) -> dict:
-    failures = [f for o in ops for f in o.failures]
+def _tally(ops: list[Op], problems: list[str]) -> dict:
+    """Operations attempted and failed; the run is correct only if no check failed."""
+    failures = problems + [f for o in ops for f in o.failures]
     for f in failures[:5]:
         print(f"check failed: {f}", file=sys.stderr)
-    return {"attempted": sum(o.attempted for o in ops), "failed": sum(o.failed for o in ops)}
+    failed = sum(o.failed for o in ops)
+    return {"correct": not problems and failed == 0,
+            "attempted": sum(o.attempted for o in ops), "failed": failed}
 
 
 def untraced_result(workload, seconds: float) -> dict:
-    ops, samples = workload.untraced(seconds)
+    ops = workload.untraced(seconds)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        **_tally(ops),
-        "correct": not workload.problems,
+        **_tally(ops, workload.problems),
         "ops": len(ops),
         "wall_s": _median([o.wall_s for o in ops]),
         "peak_rss_mb": rss_kb / 1024.0,
-        "frame_samples": len(samples),
-        "frame_latency_p50_us": _blocked_percentile_us(samples, 50),
-        "frame_latency_p99_us": _blocked_percentile_us(samples, 99),
+        "frame_samples": sum(len(o.frame_ns) for o in ops),
+        "frame_latency_p50_us": _latency_us(ops, 50),
+        "frame_latency_p99_us": _latency_us(ops, 99),
     }
 
 
 def traced_result(workload, seconds: float, spans_path: str) -> dict:
-    plain_ops, _ = workload.untraced(seconds / 2)
+    plain_ops = workload.untraced(seconds / 2)
     tracer = Tracer()
     traced_ops, layers, extra = workload.traced(tracer, seconds / 2)
     mismatches = tracer.wrap("probe", layers.replay_gate_components)()
@@ -493,7 +493,7 @@ def traced_result(workload, seconds: float, spans_path: str) -> dict:
     metrics["trace.overhead_s"] = (
         _median([o.wall_s for o in traced_ops]) - _median([o.wall_s for o in plain_ops])
     )
-    return {**_tally(plain_ops + traced_ops), "correct": not workload.problems, "metrics": metrics}
+    return {**_tally(plain_ops + traced_ops, workload.problems), "metrics": metrics}
 
 
 def main(argv=None) -> int:
