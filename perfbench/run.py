@@ -111,8 +111,12 @@ def main(argv=None) -> int:
     else:
         result["setup_s"] = statistics.median(setups)
         metrics = {name: result[name] for name in units}
+        raw = result["raw"]
         print(f"{args.workload}: {result['ops']} operations, {result['frame_samples']} frame samples, "
-              f"{len(setups)} set-ups")
+              f"{len(setups)} set-ups, {raw['gauge_slices']} gauge slices")
+        print(f"host factor = {raw['host_factor']:.4f}; raw, before dividing by the host factors: "
+              f"wall_s = {raw['wall_s']:.6g} s, frame_latency_p50_us = {raw['frame_latency_p50_us']:.6g} us, "
+              f"frame_latency_p99_us = {raw['frame_latency_p99_us']:.6g} us")
     for name, value in metrics.items():
         print(f"{name} = {value:.6g} {units[name]}")
     print(f"attempted = {result['attempted']}, failed = {result['failed']}")

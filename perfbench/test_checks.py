@@ -229,9 +229,37 @@ def test_grid_operation_with_bad_output_fails_and_run_is_not_correct(tmp_path, m
 
 
 def test_frame_latency_is_median_over_operations_of_their_percentile():
-    def op(frame_us):
-        return worker.Op(0.0, 0.0, 1, 0, frame_ns=array.array("q", [int(x * 1e3) for x in frame_us]))
+    samples = [np.array(x, dtype=np.float64) * 1e3 for x in ([1, 2, 3, 100], [10, 20, 30, 40, 50], [5, 6, 7])]
+    assert worker._latency_us(samples, 50) == pytest.approx(6.0)
+    assert worker._latency_us(samples, 100) == pytest.approx(50.0)
 
-    ops = [op([1, 2, 3, 100]), op([10, 20, 30, 40, 50]), op([5, 6, 7])]
-    assert worker._latency_us(ops, 50) == pytest.approx(6.0)
-    assert worker._latency_us(ops, 100) == pytest.approx(50.0)
+
+def test_frames_at_reference_divide_each_frame_by_the_slice_after_it():
+    n, ref = worker.GAUGE_EVERY, worker.GAUGE_REFERENCE_NS
+    frames = array.array("q", [1000] * (2 * n + 3))
+    op = worker.Op(0.0, 0.0, 1, 0, frame_ns=frames, gauge_ns=array.array("q", [2 * ref, ref // 2]))
+    at_ref, factor = worker.frames_at_reference(op)
+    assert list(at_ref) == [500.0] * n + [2000.0] * (n + 3)  # frames past the last slice take the last
+    assert factor == pytest.approx(1000 * len(frames) / at_ref.sum())
+    bare = worker.Op(0.0, 0.0, 1, 0, frame_ns=array.array("q", [7, 9]))
+    at_ref, factor = worker.frames_at_reference(bare)
+    assert list(at_ref) == [7.0, 9.0] and factor == 1.0
+
+
+def test_host_gauge_slices_every_nth_frame_outside_the_frame_samples():
+    gauge = worker.HostGauge()
+    took = [gauge.tick() for _ in range(3 * worker.GAUGE_EVERY)]
+    assert [i for i, t in enumerate(took) if t] == [worker.GAUGE_EVERY * k - 1 for k in (1, 2, 3)]
+    slices, wall_ns = gauge.take()
+    assert len(slices) == 3 and min(slices) > 0 and wall_ns > 0
+    assert len(gauge.take()[0]) == 0
+
+    with worker.FrameClock(worker.HostGauge()) as clock:
+        cursor = StreamCursor(generate_scene(4, 8, 0.0, 0.0, seed=0),
+                              CoverageSchedule(ScheduleKind.FULL, 4), 0.0, 0)
+        for _ in range(2 * worker.GAUGE_EVERY + 1):
+            cursor.step()
+        slices, _ = clock.gauge.take()
+    assert len(clock.samples) == 2 * worker.GAUGE_EVERY and len(slices) == 2
+    # A slice of GAUGE_CALLS kernel calls is far longer than a bare stream step.
+    assert max(clock.samples) < min(slices)

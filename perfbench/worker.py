@@ -52,11 +52,71 @@ STREAM_FRAMES = 1200  # > 1000 so p99 of one session has 12 samples beyond it
 STREAM_DRIFT_RATE = "0.05"
 GATE_SAMPLE_EVERY = 8  # traced run: replay the gate components on every 8th call
 REFERENCE_EVERY = 25  # stream: float64 recomputation on every 25th frame
+GAUGE_EVERY = 25  # frames between two host-gauge slices
+GAUGE_CALLS = 2  # gauge kernel calls per slice, about 0.4 ms of CPU time
+# The gauge slice, in CPU ns, that counts as host factor 1.0: a round
+# figure near the median slice on the reference host (see README), so that
+# figures at reference speed read close to the raw ones there.
+GAUGE_REFERENCE_NS = 375_000
 
 
 def emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record) + "\n")
     sys.stdout.flush()
+
+
+class HostGauge:
+    """The host's current speed, read from a fixed kernel between frames.
+
+    The host's speed swings by 30% and more, over tens of milliseconds as
+    well as minutes, and the program's frames slow with it. After every
+    GAUGE_EVERY frames the gauge times GAUGE_CALLS calls of a kernel of its
+    own: a 4-layer float32 attention step over 16 x 32 tokens, the same
+    kind of work as a decode step, written here and never calling the
+    program. A slice over GAUGE_REFERENCE_NS is the host factor of the
+    frames just before it (see frames_at_reference). The kernel is the same
+    in every version of the program, so a change to the program cannot
+    move it.
+    """
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(20261018)
+        self.tokens = rng.standard_normal((16, 32)).astype(np.float32)
+        self.frame = rng.standard_normal((16, 32)).astype(np.float32)
+        self.weights = [rng.standard_normal((32, 32)).astype(np.float32) / np.float32(6.0) for _ in range(12)]
+        self.slices = array.array("q")  # CPU ns per slice
+        self.wall_ns = 0  # wall time spent in slices, to subtract from timed spans
+        self._frames = 0
+
+    def kernel(self) -> np.ndarray:
+        x, f, w = self.tokens, self.frame, self.weights
+        for layer in range(4):
+            wq, wk, wv = w[3 * layer: 3 * layer + 3]
+            scores = (x @ wq) @ (f @ wk).T * np.float32(0.17677669)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            attn = e / e.sum(axis=1, keepdims=True)
+            gate = 1.0 / (1.0 + np.exp(-scores.max(axis=1)))
+            x = x + np.float32(0.5) * gate[:, np.newaxis] * (attn @ (f @ wv) - x)
+        return x
+
+    def tick(self) -> bool:
+        """Count one frame; take a slice on every GAUGE_EVERY-th and return whether it did."""
+        self._frames += 1
+        if self._frames % GAUGE_EVERY:
+            return False
+        w0, c0 = time.perf_counter_ns(), time.process_time_ns()
+        for _ in range(GAUGE_CALLS):
+            self.kernel()
+        c1 = time.process_time_ns()
+        self.slices.append(c1 - c0)
+        self.wall_ns += time.perf_counter_ns() - w0
+        return True
+
+    def take(self) -> tuple[array.array, int]:
+        """The slices and their wall time since the last take; counts frames afresh."""
+        taken = (self.slices, self.wall_ns)
+        self.slices, self.wall_ns, self._frames = array.array("q"), 0, 0
+        return taken
 
 
 @dataclass
@@ -69,6 +129,7 @@ class Op:
     failed: int
     failures: list[str] = field(default_factory=list)
     frame_ns: array.array = field(default_factory=lambda: array.array("q"))  # per-frame CPU times
+    gauge_ns: array.array = field(default_factory=lambda: array.array("q"))  # host-gauge slices
 
 
 class FrameClock:
@@ -76,22 +137,26 @@ class FrameClock:
 
     Installed on StreamCursor.step for the untraced grid runs; one sample
     covers a frame's stream step, encode, decode, gate, readout and
-    scoring. It costs one clock read per frame.
+    scoring. It costs one clock read per frame. The host gauge ticks once
+    per sample, and a gauge slice falls outside every sample.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, gauge: HostGauge) -> None:
         self.samples = array.array("q")
+        self.gauge = gauge
         self._original = StreamCursor.step
         self._cursor = None
         self._last = 0
 
     def __enter__(self) -> "FrameClock":
-        original, clock = self._original, time.process_time_ns
+        original, clock, gauge = self._original, time.process_time_ns, self.gauge
 
         def step(cursor):
             now = clock()
             if cursor is self._cursor:
                 self.samples.append(now - self._last)
+                if gauge.tick():
+                    now = clock()
             self._cursor, self._last = cursor, now
             return original(cursor)
 
@@ -239,11 +304,13 @@ class GridWorkload:
         return Op(wall, time.perf_counter() - start, 1, int(bool(failures)), failures)
 
     def untraced(self, seconds: float) -> list[Op]:
-        with FrameClock() as frame_clock:
+        with FrameClock(HostGauge()) as frame_clock:
 
             def one() -> Op:
                 op = self.op()
                 op.frame_ns, frame_clock.samples = frame_clock.samples, array.array("q")
+                op.gauge_ns, gauge_wall_ns = frame_clock.gauge.take()
+                op.wall_s -= gauge_wall_ns / 1e9
                 return op
 
             return run_for(one, seconds)
@@ -332,7 +399,7 @@ class StreamWorkload:
                               "mask_min": float(m.min()), "mask_max": float(m.max())})
         return fails
 
-    def _stream(self, fns, tracer: Tracer | None, checking: bool):
+    def _stream(self, fns, tracer: Tracer | None, checking: bool, gauge: HostGauge | None = None):
         step, encode, decode, gate, read = fns
         weights, gate_cfg, source = self.weights, self.gate_cfg, self.gate_cfg.attn_source
         cursor = StreamCursor(self.scene, self.world.schedule, self.world.noise_sigma, self.stream_seed)
@@ -362,6 +429,8 @@ class StreamWorkload:
                 if fails:
                     failed += 1
                     failures += fails[:1]
+            if gauge is not None:
+                gauge.tick()
             state, prev_c, prev_f = new_state, out.candidate, frame
         if self.final_state is None:
             self.final_state = state
@@ -370,23 +439,27 @@ class StreamWorkload:
             failures.append("stream: final state differs from the first session of the run")
         return wall_ns, latencies, failed, failures
 
-    def op(self, fns=None, tracer: Tracer | None = None) -> Op:
+    def op(self, fns=None, tracer: Tracer | None = None, gauge: HostGauge | None = None) -> Op:
         start = time.perf_counter()
         try:
             if tracer is None:
-                wall_ns, latencies, failed, failures = self._stream(fns or self.plain, None, True)
+                wall_ns, latencies, failed, failures = self._stream(fns or self.plain, None, True, gauge)
             else:
                 tracer.begin_session()
                 wall_ns, latencies, failed, failures = tracer.wrap("session", self._stream)(fns, tracer, True)
         except Exception:  # a session that raises counts all its frames as failed; the run goes on
             traceback.print_exc()
+            if gauge is not None:
+                gauge.take()  # its slices belong to no frame samples
             elapsed = time.perf_counter() - start
             return Op(elapsed, elapsed, self.frames, self.frames, ["stream: raised"])
         elapsed = time.perf_counter() - start
-        return Op(wall_ns / 1e9, elapsed, self.frames, failed, failures, latencies)
+        gauge_ns = gauge.take()[0] if gauge is not None else array.array("q")
+        return Op(wall_ns / 1e9, elapsed, self.frames, failed, failures, latencies, gauge_ns)
 
     def untraced(self, seconds: float) -> list[Op]:
-        return run_for(self.op, seconds)
+        gauge = HostGauge()
+        return run_for(lambda: self.op(gauge=gauge), seconds)
 
     def traced(self, tracer: Tracer, seconds: float) -> tuple[list[Op], TracedLayers, dict]:
         layers = TracedLayers(tracer)
@@ -419,15 +492,30 @@ def run_for(op, seconds: float) -> list[Op]:
             return ops
 
 
-def _latency_us(ops: list[Op], q: float) -> float:
-    """Median over operations of each operation's q-th percentile of its frame samples.
+def frames_at_reference(op: Op) -> tuple[np.ndarray, float]:
+    """The operation's frame samples at reference host speed, and its host factor.
+
+    Frame j was followed by gauge slice j // GAUGE_EVERY (frames after
+    the last slice take the last one), and is divided by that slice's
+    factor. The operation's host factor is its raw frame time over its
+    frame time at reference speed. Without slices the factor is 1.
+    """
+    raw = np.frombuffer(op.frame_ns, dtype=np.int64).astype(np.float64)
+    if not len(op.gauge_ns) or not len(raw):
+        return raw, 1.0
+    factors = np.frombuffer(op.gauge_ns, dtype=np.int64) / GAUGE_REFERENCE_NS
+    at_ref = raw / factors[np.minimum(np.arange(len(raw)) // GAUGE_EVERY, len(factors) - 1)]
+    return at_ref, float(raw.sum() / at_ref.sum())
+
+
+def _latency_us(samples: list[np.ndarray], q: float) -> float:
+    """Median over operations of each operation's q-th percentile of its frame samples (ns).
 
     A grid operation's samples cover all its strategies, so a change to
     any one strategy's frames moves the figure. On the stream one
-    operation is one 1,200-frame session, and the median over sessions
-    damps the host's slow phases, which last seconds.
+    operation is one 1,200-frame session.
     """
-    per_op = [np.percentile(np.frombuffer(o.frame_ns, dtype=np.int64), q) for o in ops if len(o.frame_ns)]
+    per_op = [np.percentile(s, q) for s in samples if len(s)]
     return _median(per_op) / 1e3 if per_op else float("nan")
 
 
@@ -444,14 +532,23 @@ def _tally(ops: list[Op], problems: list[str]) -> dict:
 def untraced_result(workload, seconds: float) -> dict:
     ops = workload.untraced(seconds)
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    at_ref, factors = zip(*[frames_at_reference(o) for o in ops])
+    raw = [np.frombuffer(o.frame_ns, dtype=np.int64) for o in ops]
     return {
         **_tally(ops, workload.problems),
         "ops": len(ops),
-        "wall_s": _median([o.wall_s for o in ops]),
+        "wall_s": _median([o.wall_s / f for o, f in zip(ops, factors)]),
         "peak_rss_mb": rss_kb / 1024.0,
         "frame_samples": sum(len(o.frame_ns) for o in ops),
-        "frame_latency_p50_us": _latency_us(ops, 50),
-        "frame_latency_p99_us": _latency_us(ops, 99),
+        "frame_latency_p50_us": _latency_us(at_ref, 50),
+        "frame_latency_p99_us": _latency_us(at_ref, 99),
+        "raw": {
+            "host_factor": _median(factors),
+            "gauge_slices": sum(len(o.gauge_ns) for o in ops),
+            "wall_s": _median([o.wall_s for o in ops]),
+            "frame_latency_p50_us": _latency_us(raw, 50),
+            "frame_latency_p99_us": _latency_us(raw, 99),
+        },
     }
 
 
