@@ -92,7 +92,7 @@ class HostGauge:
         x, f, w = self.tokens, self.frame, self.weights
         for layer in range(4):
             wq, wk, wv = w[3 * layer: 3 * layer + 3]
-            scores = (x @ wq) @ (f @ wk).T * np.float32(0.17677669)
+            scores = (x @ wq) @ (f @ wk).T * np.float32(0.17677669)  # 1 / sqrt(32)
             e = np.exp(scores - scores.max(axis=1, keepdims=True))
             attn = e / e.sum(axis=1, keepdims=True)
             gate = 1.0 / (1.0 + np.exp(-scores.max(axis=1)))
