@@ -6,6 +6,10 @@ STREAMGATE_CONFIG environment variable), or from defaults, with flags
 taking precedence over the file and the file over defaults. Unknown keys
 are rejected and every constraint violation names the offending key.
 
+_OPTIONS maps each option key to its RunConfig field, a parser that also
+enforces the key's own bound, and its help text; COMMANDS maps each
+subcommand to what it computes and how it departs from the defaults.
+
 Output files are written atomically (temp file, then rename), embed the
 full effective config as header records, and are byte-identical across
 reruns of the same config. Reals are serialized with 9 significant digits
@@ -15,42 +19,40 @@ in fixed notation.
 from __future__ import annotations
 
 import argparse
+import functools
+import inspect
 import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from .decoder import make_weights
 from .errors import ConfigError
 from .evaluation import (
     WorldSpec,
     degradation_curve,
-    experiment_seeds,
     run_ablation,
-    run_session,
+    seeded_scene,
+    session_for_seed,
     tau_sweep,
 )
 from .gating import AttnSource, GateConfig, Strategy
 from .oracle import run_oracle_suite
-from .world import (
-    CoverageSchedule,
-    ScheduleKind,
-    StreamCursor,
-    dump_stream,
-    generate_scene,
-)
+from .world import CoverageSchedule, ScheduleKind, StreamCursor, dump_stream
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
-_ATTN_SOURCES = {"post": AttnSource.POST_SOFTMAX, "preabs": AttnSource.PRE_SOFTMAX_ABS}
-_SCHEDULES = {
-    "full": ScheduleKind.FULL,
-    "sliding": ScheduleKind.SLIDING_WINDOW,
-    "revisit": ScheduleKind.REVISIT,
-}
-_STRATEGIES = {s.value: s for s in Strategy}
+_WORLD = WorldSpec()
+_GATE = GateConfig()
+_MODEL = inspect.signature(make_weights).parameters
+
+_ATTN_SOURCES = tuple(a.value for a in AttnSource)
+_SCHEDULES = tuple(k.value for k in ScheduleKind)
+_STRATEGIES = tuple(s.value for s in Strategy)
+_FORMATS = ("csv", "jsonl")
 
 
 @dataclass
@@ -58,31 +60,35 @@ class RunConfig:
     """Fully validated effective configuration of one CLI invocation."""
 
     command: str
-    regions: int = 16
-    obs_channels: int = 32
-    dynamic_fraction: float = 0.0
-    drift_rate: float = 0.0
-    noise_sigma: float = 0.05
-    state_tokens: int = 16
-    frame_tokens: int = 4
-    channels: int = 32
-    layers: int = 4
-    model_seed: int = 0
-    tau: float = 1.0
-    eps_mean: float = 1e-8
-    spat_gain: float = 1.0
-    spat_bias: float = 0.0
-    attn_source: str = "post"
-    schedule: str = "sliding"
-    period: int = 10
+    regions: int = _WORLD.regions
+    obs_channels: int = _WORLD.obs_channels
+    dynamic_fraction: float = _WORLD.dynamic_fraction
+    drift_rate: float = _WORLD.drift_rate
+    noise_sigma: float = _WORLD.noise_sigma
+    state_tokens: int | None = None  # None: one state token per region
+    frame_tokens: int = _WORLD.schedule.window
+    channels: int = _MODEL["channels"].default
+    layers: int = _MODEL["n_layers"].default
+    model_seed: int = _MODEL["seed"].default
+    tau: float = _GATE.tau
+    eps_mean: float = _GATE.eps_mean
+    spat_gain: float = _GATE.spat_gain
+    spat_bias: float = _GATE.spat_bias
+    attn_source: str = _GATE.attn_source.value
+    schedule: str = _WORLD.schedule.kind.value
+    period: int = _WORLD.schedule.period
     frames: int = 300
     lengths: tuple[int, ...] = (50, 500)
     taus: tuple[float, ...] = (0.5, 1.0, 2.0)
-    strategies: tuple[str, ...] = ("uniform", "temporal", "spatial", "fused")
+    strategies: tuple[str, ...] = _STRATEGIES
     seeds: tuple[int, ...] = tuple(range(20))
     out: str = ""
     fmt: str = "csv"
     dump_stream: str = ""
+
+    def __post_init__(self) -> None:
+        if self.state_tokens is None:
+            self.state_tokens = self.regions
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -102,239 +108,106 @@ def _parse_real(key: str, raw: str) -> float:
     return v
 
 
-def _parse_int_list(key: str, raw: str) -> tuple[int, ...]:
-    items = [s for s in raw.replace(" ", "").split(",") if s]
-    if not items:
-        raise ConfigError(f"{key}: expected a comma-separated list")
-    return tuple(_parse_int(key, s) for s in items)
+def _bounded(parse, bound: str, ok: Callable[[float], bool]):
+    """`parse`, then reject a value outside `bound` naming the key."""
 
+    def parser(key: str, raw: str):
+        v = parse(key, raw)
+        if not ok(v):
+            raise ConfigError(f"{key}: must be {bound}, got {v}")
+        return v
 
-def _parse_real_list(key: str, raw: str) -> tuple[float, ...]:
-    items = [s for s in raw.replace(" ", "").split(",") if s]
-    if not items:
-        raise ConfigError(f"{key}: expected a comma-separated list")
-    return tuple(_parse_real(key, s) for s in items)
-
-
-def _parse_choice(key: str, raw: str, choices) -> str:
-    if raw not in choices:
-        raise ConfigError(f"{key}: must be one of {sorted(choices)}, got {raw!r}")
-    return raw
-
-
-# option key -> (RunConfig field, parser)
-_OPTIONS: dict[str, tuple[str, object]] = {
-    "scene-regions": ("regions", _parse_int),
-    "obs-channels": ("obs_channels", _parse_int),
-    "dynamic-fraction": ("dynamic_fraction", _parse_real),
-    "drift-rate": ("drift_rate", _parse_real),
-    "noise-sigma": ("noise_sigma", _parse_real),
-    "state-tokens": ("state_tokens", _parse_int),
-    "frame-tokens": ("frame_tokens", _parse_int),
-    "channels": ("channels", _parse_int),
-    "layers": ("layers", _parse_int),
-    "model-seed": ("model_seed", _parse_int),
-    "tau": ("tau", _parse_real),
-    "eps-mean": ("eps_mean", _parse_real),
-    "spat-gain": ("spat_gain", _parse_real),
-    "spat-bias": ("spat_bias", _parse_real),
-    "attn-source": ("attn_source", lambda k, r: _parse_choice(k, r, _ATTN_SOURCES)),
-    "schedule": ("schedule", lambda k, r: _parse_choice(k, r, _SCHEDULES)),
-    "period": ("period", _parse_int),
-    "frames": ("frames", _parse_int),
-    "lengths": ("lengths", _parse_int_list),
-    "taus": ("taus", _parse_real_list),
-    "strategy": (
-        "strategies",
-        lambda k, r: tuple(
-            _parse_choice(k, s, _STRATEGIES) for s in r.replace(" ", "").split(",") if s
-        ),
-    ),
-    "seeds": ("seeds", _parse_int_list),
-    "out": ("out", lambda k, r: r),
-    "format": ("fmt", lambda k, r: _parse_choice(k, r, {"csv", "jsonl"})),
-    "dump-stream": ("dump_stream", lambda k, r: r),
-}
-
-# commands with different strategy/seed defaults than the dataclass
-_COMMAND_STRATEGY_DEFAULTS = {
-    "run": ("fused",),
-    "degrade": ("uniform", "fused"),
-}
-_COMMAND_SEED_DEFAULTS = {"run": (0,)}
-
-_WRITING_COMMANDS = ("run", "ablate", "degrade", "sweep-tau")
-
-_HELP = {
-    "scene-regions": "ground-truth regions R (default 16)",
-    "obs-channels": "observation channels (default 32)",
-    "dynamic-fraction": "fraction of regions that drift (default 0)",
-    "drift-rate": "per-step drift magnitude of dynamic regions (default 0)",
-    "noise-sigma": "observation noise std (default 0.05)",
-    "state-tokens": "state tokens N; must equal scene-regions (default 16)",
-    "frame-tokens": "frame tokens K = sliding-window width (default 4)",
-    "channels": "feature channels C (default 32)",
-    "layers": "decoder layers L (default 4)",
-    "model-seed": "decoder weight seed (default 0)",
-    "tau": "temporal gate threshold (default 1.0)",
-    "eps-mean": "mean-delta guard of the temporal gate (default 1e-8)",
-    "spat-gain": "spatial gate gain (default 1.0)",
-    "spat-bias": "spatial gate bias (default 0.0)",
-    "attn-source": "attention traced for the spatial gate: post|preabs (default post)",
-    "schedule": "coverage schedule: full|sliding|revisit (default sliding)",
-    "period": "revisit period in frames (default 10)",
-    "frames": "frames per session (default 300)",
-    "lengths": "comma list of stream lengths for degrade (default 50,500)",
-    "taus": "comma list of thresholds for sweep-tau (default 0.5,1.0,2.0)",
-    "seeds": "comma list of experiment seeds (default 0..19; run: 0)",
-    "out": "output file path (required for writing commands)",
-    "format": "output format: csv|jsonl (default csv)",
-    "dump-stream": "also write the run's stream trace to this path",
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    for key in _OPTIONS:
-        if key == "strategy":
-            common.add_argument(
-                "--strategy",
-                action="append",
-                default=argparse.SUPPRESS,
-                metavar="{uniform|temporal|spatial|fused}",
-                help="update strategy (repeatable or comma-separated; "
-                "default fused for run, all four for ablate, uniform+fused for degrade)",
-            )
-        else:
-            common.add_argument(
-                f"--{key}",
-                default=argparse.SUPPRESS,
-                metavar="V",
-                dest=key,
-                help=_HELP[key],
-            )
-    parser = argparse.ArgumentParser(
-        prog="streamgate",
-        description="Streaming adaptive state-update experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[common], help="single streaming session")
-    sub.add_parser("ablate", parents=[common], help="strategy ablation grid")
-    sub.add_parser("degrade", parents=[common], help="error growth vs stream length")
-    sub.add_parser("sweep-tau", parents=[common], help="temporal threshold sweep")
-    sub.add_parser("oracle-check", parents=[common], help="brute-force equivalence suite")
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config: line {lineno} is not key=value: {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in _OPTIONS:
-            raise ConfigError(f"config: unknown key {key!r} (line {lineno})")
-        values[key] = raw.strip()
-    return values
+_COUNT = _bounded(_parse_int, ">= 1", lambda v: v >= 1)
+_SEED = _bounded(_parse_int, ">= 0", lambda v: v >= 0)
+_POSITIVE = _bounded(_parse_real, "> 0", lambda v: v > 0)
+_NONNEGATIVE = _bounded(_parse_real, ">= 0", lambda v: v >= 0)
+_FRACTION = _bounded(_parse_real, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _validate(cfg: RunConfig) -> None:
-    positive_ints = [
-        ("scene-regions", cfg.regions),
-        ("obs-channels", cfg.obs_channels),
-        ("state-tokens", cfg.state_tokens),
-        ("frame-tokens", cfg.frame_tokens),
-        ("channels", cfg.channels),
-        ("layers", cfg.layers),
-        ("period", cfg.period),
-        ("frames", cfg.frames),
-    ]
-    for key, value in positive_ints:
-        if value < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {value}")
-    if not 0.0 <= cfg.dynamic_fraction <= 1.0:
-        raise ConfigError(
-            f"dynamic-fraction: must be in [0, 1], got {cfg.dynamic_fraction}"
-        )
-    if cfg.drift_rate < 0:
-        raise ConfigError(f"drift-rate: must be >= 0, got {cfg.drift_rate}")
-    if cfg.noise_sigma < 0:
-        raise ConfigError(f"noise-sigma: must be >= 0, got {cfg.noise_sigma}")
-    if not cfg.tau > 0:
-        raise ConfigError(f"tau: must be > 0, got {cfg.tau}")
-    if not cfg.eps_mean > 0:
-        raise ConfigError(f"eps-mean: must be > 0, got {cfg.eps_mean}")
-    if not cfg.spat_gain > 0:
-        raise ConfigError(f"spat-gain: must be > 0, got {cfg.spat_gain}")
-    if cfg.state_tokens != cfg.regions:
-        raise ConfigError(
-            "state-tokens: must equal scene-regions (one state token per "
-            f"region), got {cfg.state_tokens} vs {cfg.regions}"
-        )
-    if cfg.schedule != "full" and cfg.frame_tokens > cfg.regions:
-        raise ConfigError(
-            f"frame-tokens: window cannot exceed scene-regions, got "
-            f"{cfg.frame_tokens} > {cfg.regions}"
-        )
-    if not cfg.seeds:
-        raise ConfigError("seeds: must not be empty")
-    if not cfg.strategies:
-        raise ConfigError("strategy: must not be empty")
-    if cfg.command == "ablate" and len(cfg.strategies) < 2:
-        raise ConfigError("strategy: ablate needs at least 2 strategies")
-    if cfg.command == "degrade":
-        if len(cfg.lengths) < 2:
-            raise ConfigError(f"lengths: need at least 2 entries, got {list(cfg.lengths)}")
-        if any(b < a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
-            raise ConfigError(f"lengths: must be sorted ascending, got {list(cfg.lengths)}")
-        if any(n < 1 for n in cfg.lengths):
-            raise ConfigError("lengths: all entries must be >= 1")
-    if cfg.command == "sweep-tau" and any(not t > 0 for t in cfg.taus):
-        raise ConfigError(f"taus: all values must be > 0, got {list(cfg.taus)}")
-    if cfg.command in _WRITING_COMMANDS and not cfg.out:
-        raise ConfigError("out: an output path is required for this command")
+def _choice(values):
+    """Parser accepting exactly one of `values`."""
+    names = sorted(values)
+
+    def parser(key: str, raw: str) -> str:
+        if raw not in names:
+            raise ConfigError(f"{key}: must be one of {names}, got {raw!r}")
+        return raw
+
+    return parser
 
 
-def parse_config(argv=None) -> RunConfig:
-    """Parse flags plus optional config file into a validated RunConfig."""
-    namespace = _build_parser().parse_args(argv)
-    given = vars(namespace)
-    command = given.pop("command")
-    config_path = given.pop("config", None) or os.environ.get(ENV_CONFIG)
+def _list(item, unique: bool = False):
+    """Parser for a comma-separated list of `item` values."""
 
-    merged: dict[str, object] = {}
-    if config_path:
-        for key, raw in _read_config_file(config_path).items():
-            field_name, parser = _OPTIONS[key]
-            merged[field_name] = parser(key, raw)
-    for key, raw in given.items():
-        if key == "strategy":
-            parsed: list[str] = []
-            for chunk in raw:
-                parsed.extend(_OPTIONS["strategy"][1]("strategy", chunk))
-            merged["strategies"] = tuple(parsed)
-        else:
-            field_name, parser = _OPTIONS[key]
-            merged[field_name] = parser(key, raw)
+    def parser(key: str, raw: str) -> tuple:
+        values = tuple(item(key, s) for s in raw.replace(" ", "").split(",") if s)
+        if not values:
+            raise ConfigError(f"{key}: expected a comma-separated list")
+        if unique and len(set(values)) < len(values):
+            raise ConfigError(f"{key}: repeated value in {list(values)}")
+        return values
 
-    if "strategies" not in merged and command in _COMMAND_STRATEGY_DEFAULTS:
-        merged["strategies"] = _COMMAND_STRATEGY_DEFAULTS[command]
-    if "seeds" not in merged and command in _COMMAND_SEED_DEFAULTS:
-        merged["seeds"] = _COMMAND_SEED_DEFAULTS[command]
+    return parser
 
-    cfg = RunConfig(command=command, **merged)
-    _validate(cfg)
-    return cfg
+
+def _text(key: str, raw: str) -> str:
+    return raw
+
+
+def _metavar(names) -> str:
+    return "{" + "|".join(names) + "}"
+
+
+@dataclass(frozen=True)
+class _Option:
+    field: str
+    parse: Callable[[str, str], object]
+    help: str
+    metavar: str = "V"
+    repeatable: bool = False
+
+
+_OPTIONS: dict[str, _Option] = {
+    "scene-regions": _Option("regions", _COUNT, "ground-truth regions R"),
+    "obs-channels": _Option("obs_channels", _COUNT, "observation channels"),
+    "dynamic-fraction": _Option("dynamic_fraction", _FRACTION, "fraction of regions that drift"),
+    "drift-rate": _Option("drift_rate", _NONNEGATIVE, "per-step drift of dynamic regions"),
+    "noise-sigma": _Option("noise_sigma", _NONNEGATIVE, "observation noise std"),
+    "state-tokens": _Option(
+        "state_tokens", _COUNT, "state tokens N; must equal scene-regions (default scene-regions)"
+    ),
+    "frame-tokens": _Option("frame_tokens", _COUNT, "frame tokens K = sliding-window width"),
+    "channels": _Option("channels", _COUNT, "feature channels C"),
+    "layers": _Option("layers", _COUNT, "decoder layers L"),
+    "model-seed": _Option("model_seed", _SEED, "decoder weight seed"),
+    "tau": _Option("tau", _POSITIVE, "temporal gate threshold"),
+    "eps-mean": _Option("eps_mean", _POSITIVE, "mean-delta guard of the temporal gate"),
+    "spat-gain": _Option("spat_gain", _POSITIVE, "spatial gate gain"),
+    "spat-bias": _Option("spat_bias", _parse_real, "spatial gate bias"),
+    "attn-source": _Option(
+        "attn_source", _choice(_ATTN_SOURCES), "attention the spatial gate reads",
+        _metavar(_ATTN_SOURCES),
+    ),
+    "schedule": _Option("schedule", _choice(_SCHEDULES), "coverage schedule", _metavar(_SCHEDULES)),
+    "period": _Option("period", _COUNT, "revisit period in frames"),
+    "frames": _Option("frames", _COUNT, "frames per session"),
+    "lengths": _Option("lengths", _list(_parse_int), "comma list of stream lengths for degrade"),
+    "taus": _Option("taus", _list(_POSITIVE), "comma list of thresholds for sweep-tau"),
+    "strategy": _Option(
+        "strategies",
+        _list(_choice(_STRATEGIES), unique=True),
+        "update strategy (repeatable or comma-separated)",
+        _metavar(_STRATEGIES),
+        repeatable=True,
+    ),
+    "seeds": _Option("seeds", _list(_SEED), "comma list of experiment seeds"),
+    "out": _Option("out", _text, "output file path (required by every command but oracle-check)"),
+    "format": _Option("fmt", _choice(_FORMATS), "output format", _metavar(_FORMATS)),
+    "dump-stream": _Option("dump_stream", _text, "also write the run's stream trace to this path"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -409,23 +282,13 @@ def write_jsonl(path, cfg, header, rows, summary) -> None:
     _atomic_write(path, text)
 
 
-def _write(cfg: RunConfig, header, rows, summary) -> None:
-    writer = write_csv if cfg.fmt == "csv" else write_jsonl
-    writer(cfg.out, cfg, header, rows, summary)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-
 def _gate_config(cfg: RunConfig) -> GateConfig:
     return GateConfig(
         tau=cfg.tau,
         eps_mean=cfg.eps_mean,
         spat_gain=cfg.spat_gain,
         spat_bias=cfg.spat_bias,
-        attn_source=_ATTN_SOURCES[cfg.attn_source],
+        attn_source=AttnSource(cfg.attn_source),
     )
 
 
@@ -437,154 +300,263 @@ def _world_spec(cfg: RunConfig) -> WorldSpec:
         drift_rate=cfg.drift_rate,
         noise_sigma=cfg.noise_sigma,
         schedule=CoverageSchedule(
-            kind=_SCHEDULES[cfg.schedule], window=cfg.frame_tokens, period=cfg.period
+            kind=ScheduleKind(cfg.schedule), window=cfg.frame_tokens, period=cfg.period
         ),
     )
 
 
-def execute(cfg: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit status."""
-    if cfg.command == "oracle-check":
-        return _cmd_oracle_check(cfg)
+def _experiment(cfg: RunConfig):
+    """(world, weights, gate config, strategies) of a validated config."""
     weights = make_weights(
         n_layers=cfg.layers,
         channels=cfg.channels,
         obs_channels=cfg.obs_channels,
         seed=cfg.model_seed,
     )
-    world = _world_spec(cfg)
-    gate_cfg = _gate_config(cfg)
-    strategies = [_STRATEGIES[s] for s in cfg.strategies]
-
-    if cfg.command == "run":
-        scene_seed, stream_seed = experiment_seeds(cfg.seeds[0])
-        scene = generate_scene(
-            world.regions,
-            world.obs_channels,
-            world.dynamic_fraction,
-            world.drift_rate,
-            seed=scene_seed,
-        )
-        result = run_session(
-            scene,
-            world.schedule,
-            weights,
-            gate_cfg,
-            strategies[0],
-            cfg.frames,
-            world.noise_sigma,
-            stream_seed=stream_seed,
-        )
-        header = ["t", "frame_error", "mask_mean", "mask_min", "mask_max"]
-        rows = [
-            {
-                "t": t + 1,
-                "frame_error": result.per_frame_error[t],
-                "mask_mean": result.mask_stats[t][0],
-                "mask_min": result.mask_stats[t][1],
-                "mask_max": result.mask_stats[t][2],
-            }
-            for t in range(result.frames)
-        ]
-        summary = [
-            {
-                "strategy": result.strategy.value,
-                "frames": result.frames,
-                "final_error": result.final_error,
-            }
-        ]
-        _write(cfg, header, rows, summary)
-        if cfg.dump_stream:
-            cursor = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
-            dump_stream(cfg.dump_stream, [cursor.step() for _ in range(cfg.frames)])
-    elif cfg.command == "ablate":
-        table = run_ablation(
-            world, weights, gate_cfg, strategies, cfg.frames, list(cfg.seeds)
-        )
-        header = ["strategy", "seed", "frames", "final_error", "mean_mask"]
-        rows = [
-            {
-                "strategy": r.strategy.value,
-                "seed": r.seed,
-                "frames": r.frames,
-                "final_error": r.final_error,
-                "mean_mask": r.mean_mask,
-            }
-            for r in table.rows
-        ]
-        summary = [
-            {
-                "strategy": s.strategy.value,
-                "median_final_error": s.median_final_error,
-                "iqr_final_error": s.iqr_final_error,
-            }
-            for s in table.summary
-        ]
-        _write(cfg, header, rows, summary)
-    elif cfg.command == "degrade":
-        report = degradation_curve(
-            world, weights, gate_cfg, strategies, list(cfg.lengths), list(cfg.seeds)
-        )
-        header = ["strategy", "length", "median_final_error"]
-        rows = [
-            {
-                "strategy": s.value,
-                "length": length,
-                "median_final_error": report.errors_by_strategy[s][i],
-            }
-            for s in strategies
-            for i, length in enumerate(report.lengths)
-        ]
-        summary = [
-            {"strategy": s.value, "growth_ratio": report.growth_ratio[s]}
-            for s in strategies
-        ]
-        _write(cfg, header, rows, summary)
-    elif cfg.command == "sweep-tau":
-        table = tau_sweep(
-            world, weights, gate_cfg, list(cfg.taus), cfg.frames, list(cfg.seeds)
-        )
-        header = ["tau", "median_final_error"]
-        rows = [{"tau": t, "median_final_error": e} for t, e in table]
-        summary = [{"strategy": "fused", "taus": len(table)}]
-        _write(cfg, header, rows, summary)
-    else:  # pragma: no cover - parser restricts commands
-        raise ConfigError(f"unknown command {cfg.command!r}")
-    print(f"wrote {cfg.out}")
-    return 0
+    strategies = [Strategy(s) for s in cfg.strategies]
+    return _world_spec(cfg), weights, _gate_config(cfg), strategies
 
 
-def _cmd_oracle_check(cfg: RunConfig) -> int:
-    reports = run_oracle_suite()
-    header = ["op", "instances", "max_rel_err", "passed"]
-    rows = [
+def _rows(header: list[str], values) -> list[dict]:
+    return [dict(zip(header, v)) for v in values]
+
+
+def _run(cfg: RunConfig):
+    world, weights, gate_cfg, strategies = _experiment(cfg)
+    result = session_for_seed(
+        world, weights, gate_cfg, strategies[0], cfg.frames, cfg.seeds[0]
+    )
+    if cfg.dump_stream:
+        scene, stream_seed = seeded_scene(world, cfg.seeds[0])
+        cursor = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
+        dump_stream(cfg.dump_stream, [cursor.step() for _ in range(cfg.frames)])
+    header = ["t", "frame_error", "mask_mean", "mask_min", "mask_max"]
+    frames = zip(result.per_frame_error, result.mask_stats)
+    rows = _rows(header, ((t, e, *stats) for t, (e, stats) in enumerate(frames, start=1)))
+    summary = [
         {
-            "op": r.op,
-            "instances": r.instances,
-            "max_rel_err": r.max_rel_err,
-            "passed": r.passed,
+            "strategy": result.strategy.value,
+            "frames": result.frames,
+            "final_error": result.final_error,
         }
-        for r in reports
     ]
-    failed = [r for r in reports if not r.passed]
+    return header, rows, summary
+
+
+def _ablate(cfg: RunConfig):
+    world, weights, gate_cfg, strategies = _experiment(cfg)
+    table = run_ablation(world, weights, gate_cfg, strategies, cfg.frames, list(cfg.seeds))
+    header = ["strategy", "seed", "frames", "final_error", "mean_mask"]
+    rows = _rows(
+        header,
+        ((r.strategy.value, r.seed, r.frames, r.final_error, r.mean_mask) for r in table.rows),
+    )
+    summary = [
+        {
+            "strategy": s.strategy.value,
+            "median_final_error": s.median_final_error,
+            "iqr_final_error": s.iqr_final_error,
+        }
+        for s in table.summary
+    ]
+    return header, rows, summary
+
+
+def _degrade(cfg: RunConfig):
+    world, weights, gate_cfg, strategies = _experiment(cfg)
+    report = degradation_curve(
+        world, weights, gate_cfg, strategies, list(cfg.lengths), list(cfg.seeds)
+    )
+    header = ["strategy", "length", "median_final_error"]
+    rows = _rows(
+        header,
+        (
+            (s.value, n, e)
+            for s in strategies
+            for n, e in zip(report.lengths, report.errors_by_strategy[s])
+        ),
+    )
+    summary = [
+        {"strategy": s.value, "growth_ratio": report.growth_ratio[s]} for s in strategies
+    ]
+    return header, rows, summary
+
+
+def _sweep_tau(cfg: RunConfig):
+    world, weights, gate_cfg, _ = _experiment(cfg)
+    table = tau_sweep(world, weights, gate_cfg, list(cfg.taus), cfg.frames, list(cfg.seeds))
+    header = ["tau", "median_final_error"]
+    summary = [{"strategy": "fused", "taus": len(table)}]
+    return header, _rows(header, table), summary
+
+
+def _oracle_check(cfg: RunConfig):
+    reports = run_oracle_suite()
+    failed = sum(not r.passed for r in reports)
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.op}: {r.instances} instances, max_rel_err={r.max_rel_err:.3e} {status}")
-    print(f"oracle-check: {len(reports) - len(failed)}/{len(reports)} operations pass")
+    print(f"oracle-check: {len(reports) - failed}/{len(reports)} operations pass")
+    header = ["op", "instances", "max_rel_err", "passed"]
+    rows = _rows(header, ((r.op, r.instances, r.max_rel_err, r.passed) for r in reports))
+    return header, rows, [{"operations": len(reports), "failed": failed}]
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand. Unless `writes` is false it requires --out and reports
+    the write; a summary record with a nonzero `failed` count exits 1."""
+
+    help: str
+    compute: Callable[[RunConfig], tuple[list, list, list]]
+    writes: bool = True
+    defaults: dict = field(default_factory=dict)
+
+
+COMMANDS: dict[str, _Command] = {
+    "run": _Command(
+        "single streaming session", _run, defaults={"strategies": ("fused",), "seeds": (0,)}
+    ),
+    "ablate": _Command("strategy ablation grid", _ablate),
+    "degrade": _Command(
+        "error growth vs stream length", _degrade, defaults={"strategies": ("uniform", "fused")}
+    ),
+    "sweep-tau": _Command("temporal threshold sweep", _sweep_tau),
+    "oracle-check": _Command("brute-force equivalence suite", _oracle_check, writes=False),
+}
+
+
+class _DefaultsFormatter(argparse.HelpFormatter):
+    """Help formatter that appends the default each option takes in one command."""
+
+    def __init__(self, prog: str, defaults: dict[str, object]) -> None:
+        super().__init__(prog)
+        self._defaults = defaults
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        default = self._defaults.get(action.dest)
+        if default is None or default == "":
+            return action.help
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        return f"{action.help} (default {shown})"
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="flat key=value config file")
+    for key, opt in _OPTIONS.items():
+        common.add_argument(
+            f"--{key}",
+            dest=key,
+            default=argparse.SUPPRESS,
+            action="append" if opt.repeatable else "store",
+            metavar=opt.metavar,
+            help=opt.help,
+        )
+    parser = argparse.ArgumentParser(
+        prog="streamgate",
+        description="Streaming adaptive state-update experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    base = {f.name: f.default for f in fields(RunConfig)}
+    for name, command in COMMANDS.items():
+        defaults = {**base, **command.defaults}
+        shown = {key: defaults[opt.field] for key, opt in _OPTIONS.items()}
+        sub.add_parser(
+            name,
+            parents=[common],
+            help=command.help,
+            formatter_class=functools.partial(_DefaultsFormatter, defaults=shown),
+        )
+    return parser
+
+
+def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
+    values: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"config: line {lineno} is not key=value: {line!r}")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        if key not in _OPTIONS:
+            raise ConfigError(f"config: unknown key {key!r} (line {lineno})")
+        values[key] = raw.strip()
+    return values
+
+
+def _validate(cfg: RunConfig) -> None:
+    """Rules that tie options together; each key's own bound is in its parser."""
+    if cfg.state_tokens != cfg.regions:
+        raise ConfigError(
+            "state-tokens: must equal scene-regions (one state token per "
+            f"region), got {cfg.state_tokens} vs {cfg.regions}"
+        )
+    if cfg.schedule != "full" and cfg.frame_tokens > cfg.regions:
+        raise ConfigError(
+            f"frame-tokens: window cannot exceed scene-regions, got "
+            f"{cfg.frame_tokens} > {cfg.regions}"
+        )
+    if cfg.command == "ablate" and len(cfg.strategies) < 2:
+        raise ConfigError("strategy: ablate needs at least 2 strategies")
+    if cfg.command == "degrade":
+        if len(cfg.lengths) < 2:
+            raise ConfigError(f"lengths: need at least 2 entries, got {list(cfg.lengths)}")
+        if any(b < a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
+            raise ConfigError(f"lengths: must be sorted ascending, got {list(cfg.lengths)}")
+        if any(n < 1 for n in cfg.lengths):
+            raise ConfigError("lengths: all entries must be >= 1")
+    if COMMANDS[cfg.command].writes and not cfg.out:
+        raise ConfigError("out: an output path is required for this command")
+
+
+def parse_config(argv=None) -> RunConfig:
+    """Parse flags plus optional config file into a validated RunConfig."""
+    given = vars(_build_parser().parse_args(argv))
+    command = given.pop("command")
+    config_path = given.pop("config", None) or os.environ.get(ENV_CONFIG)
+
+    merged = dict(COMMANDS[command].defaults)
+    sources = [_read_config_file(config_path)] if config_path else []
+    for values in (*sources, given):
+        for key, raw in values.items():
+            if isinstance(raw, list):  # a repeated flag
+                raw = ",".join(raw)
+            option = _OPTIONS[key]
+            merged[option.field] = option.parse(key, raw)
+
+    cfg = RunConfig(command=command, **merged)
+    _validate(cfg)
+    return cfg
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
+def execute(cfg: RunConfig) -> int:
+    """Run a validated config's command; returns the process exit status."""
+    command = COMMANDS[cfg.command]
+    header, rows, summary = command.compute(cfg)
     if cfg.out:
-        summary = [{"operations": len(reports), "failed": len(failed)}]
-        _write(cfg, header, rows, summary)
-    return 1 if failed else 0
+        writer = write_csv if cfg.fmt == "csv" else write_jsonl
+        writer(cfg.out, cfg, header, rows, summary)
+    if command.writes:
+        print(f"wrote {cfg.out}")
+    return 1 if any(s.get("failed") for s in summary) else 0
 
 
 def main(argv=None) -> None:
     try:
-        cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
-    try:
-        status = execute(cfg)
+        status = execute(parse_config(argv))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

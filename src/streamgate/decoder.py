@@ -127,11 +127,10 @@ class DecoderWeights:
 
 @dataclass(frozen=True)
 class DecodeOutput:
-    """Candidate state plus the per-layer trace and feature stack."""
+    """Candidate state plus the per-layer attention trace."""
 
     candidate: np.ndarray
     trace: AttentionTrace
-    layer_features: tuple[np.ndarray, ...]
 
 
 def make_weights(
@@ -218,7 +217,6 @@ def decode_step(
     scale = F32(1.0 / math.sqrt(c))
     tokens = _mix_tokens(state)
     traced: list[np.ndarray] = []
-    features: list[np.ndarray] = []
     for wq, wk, wv in zip(weights.query, weights.key, weights.value):
         q = matmul(tokens, wq)
         k = matmul(frame, wk)
@@ -228,12 +226,7 @@ def decode_step(
         gate = sigmoid(F32(GATE_GAIN) * (rowwise_max(scores) - F32(GATE_BIAS)))
         retrieved = matmul(attn, matmul(frame, wv))
         tokens = tokens + F32(RESIDUAL_RATE) * gate[:, np.newaxis] * (retrieved - tokens)
-        features.append(tokens.copy())
-    return DecodeOutput(
-        candidate=tokens,
-        trace=AttentionTrace(tuple(traced)),
-        layer_features=tuple(features),
-    )
+    return DecodeOutput(candidate=tokens, trace=AttentionTrace(tuple(traced)))
 
 
 def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -19,7 +19,7 @@ regions, and forgetting as fast growth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -194,6 +194,19 @@ def run_session(
     )
 
 
+def seeded_scene(world: WorldSpec, seed: int) -> tuple[Scene, int]:
+    """The scene and the stream seed that experiment `seed` derives."""
+    scene_seed, stream_seed = experiment_seeds(seed)
+    scene = generate_scene(
+        world.regions,
+        world.obs_channels,
+        world.dynamic_fraction,
+        world.drift_rate,
+        seed=scene_seed,
+    )
+    return scene, stream_seed
+
+
 def session_for_seed(
     world: WorldSpec,
     weights: DecoderWeights,
@@ -203,14 +216,7 @@ def session_for_seed(
     seed: int,
 ) -> SessionResult:
     """Run one session on the scene and stream derived from `seed`."""
-    scene_seed, stream_seed = experiment_seeds(seed)
-    scene = generate_scene(
-        world.regions,
-        world.obs_channels,
-        world.dynamic_fraction,
-        world.drift_rate,
-        seed=scene_seed,
-    )
+    scene, stream_seed = seeded_scene(world, seed)
     return run_session(
         scene,
         world.schedule,
@@ -236,6 +242,10 @@ def run_ablation(
         raise ConfigError("run_ablation needs at least 2 strategies")
     if not seeds:
         raise ConfigError("run_ablation needs at least 1 seed")
+    if len(set(strategies)) < len(strategies):
+        raise ConfigError(
+            f"run_ablation: repeated strategy in {[s.value for s in strategies]}"
+        )
     rows: list[AblationRow] = []
     finals: dict[Strategy, list[float]] = {s: [] for s in strategies}
     for strategy in strategies:
@@ -273,21 +283,33 @@ def degradation_curve(
     lengths: list[int],
     seeds: list[int],
 ) -> DegradationReport:
-    """Median final error per strategy as the stream length grows."""
+    """Median final error per strategy as the stream length grows.
+
+    A session's first n frames do not depend on how long it runs, so each
+    (strategy, seed) session runs once, at the longest length, and the
+    shorter lengths read their final error off its per-frame errors.
+    """
     if len(lengths) < 2:
         raise ConfigError("degradation_curve needs at least 2 lengths")
     if any(b < a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be sorted ascending, got {lengths}")
+    if lengths[0] < 1:
+        raise ConfigError(f"lengths must be >= 1, got {lengths}")
     if not strategies:
         raise ConfigError("degradation_curve needs at least 1 strategy")
-    errors: dict[Strategy, list[float]] = {s: [] for s in strategies}
+    if len(set(strategies)) < len(strategies):
+        raise ConfigError(
+            f"degradation_curve: repeated strategy in {[s.value for s in strategies]}"
+        )
+    errors: dict[Strategy, list[float]] = {}
     for strategy in strategies:
-        for length in lengths:
-            finals = [
-                session_for_seed(world, weights, cfg, strategy, length, seed).final_error
-                for seed in seeds
-            ]
-            errors[strategy].append(float(np.median(finals)))
+        curves = [
+            session_for_seed(world, weights, cfg, strategy, lengths[-1], seed).per_frame_error
+            for seed in seeds
+        ]
+        errors[strategy] = [
+            float(np.median([curve[n - 1] for curve in curves])) for n in lengths
+        ]
     ratios = {}
     for strategy in strategies:
         first, last = errors[strategy][0], errors[strategy][-1]
@@ -313,13 +335,7 @@ def tau_sweep(
             raise ConfigError(f"tau must be > 0, got {tau}")
     out = []
     for tau in taus:
-        tau_cfg = GateConfig(
-            tau=tau,
-            eps_mean=cfg.eps_mean,
-            spat_gain=cfg.spat_gain,
-            spat_bias=cfg.spat_bias,
-            attn_source=cfg.attn_source,
-        )
+        tau_cfg = replace(cfg, tau=tau)
         finals = [
             session_for_seed(
                 world, weights, tau_cfg, Strategy.FUSED, frames, seed

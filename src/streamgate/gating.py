@@ -24,6 +24,7 @@ reproduces plain full-replacement recurrence.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,7 +139,8 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
 
     delta[i] = |curr_i - prev_i|_2, normalized by its mean over tokens
     (falling back to all-ones when the mean is below cfg.eps_mean), then
-    mask[i] = sigmoid(normalized_delta[i] - tau).
+    mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite candidate
+    or previous candidate raises StateError.
     """
     curr = as_matrix(curr, "curr")
     prev = as_matrix(prev, "prev")
@@ -148,6 +150,8 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
         )
     delta = rowwise_l2(curr - prev)
     mu = float(delta.mean())
+    if not math.isfinite(mu):
+        raise StateError("temporal_mask: non-finite candidate or previous candidate")
     if mu >= cfg.eps_mean:
         normalized = delta / F32(mu)
     else:
@@ -218,7 +222,7 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
             f"apply_update mask length {m.shape[0]} != token count "
             f"{candidate.shape[0]}"
         )
-    if m.min() < 0 or m.max() > 1:
+    if not (m.min() >= 0 and m.max() <= 1):  # a NaN entry fails this too
         raise ConfigError("apply_update mask values must lie in [0, 1]")
     w = m[:, np.newaxis]
     raw = w * candidate + (F32(1.0) - w) * prev_state

@@ -1,9 +1,12 @@
 import json
+import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import streamgate
 from streamgate.cli import fmt_real, main, parse_config
 from streamgate.errors import ConfigError
 
@@ -43,6 +46,12 @@ def test_tau_zero_rejected_naming_key(capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["seeds", "model-seed"])
+def test_negative_seed_rejected_naming_key(capsys, key):
+    assert run_cli(["run", f"--{key}", "-1", "--out", "x.csv"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_non_numeric_value_rejected_naming_key(capsys):
     assert run_cli(["run", "--frames", "abc", "--out", "x.csv"]) == 2
     assert "frames" in capsys.readouterr().err
@@ -57,6 +66,19 @@ def test_state_tokens_must_equal_regions(capsys):
     assert run_cli(["run", "--scene-regions", "8", "--state-tokens", "4", "--out", "x.csv"]) == 2
     err = capsys.readouterr().err
     assert "state-tokens" in err
+
+
+def test_state_tokens_default_to_regions(tmp_path):
+    out = tmp_path / "run.csv"
+    i = SMALL.index("--state-tokens")
+    assert run_cli(["run", *SMALL[:i], *SMALL[i + 2:], "--out", str(out)]) == 0
+    assert "# config state_tokens=4" in out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("strategy", [["fused", "--strategy", "fused"], ["uniform,fused,uniform"]])
+def test_repeated_strategy_rejected_naming_key(capsys, strategy):
+    assert run_cli(["ablate", "--strategy", *strategy, "--out", "x.csv"]) == 2
+    assert "strategy" in capsys.readouterr().err
 
 
 def test_degrade_lengths_must_be_sorted(capsys):
@@ -114,6 +136,55 @@ def test_command_defaults():
     assert cfg.lengths == (50, 500)
 
 
+HELP_DEFAULTS = {
+    "scene-regions": "16",
+    "obs-channels": "32",
+    "dynamic-fraction": "0.0",
+    "drift-rate": "0.0",
+    "noise-sigma": "0.05",
+    "state-tokens": "scene-regions",
+    "frame-tokens": "4",
+    "channels": "32",
+    "layers": "4",
+    "model-seed": "0",
+    "tau": "1.0",
+    "eps-mean": "1e-08",
+    "spat-gain": "1.0",
+    "spat-bias": "0.0",
+    "attn-source": "post",
+    "schedule": "sliding",
+    "period": "10",
+    "frames": "300",
+    "lengths": "50,500",
+    "taus": "0.5,1.0,2.0",
+    "strategy": "uniform,temporal,spatial,fused",
+    "seeds": ",".join(map(str, range(20))),
+    "out": None,
+    "format": "csv",
+    "dump-stream": None,
+}
+COMMAND_HELP_DEFAULTS = {
+    "run": {"strategy": "fused", "seeds": "0"},
+    "ablate": {},
+    "degrade": {"strategy": "uniform,fused"},
+    "sweep-tau": {},
+    "oracle-check": {},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_HELP_DEFAULTS))
+def test_help_lists_every_option_with_command_default(capsys, command):
+    assert run_cli([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split("options:")[-1].split())
+    entries = dict(re.findall(r"--([a-z-]+) \S+ (.*?)(?= --[a-z]|$)", text))
+    assert set(entries) - {"help", "config"} == set(HELP_DEFAULTS)
+    for key, default in {**HELP_DEFAULTS, **COMMAND_HELP_DEFAULTS[command]}.items():
+        if default is None:
+            assert "(default" not in entries[key]
+        else:
+            assert entries[key].endswith(f"(default {default})"), (key, entries[key])
+
+
 # --- real formatting --------------------------------------------------------
 
 
@@ -140,6 +211,20 @@ def test_run_writes_csv_with_config_and_schema(tmp_path, capsys):
     rows = [l for l in lines[header_idx + 1:] if not l.startswith("#")]
     assert len(rows) == 5
     assert any(l.startswith("# summary ") for l in lines)
+
+
+def test_run_config_keys_in_order(tmp_path):
+    out = tmp_path / "run.csv"
+    assert run_cli(["run", *SMALL, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    keys = [l[len("# config "):].split("=")[0] for l in lines if l.startswith("# config ")]
+    assert keys == [
+        "command", "regions", "obs_channels", "dynamic_fraction", "drift_rate",
+        "noise_sigma", "state_tokens", "frame_tokens", "channels", "layers",
+        "model_seed", "tau", "eps_mean", "spat_gain", "spat_bias", "attn_source",
+        "schedule", "period", "frames", "lengths", "taus", "strategies", "seeds",
+        "out", "fmt", "dump_stream",
+    ]
 
 
 def test_ablate_golden_schema(tmp_path):
@@ -230,10 +315,14 @@ def test_oracle_check_passes(capsys):
 
 
 def test_console_script_entry_point(tmp_path):
+    # the child process imports the same package as this one, installed or not
+    package_root = os.path.dirname(os.path.dirname(streamgate.__file__))
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "streamgate.cli", "run", *SMALL, "--out", str(tmp_path / "o.csv")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "o.csv").exists()

@@ -97,7 +97,6 @@ def test_decode_step_attention_rows_sum_to_one():
     state = rng.standard_normal((4, 8)).astype(F32)
     out = decode_step(frame, state, w)
     assert out.trace.layer_count == 3
-    assert len(out.layer_features) == 3
     for layer in out.trace.layers:
         assert (layer >= 0).all()
         np.testing.assert_allclose(layer.sum(axis=1), np.ones(4), atol=1e-5)
@@ -125,7 +124,6 @@ def test_decode_step_candidate_shape_matches_state():
         w,
     )
     assert out.candidate.shape == (5, 8)
-    assert all(f.shape == (5, 8) for f in out.layer_features)
 
 
 def test_decode_step_deterministic():

@@ -125,6 +125,34 @@ def test_degradation_curve_validation():
         degradation_curve(SMALL_WORLD, w, GateConfig(), [Strategy.FUSED], [30, 10], [0])
 
 
+def test_ablation_and_degradation_reject_repeated_strategies():
+    w = small_weights()
+    repeated = [Strategy.FUSED, Strategy.UNIFORM, Strategy.FUSED]
+    with pytest.raises(ConfigError, match="repeated"):
+        run_ablation(SMALL_WORLD, w, GateConfig(), repeated, 3, [0])
+    with pytest.raises(ConfigError, match="repeated"):
+        degradation_curve(SMALL_WORLD, w, GateConfig(), repeated, [2, 3], [0])
+
+
+def test_degradation_curve_rejects_lengths_below_one():
+    with pytest.raises(ConfigError, match="lengths"):
+        degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], [0, 4], [0])
+
+
+def test_degradation_curve_equals_separately_run_sessions():
+    strategies = [Strategy.UNIFORM, Strategy.FUSED]
+    lengths, seeds = [1, 4, 4, 9], [0, 1, 2]
+    report = degradation_curve(
+        SMALL_WORLD, small_weights(), GateConfig(), strategies, lengths, seeds
+    )
+    for strategy in strategies:
+        separate = [
+            float(np.median([small_session(strategy, n, seed).final_error for seed in seeds]))
+            for n in lengths
+        ]
+        assert report.errors_by_strategy[strategy] == separate
+
+
 def test_degradation_curve_equal_lengths_ratio_one():
     report = degradation_curve(
         SMALL_WORLD,

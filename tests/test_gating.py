@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,16 @@ def test_temporal_mask_monotonicity():
 def test_temporal_mask_shape_mismatch():
     with pytest.raises(ConfigError):
         temporal_mask(np.zeros((2, 2)), np.zeros((3, 2)), GateConfig())
+
+
+@pytest.mark.parametrize("side", ["curr", "prev"])
+def test_temporal_mask_rejects_non_finite_candidate(side):
+    arrays = {"curr": np.ones((2, 3), dtype=F32), "prev": np.zeros((2, 3), dtype=F32)}
+    arrays[side][0, 0] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="non-finite"):
+            temporal_mask(arrays["curr"], arrays["prev"], GateConfig())
 
 
 # --- feature divergence ----------------------------------------------------
@@ -263,6 +275,12 @@ def test_apply_update_validation():
     bad = UpdateMask(np.array([0.5, 1.5], dtype=F32), MaskKind.FUSED)
     with pytest.raises(ConfigError):
         apply_update(np.zeros((2, 2)), np.zeros((2, 2)), bad)
+
+
+def test_apply_update_rejects_nan_mask():
+    nan_mask = UpdateMask(np.array([np.nan, 0.5], dtype=F32), MaskKind.FUSED)
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        apply_update(2 * np.ones((2, 3), dtype=F32), np.ones((2, 3), dtype=F32), nan_mask)
 
 
 # --- uniform mask ------------------------------------------------------------------
