@@ -203,7 +203,7 @@ _OPTIONS: dict[str, _Option] = {
         _metavar(_STRATEGIES),
         repeatable=True,
     ),
-    "seeds": _Option("seeds", _list(_SEED), "comma list of experiment seeds"),
+    "seeds": _Option("seeds", _list(_SEED, unique=True), "comma list of experiment seeds"),
     "out": _Option("out", _text, "output file path (required by every command but oracle-check)"),
     "format": _Option("fmt", _choice(_FORMATS), "output format", _metavar(_FORMATS)),
     "dump-stream": _Option("dump_stream", _text, "also write the run's stream trace to this path"),

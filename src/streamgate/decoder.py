@@ -214,6 +214,8 @@ def decode_step(
             f"frame/state channel mismatch: frame {frame.shape}, state "
             f"{state.shape}, weights expect {c} channels"
         )
+    if frame.shape[0] < 1:
+        raise ConfigError("decode_step requires at least one frame token")
     scale = F32(1.0 / math.sqrt(c))
     tokens = _mix_tokens(state)
     traced: list[np.ndarray] = []

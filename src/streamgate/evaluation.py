@@ -111,23 +111,19 @@ def experiment_seeds(seed: int) -> tuple[int, int]:
     return child_seed(seed, _SCENE_ROLE), child_seed(seed, _STREAM_ROLE)
 
 
-def initial_state(
-    scene: Scene,
-    weights: DecoderWeights,
-    prior_scale: float | None = None,
-    noise_scale: float | None = None,
-) -> np.ndarray:
+def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
     """One state token per region: encoded region code plus seeded noise."""
-    if prior_scale is None:
-        prior_scale = INIT_PRIOR_SCALE
-    if noise_scale is None:
-        noise_scale = INIT_NOISE_SCALE
+    channels, expected = scene.region_codes.shape[1], weights.encoder.shape[0]
+    if channels != expected:
+        raise ConfigError(
+            f"scene has {channels} observation channels, encoder expects {expected}"
+        )
     prior = matmul(scene.region_codes, weights.encoder)
     rng = np.random.default_rng(
         np.random.SeedSequence((int(scene.seed), 0, _INIT_ROLE))
     )
     noise = rng.standard_normal(prior.shape).astype(F32)
-    return F32(prior_scale) * prior + F32(noise_scale) * noise
+    return F32(INIT_PRIOR_SCALE) * prior + F32(INIT_NOISE_SCALE) * noise
 
 
 def run_session(
@@ -229,6 +225,12 @@ def session_for_seed(
     )
 
 
+def _require_distinct(op: str, name: str, values) -> None:
+    """Reject a repeated entry, which would run the same sessions twice."""
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{op}: repeated {name} in {list(values)}")
+
+
 def run_ablation(
     world: WorldSpec,
     weights: DecoderWeights,
@@ -242,10 +244,8 @@ def run_ablation(
         raise ConfigError("run_ablation needs at least 2 strategies")
     if not seeds:
         raise ConfigError("run_ablation needs at least 1 seed")
-    if len(set(strategies)) < len(strategies):
-        raise ConfigError(
-            f"run_ablation: repeated strategy in {[s.value for s in strategies]}"
-        )
+    _require_distinct("run_ablation", "strategy", [s.value for s in strategies])
+    _require_distinct("run_ablation", "seed", seeds)
     rows: list[AblationRow] = []
     finals: dict[Strategy, list[float]] = {s: [] for s in strategies}
     for strategy in strategies:
@@ -297,10 +297,8 @@ def degradation_curve(
         raise ConfigError(f"lengths must be >= 1, got {lengths}")
     if not strategies:
         raise ConfigError("degradation_curve needs at least 1 strategy")
-    if len(set(strategies)) < len(strategies):
-        raise ConfigError(
-            f"degradation_curve: repeated strategy in {[s.value for s in strategies]}"
-        )
+    _require_distinct("degradation_curve", "strategy", [s.value for s in strategies])
+    _require_distinct("degradation_curve", "seed", seeds)
     errors: dict[Strategy, list[float]] = {}
     for strategy in strategies:
         curves = [
@@ -330,17 +328,14 @@ def tau_sweep(
     """Median fused-strategy final error for each temporal threshold."""
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
-    for tau in taus:
-        if not tau > 0:
-            raise ConfigError(f"tau must be > 0, got {tau}")
+    _require_distinct("tau_sweep", "seed", seeds)
     out = []
-    for tau in taus:
-        tau_cfg = replace(cfg, tau=tau)
+    for tau_cfg in [replace(cfg, tau=tau) for tau in taus]:
         finals = [
             session_for_seed(
                 world, weights, tau_cfg, Strategy.FUSED, frames, seed
             ).final_error
             for seed in seeds
         ]
-        out.append((float(tau), float(np.median(finals))))
+        out.append((float(tau_cfg.tau), float(np.median(finals))))
     return out

@@ -161,6 +161,12 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
 
 def feature_divergence(curr, prev) -> np.ndarray:
     """Per-frame-token dissimilarity: 1 - cosine of consecutive frames."""
+    curr = as_matrix(curr, "curr")
+    prev = as_matrix(prev, "prev")
+    if curr.shape != prev.shape:
+        raise ConfigError(
+            f"feature_divergence shape mismatch: {curr.shape} vs {prev.shape}"
+        )
     return F32(1.0) - rowwise_cosine(curr, prev)
 
 
@@ -183,6 +189,8 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
             f"spatial_mask dimension mismatch: attention is {attn.shape}, "
             f"divergence has {divergence.shape[0]} entries"
         )
+    if attn.shape[1] < 1:
+        raise ConfigError("spatial_mask requires at least one frame token")
     if attn.size and attn.min() < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
@@ -208,7 +216,8 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
 
     Each output coordinate is clamped to the closed interval spanned by the
     two inputs, so the convex-combination postcondition holds exactly in
-    float32.
+    float32. A non-finite blended state raises StateError, whatever mask
+    produced it.
     """
     candidate = as_matrix(candidate, "candidate")
     prev_state = as_matrix(prev_state, "prev_state")
@@ -228,7 +237,10 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
     raw = w * candidate + (F32(1.0) - w) * prev_state
     lo = np.minimum(candidate, prev_state)
     hi = np.maximum(candidate, prev_state)
-    return np.clip(raw, lo, hi)
+    state = np.clip(raw, lo, hi)
+    if not np.isfinite(state).all():
+        raise StateError("apply_update: non-finite blended state")
+    return state
 
 
 def uniform_mask(n: int) -> UpdateMask:

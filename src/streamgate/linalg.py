@@ -1,8 +1,10 @@
 """Dense float32 array kernels used by every other module.
 
-All kernels accept anything array-like, coerce to float32, and return
-float32 arrays. Shapes are validated eagerly; a mismatch raises
-ConfigError. Given finite inputs every kernel returns finite values.
+The kernels trust their callers: every argument is already a float32
+ndarray of the right rank, and the shapes are compatible. They neither
+coerce nor check; the public operations in `gating` and `decoder` do
+both, once, with `as_matrix`/`as_vector`, and raise ConfigError there.
+Given finite inputs every kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
 """
 
@@ -39,70 +41,45 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     return v
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with explicit inner-dimension check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ConfigError(
-            f"matmul dimension mismatch: a is {a.shape}, b is {b.shape}"
-        )
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a @ b; a is n x k, b is k x m."""
     return np.matmul(a, b)
 
 
-def row_softmax(m) -> np.ndarray:
+def row_softmax(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction."""
-    m = as_matrix(m)
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def rowwise_l2(m) -> np.ndarray:
+def rowwise_l2(m: np.ndarray) -> np.ndarray:
     """Per-row Euclidean norm: out[i] = sqrt(sum_j m[i,j]^2)."""
-    m = as_matrix(m)
     return np.sqrt((m * m).sum(axis=1))
 
 
-def rowwise_cosine(a, b) -> np.ndarray:
+def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row cosine similarity of two equal-shape matrices.
 
     out[i] = <a_i, b_i> / (|a_i| |b_i| + EPS_COS), clamped to [-1, 1].
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ConfigError(
-            f"rowwise_cosine shape mismatch: {a.shape} vs {b.shape}"
-        )
     dots = (a * b).sum(axis=1)
     denom = rowwise_l2(a) * rowwise_l2(b) + F32(EPS_COS)
     return np.clip(dots / denom, F32(-1.0), F32(1.0))
 
 
-def sigmoid(v) -> np.ndarray:
+def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, strictly inside (0, 1)."""
-    v = as_vector(v)
     with np.errstate(over="ignore"):
         out = F32(1.0) / (F32(1.0) + np.exp(-v))
     return np.clip(out, _SIG_LO, _SIG_HI)
 
 
-def col_broadcast_mul(m, v) -> np.ndarray:
-    """Scale each column j of m by v[j]."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if v.shape[0] != m.shape[1]:
-        raise ConfigError(
-            f"col_broadcast_mul length mismatch: matrix has {m.shape[1]} "
-            f"columns, vector has {v.shape[0]} entries"
-        )
+def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Scale each column j of m by v[j]; v has one entry per column."""
     return m * v[np.newaxis, :]
 
 
-def rowwise_max(m) -> np.ndarray:
-    """Per-row maximum; rejects matrices with zero columns."""
-    m = as_matrix(m)
-    if m.shape[1] == 0:
-        raise ConfigError("rowwise_max requires at least one column")
+def rowwise_max(m: np.ndarray) -> np.ndarray:
+    """Per-row maximum of a matrix with at least one column."""
     return m.max(axis=1)

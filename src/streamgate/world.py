@@ -235,27 +235,29 @@ def dump_stream(path, steps) -> None:
 
 
 def load_stream(path, obs_channels: int) -> list[StreamStep]:
-    """Read back a trace written by dump_stream (float32-exact)."""
+    """Read back a trace written by dump_stream (float32-exact).
+
+    A malformed line raises ConfigError naming its 1-based line number.
+    """
     steps = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            t_s, rows_s, vis_s, obs_s, truth_s = line.split(";")
-            rows = int(rows_s)
-            obs = np.array(
-                [F32(v) for v in obs_s.split(",")], dtype=F32
-            ).reshape(rows, obs_channels)
-            truth_vals = np.array([F32(v) for v in truth_s.split(",")], dtype=F32)
-            truth = truth_vals.reshape(-1, obs_channels)
-            visible = tuple(int(i) for i in vis_s.split(",")) if vis_s else ()
-            steps.append(
-                StreamStep(
+            try:
+                t_s, rows_s, vis_s, obs_s, truth_s = line.split(";")
+                obs = np.array(
+                    [F32(v) for v in obs_s.split(",")], dtype=F32
+                ).reshape(int(rows_s), obs_channels)
+                truth_vals = np.array([F32(v) for v in truth_s.split(",")], dtype=F32)
+                step = StreamStep(
                     t=int(t_s),
                     observation=obs,
-                    visible_regions=visible,
-                    truth_snapshot=truth,
+                    visible_regions=tuple(int(i) for i in vis_s.split(",")) if vis_s else (),
+                    truth_snapshot=truth_vals.reshape(-1, obs_channels),
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: malformed step ({exc})") from None
+            steps.append(step)
     return steps

@@ -81,6 +81,11 @@ def test_repeated_strategy_rejected_naming_key(capsys, strategy):
     assert "strategy" in capsys.readouterr().err
 
 
+def test_repeated_seed_rejected_naming_key(capsys):
+    assert run_cli(["ablate", "--seeds", "0,0", "--out", "x.csv"]) == 2
+    assert "seeds: repeated value in [0, 0]" in capsys.readouterr().err
+
+
 def test_degrade_lengths_must_be_sorted(capsys):
     assert run_cli(["degrade", "--lengths", "50,40", "--out", "x.csv"]) == 2
     assert "lengths" in capsys.readouterr().err

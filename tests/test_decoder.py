@@ -140,6 +140,12 @@ def test_decode_step_channel_mismatch():
         decode_step(np.zeros((3, 7), dtype=F32), np.zeros((4, 8), dtype=F32), w)
 
 
+def test_decode_step_requires_a_frame_token():
+    w = make_weights(2, 8, 8, seed=6)
+    with pytest.raises(ConfigError, match="at least one frame token"):
+        decode_step(np.zeros((0, 8), dtype=F32), np.zeros((4, 8), dtype=F32), w)
+
+
 def test_decode_step_pre_softmax_trace_carries_raw_scores():
     w = make_weights(1, 8, 8, seed=7)
     rng = np.random.default_rng(6)

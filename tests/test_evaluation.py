@@ -96,6 +96,12 @@ def test_initial_state_one_token_per_region():
     assert initial_state(scene, small_weights()).tobytes() == state.tobytes()
 
 
+def test_initial_state_rejects_channel_mismatch():
+    scene = generate_scene(6, 5, 0.0, 0.0, seed=2)
+    with pytest.raises(ConfigError, match="5 observation channels, encoder expects 8"):
+        initial_state(scene, small_weights())
+
+
 def test_run_ablation_requires_two_strategies():
     with pytest.raises(ConfigError):
         run_ablation(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], 5, [0])
@@ -132,6 +138,17 @@ def test_ablation_and_degradation_reject_repeated_strategies():
         run_ablation(SMALL_WORLD, w, GateConfig(), repeated, 3, [0])
     with pytest.raises(ConfigError, match="repeated"):
         degradation_curve(SMALL_WORLD, w, GateConfig(), repeated, [2, 3], [0])
+
+
+def test_experiments_reject_repeated_seeds():
+    w = small_weights()
+    strategies = [Strategy.UNIFORM, Strategy.FUSED]
+    with pytest.raises(ConfigError, match=r"run_ablation: repeated seed in \[0, 1, 0\]"):
+        run_ablation(SMALL_WORLD, w, GateConfig(), strategies, 3, [0, 1, 0])
+    with pytest.raises(ConfigError, match="degradation_curve: repeated seed"):
+        degradation_curve(SMALL_WORLD, w, GateConfig(), strategies, [2, 3], [4, 4])
+    with pytest.raises(ConfigError, match="tau_sweep: repeated seed"):
+        tau_sweep(SMALL_WORLD, w, GateConfig(), [1.0], 3, [2, 2])
 
 
 def test_degradation_curve_rejects_lengths_below_one():

@@ -194,6 +194,8 @@ def test_spatial_mask_validation():
         spatial_mask(np.zeros((2, 3)), np.zeros(4), GateConfig())
     with pytest.raises(ConfigError):
         spatial_mask(np.array([[-0.1, 0.2]]), np.zeros(2), GateConfig())
+    with pytest.raises(ConfigError, match="at least one frame token"):
+        spatial_mask(np.zeros((2, 0)), np.zeros(0), GateConfig())
 
 
 # --- fusion --------------------------------------------------------------------
@@ -379,6 +381,23 @@ def test_gate_step_partial_buffers_raise_state_error():
             d["trace"],
             GateConfig(),
             Strategy.FUSED,
+            prev_frame=d["prev_frame"],
+        )
+
+
+@pytest.mark.parametrize("strategy", [Strategy.UNIFORM, Strategy.SPATIAL_ONLY])
+def test_gate_step_rejects_non_finite_state(strategy):
+    d = _gate_inputs(seed=7)
+    d["candidate"][1, 2] = np.nan
+    with pytest.raises(StateError, match="non-finite blended state"):
+        gate_step(
+            d["candidate"],
+            d["prev_state"],
+            d["frame"],
+            d["trace"],
+            GateConfig(),
+            strategy,
+            prev_candidate=d["prev_candidate"],
             prev_frame=d["prev_frame"],
         )
 

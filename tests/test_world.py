@@ -181,3 +181,29 @@ def test_stream_trace_roundtrip(tmp_path):
         assert back.visible_regions == orig.visible_regions
         assert back.observation.tobytes() == orig.observation.tobytes()
         assert back.truth_snapshot.tobytes() == orig.truth_snapshot.tobytes()
+
+
+def _dumped_lines(tmp_path):
+    scene = generate_scene(3, 4, 0.0, 0.0, seed=20)
+    cursor = StreamCursor(scene, CoverageSchedule(kind=ScheduleKind.FULL), 0.1, seed=21)
+    path = tmp_path / "trace.txt"
+    dump_stream(path, [cursor.step() for _ in range(3)])
+    return path, path.read_text().splitlines()
+
+
+def test_load_stream_names_a_short_line(tmp_path):
+    path, lines = _dumped_lines(tmp_path)
+    lines[1] = ";".join(lines[1].split(";")[:3])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="line 2: malformed step"):
+        load_stream(path, obs_channels=4)
+
+
+def test_load_stream_names_a_wrong_value_count(tmp_path):
+    path, lines = _dumped_lines(tmp_path)
+    fields = lines[2].split(";")
+    fields[3] = fields[3].rsplit(",", 1)[0]
+    lines[2] = ";".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match="line 3: malformed step"):
+        load_stream(path, obs_channels=4)
