@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, fields
 from typing import Callable
 
@@ -41,7 +40,7 @@ from .evaluation import (
 )
 from .gating import AttnSource, GateConfig, Strategy
 from .oracle import run_oracle_suite
-from .world import CoverageSchedule, ScheduleKind, StreamCursor, dump_stream
+from .world import CoverageSchedule, ScheduleKind, StreamCursor, atomic_write, dump_stream
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
@@ -247,20 +246,6 @@ def _config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     return [(f.name, _fmt_value(getattr(cfg, f.name))) for f in fields(cfg)]
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_csv(path, cfg, header, rows, summary) -> None:
     """CSV with `# config` header records and a `# summary` block."""
     lines = [f"# config {k}={v}" for k, v in _config_items(cfg)]
@@ -270,7 +255,7 @@ def write_csv(path, cfg, header, rows, summary) -> None:
     for record in summary:
         pairs = " ".join(f"{k}={_fmt_value(v)}" for k, v in record.items())
         lines.append(f"# summary {pairs}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, (line + "\n" for line in lines))
 
 
 def write_jsonl(path, cfg, header, rows, summary) -> None:
@@ -278,8 +263,7 @@ def write_jsonl(path, cfg, header, rows, summary) -> None:
     records = [{"record": "config", **dict(_config_items(cfg))}]
     records.extend({"record": "row", **{h: _json_value(r[h]) for h in header}} for r in rows)
     records.extend({"record": "summary", **{k: _json_value(v) for k, v in s.items()}} for s in summary)
-    text = "\n".join(json.dumps(r, ensure_ascii=True) for r in records) + "\n"
-    _atomic_write(path, text)
+    atomic_write(path, (json.dumps(r, ensure_ascii=True) + "\n" for r in records))
 
 
 def _gate_config(cfg: RunConfig) -> GateConfig:

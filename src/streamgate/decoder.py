@@ -70,6 +70,12 @@ QK_JITTER = 0.1
 # the lossy re-encoding channel described in the module docstring.
 MIX_RATE = 0.03
 
+# float32 copies of the rates above, built once rather than on every layer.
+_RESIDUAL_RATE32 = F32(RESIDUAL_RATE)
+_GATE_BIAS32 = F32(GATE_BIAS)
+_GATE_GAIN32 = F32(GATE_GAIN)
+_MIX_RATE32 = F32(MIX_RATE)
+
 
 @dataclass(frozen=True)
 class DecoderWeights:
@@ -216,6 +222,8 @@ def decode_step(
         )
     if frame.shape[0] < 1:
         raise ConfigError("decode_step requires at least one frame token")
+    if state.shape[0] < 1:
+        raise ConfigError("decode_step requires at least one state token")
     scale = F32(1.0 / math.sqrt(c))
     tokens = _mix_tokens(state)
     traced: list[np.ndarray] = []
@@ -225,9 +233,9 @@ def decode_step(
         scores = matmul(q, k.T) * scale
         attn = row_softmax(scores)
         traced.append(scores if attn_source is AttnSource.PRE_SOFTMAX_ABS else attn)
-        gate = sigmoid(F32(GATE_GAIN) * (rowwise_max(scores) - F32(GATE_BIAS)))
+        gate = sigmoid(_GATE_GAIN32 * (rowwise_max(scores) - _GATE_BIAS32))
         retrieved = matmul(attn, matmul(frame, wv))
-        tokens = tokens + F32(RESIDUAL_RATE) * gate[:, np.newaxis] * (retrieved - tokens)
+        tokens = tokens + _RESIDUAL_RATE32 * gate[:, np.newaxis] * (retrieved - tokens)
     return DecodeOutput(candidate=tokens, trace=AttentionTrace(tuple(traced)))
 
 
@@ -242,14 +250,14 @@ def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 def _mix_tokens(state: np.ndarray) -> np.ndarray:
     """Norm-preserving rotation of each token toward the mean direction."""
-    mean = state.mean(axis=0)
-    mean_norm = float(np.sqrt((mean * mean).sum()))
+    mean = np.add.reduce(state, axis=0) / F32(state.shape[0])
+    mean_norm = float(np.sqrt(np.add.reduce(mean * mean)))
     if mean_norm == 0.0:
         return state.copy()
-    orig = np.sqrt((state * state).sum(axis=1, keepdims=True))
+    orig = np.sqrt(np.add.reduce(state * state, axis=1, keepdims=True))
     target = (mean / F32(mean_norm))[np.newaxis, :] * orig
-    mixed = state + F32(MIX_RATE) * (target - state)
-    new = np.sqrt((mixed * mixed).sum(axis=1, keepdims=True))
+    mixed = state + _MIX_RATE32 * (target - state)
+    new = np.sqrt(np.add.reduce(mixed * mixed, axis=1, keepdims=True))
     safe = np.where(new > 0, new, F32(1.0))
     return mixed * (orig / safe)
 

@@ -148,6 +148,9 @@ def run_session(
     mask_stats: list[tuple[float, float, float]] = []
     region_errors = np.zeros((frames, scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
+    # A scene that cannot drift keeps its codes: its truth is projected once.
+    drifts = scene.drifts
+    truth = None
 
     for i in range(frames):
         step = cursor.step()
@@ -167,15 +170,20 @@ def run_session(
         prev_frame = frame
 
         estimate = readout(out.candidate, weights).astype(np.float64)
-        truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
-        scale = float((estimate * truth).sum()) / (
-            float((estimate * estimate).sum()) + 1e-12
+        if truth is None or drifts:
+            truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
+        scale = float(np.add.reduce(estimate * truth, axis=None)) / (
+            float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
         )
-        errs = np.sqrt(((scale * estimate - truth) ** 2).sum(axis=1))
+        errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
         region_errors[i] = errs
-        per_frame_error.append(float(errs.mean()))
+        per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
         m = mask.values
-        mask_stats.append((float(m.mean()), float(m.min()), float(m.max())))
+        mask_stats.append((
+            float(np.add.reduce(m) / F32(m.shape[0])),
+            float(np.minimum.reduce(m)),
+            float(np.maximum.reduce(m)),
+        ))
         visible.append(step.visible_regions)
 
     return SessionResult(
@@ -297,6 +305,8 @@ def degradation_curve(
         raise ConfigError(f"lengths must be >= 1, got {lengths}")
     if not strategies:
         raise ConfigError("degradation_curve needs at least 1 strategy")
+    if not seeds:
+        raise ConfigError("degradation_curve needs at least 1 seed")
     _require_distinct("degradation_curve", "strategy", [s.value for s in strategies])
     _require_distinct("degradation_curve", "seed", seeds)
     errors: dict[Strategy, list[float]] = {}
@@ -328,6 +338,8 @@ def tau_sweep(
     """Median fused-strategy final error for each temporal threshold."""
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
+    if not seeds:
+        raise ConfigError("tau_sweep needs at least 1 seed")
     _require_distinct("tau_sweep", "seed", seeds)
     out = []
     for tau_cfg in [replace(cfg, tau=tau) for tau in taus]:

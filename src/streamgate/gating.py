@@ -148,8 +148,10 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
         raise ConfigError(
             f"temporal_mask shape mismatch: {curr.shape} vs {prev.shape}"
         )
+    if curr.shape[0] < 1:
+        raise ConfigError("temporal_mask requires at least one token")
     delta = rowwise_l2(curr - prev)
-    mu = float(delta.mean())
+    mu = float(np.add.reduce(delta) / F32(delta.shape[0]))
     if not math.isfinite(mu):
         raise StateError("temporal_mask: non-finite candidate or previous candidate")
     if mu >= cfg.eps_mean:
@@ -171,9 +173,16 @@ def feature_divergence(curr, prev) -> np.ndarray:
 
 
 def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
-    """Elementwise mean of absolute per-layer attention matrices."""
-    stacked = np.stack([np.abs(m) for m in trace.layers], axis=0)
-    return stacked.mean(axis=0)
+    """Elementwise mean of absolute per-layer attention matrices.
+
+    The layers are summed left to right, the order in which a reduction
+    over a stacked leading axis adds them, then divided by their count.
+    """
+    layers = trace.layers
+    total = np.abs(layers[0])
+    for m in layers[1:]:
+        total = total + np.abs(m)
+    return total / F32(len(layers))
 
 
 def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
@@ -191,7 +200,7 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         )
     if attn.shape[1] < 1:
         raise ConfigError("spatial_mask requires at least one frame token")
-    if attn.size and attn.min() < 0:
+    if attn.size and np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
     gated = sigmoid(F32(cfg.spat_gain) * raw + F32(cfg.spat_bias))
@@ -231,13 +240,13 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
             f"apply_update mask length {m.shape[0]} != token count "
             f"{candidate.shape[0]}"
         )
-    if not (m.min() >= 0 and m.max() <= 1):  # a NaN entry fails this too
+    if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
         raise ConfigError("apply_update mask values must lie in [0, 1]")
     w = m[:, np.newaxis]
     raw = w * candidate + (F32(1.0) - w) * prev_state
     lo = np.minimum(candidate, prev_state)
     hi = np.maximum(candidate, prev_state)
-    state = np.clip(raw, lo, hi)
+    state = np.minimum(np.maximum(raw, lo), hi)
     if not np.isfinite(state).all():
         raise StateError("apply_update: non-finite blended state")
     return state

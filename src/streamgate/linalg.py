@@ -4,6 +4,9 @@ The kernels trust their callers: every argument is already a float32
 ndarray of the right rank, and the shapes are compatible. They neither
 coerce nor check; the public operations in `gating` and `decoder` do
 both, once, with `as_matrix`/`as_vector`, and raise ConfigError there.
+They call ufuncs and ufunc reductions directly (`np.add.reduce` for
+`.sum`, `np.minimum(np.maximum(...))` for `np.clip`): the results are
+bit-identical, and the per-frame loop skips numpy's Python-level wrappers.
 Given finite inputs every kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
 """
@@ -23,6 +26,10 @@ EPS_COS = 1e-8
 # to this open interval so saturation can never return exactly 0 or 1.
 _SIG_LO = np.nextafter(F32(0.0), F32(1.0))
 _SIG_HI = np.nextafter(F32(1.0), F32(0.0))
+
+_ONE = F32(1.0)
+_NEG_ONE = F32(-1.0)
+_EPS_COS32 = F32(EPS_COS)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -48,14 +55,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def row_softmax(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction."""
-    shifted = m - m.max(axis=1, keepdims=True)
+    shifted = m - np.maximum.reduce(m, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def rowwise_l2(m: np.ndarray) -> np.ndarray:
     """Per-row Euclidean norm: out[i] = sqrt(sum_j m[i,j]^2)."""
-    return np.sqrt((m * m).sum(axis=1))
+    return np.sqrt(np.add.reduce(m * m, axis=1))
 
 
 def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -63,16 +70,17 @@ def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     out[i] = <a_i, b_i> / (|a_i| |b_i| + EPS_COS), clamped to [-1, 1].
     """
-    dots = (a * b).sum(axis=1)
-    denom = rowwise_l2(a) * rowwise_l2(b) + F32(EPS_COS)
-    return np.clip(dots / denom, F32(-1.0), F32(1.0))
+    dots = np.add.reduce(a * b, axis=1)
+    denom = rowwise_l2(a) * rowwise_l2(b) + _EPS_COS32
+    return np.minimum(np.maximum(dots / denom, _NEG_ONE), _ONE)
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, strictly inside (0, 1)."""
+    # A fresh errstate per call: numpy refuses to re-enter a shared one.
     with np.errstate(over="ignore"):
-        out = F32(1.0) / (F32(1.0) + np.exp(-v))
-    return np.clip(out, _SIG_LO, _SIG_HI)
+        out = _ONE / (_ONE + np.exp(-v))
+    return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
 
 
 def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -82,4 +90,4 @@ def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def rowwise_max(m: np.ndarray) -> np.ndarray:
     """Per-row maximum of a matrix with at least one column."""
-    return m.max(axis=1)
+    return np.maximum.reduce(m, axis=1)

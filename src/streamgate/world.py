@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +62,11 @@ class Scene:
     @property
     def obs_channels(self) -> int:
         return self.region_codes.shape[1]
+
+    @property
+    def drifts(self) -> bool:
+        """Whether any region code changes over a stream."""
+        return bool(self.dynamic_regions) and self.drift_rate > 0
 
 
 @dataclass(frozen=True)
@@ -162,12 +169,14 @@ class StreamCursor:
     noise_sigma: float
     seed: int
     _codes: np.ndarray = field(init=False, repr=False)
+    _drifts: bool = field(init=False, repr=False)
     _t: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         self._codes = self.scene.region_codes.copy()
+        self._drifts = self.scene.drifts
 
     @property
     def t(self) -> int:
@@ -177,7 +186,7 @@ class StreamCursor:
         self._t += 1
         t = self._t
         scene = self.scene
-        if scene.dynamic_regions and scene.drift_rate > 0:
+        if self._drifts:
             idx = sorted(scene.dynamic_regions)
             drift = _step_rng(self.seed, t, _DRIFT_ROLE).standard_normal(
                 (len(idx), scene.obs_channels)
@@ -220,18 +229,43 @@ def step_stream(
     return cursor.step()
 
 
+def atomic_write(path, chunks) -> None:
+    """Write the text chunks to path through a temp file and a rename.
+
+    Until the rename, an existing file at path stays as it was; a failure
+    on the way removes the temp file and re-raises.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def dump_stream(path, steps) -> None:
-    """Write steps as one line each: t;rows;visible;observation;truth."""
-    with open(path, "w", encoding="ascii") as fh:
-        for s in steps:
-            fields = (
-                str(s.t),
-                str(s.observation.shape[0]),
-                ",".join(str(i) for i in s.visible_regions),
-                ",".join(repr(float(v)) for v in s.observation.ravel()),
-                ",".join(repr(float(v)) for v in s.truth_snapshot.ravel()),
-            )
-            fh.write(";".join(fields) + "\n")
+    """Write steps as one line each: t;rows;visible;observation;truth.
+
+    The write is atomic: if it fails part-way, an existing file at path
+    stays intact and no temp file is left behind.
+    """
+    atomic_write(path, (_stream_line(s) for s in steps))
+
+
+def _stream_line(s: StreamStep) -> str:
+    fields = (
+        str(s.t),
+        str(s.observation.shape[0]),
+        ",".join(str(i) for i in s.visible_regions),
+        ",".join(repr(float(v)) for v in s.observation.ravel()),
+        ",".join(repr(float(v)) for v in s.truth_snapshot.ravel()),
+    )
+    return ";".join(fields) + "\n"
 
 
 def load_stream(path, obs_channels: int) -> list[StreamStep]:

@@ -146,6 +146,43 @@ def test_decode_step_requires_a_frame_token():
         decode_step(np.zeros((0, 8), dtype=F32), np.zeros((4, 8), dtype=F32), w)
 
 
+def test_decode_step_requires_a_state_token():
+    with pytest.raises(ConfigError, match="at least one state token"):
+        decode_step(np.ones((3, 8)), np.zeros((0, 8)), make_weights(2, 8, 8))
+
+
+def _textbook_mix_tokens(state):
+    mean = state.mean(axis=0)
+    mean_norm = float(np.sqrt((mean * mean).sum()))
+    if mean_norm == 0.0:
+        return state.copy()
+    orig = np.sqrt((state * state).sum(axis=1, keepdims=True))
+    target = (mean / F32(mean_norm))[np.newaxis, :] * orig
+    mixed = state + F32(decoder_mod.MIX_RATE) * (target - state)
+    new = np.sqrt((mixed * mixed).sum(axis=1, keepdims=True))
+    return mixed * (orig / np.where(new > 0, new, F32(1.0)))
+
+
+def test_mix_tokens_bit_identical_to_textbook_form():
+    rng = np.random.default_rng(31)
+    with_nan = rng.standard_normal((5, 8)).astype(F32)
+    with_nan[2, 3] = np.nan
+    with_zero_rows = rng.standard_normal((6, 4)).astype(F32)
+    with_zero_rows[[0, 5]] = 0.0
+    balanced = rng.standard_normal((1, 6)).astype(F32)
+    states = [
+        rng.standard_normal((1, 3)).astype(F32),
+        rng.standard_normal((16, 32)).astype(F32),
+        rng.choice(np.array([-1e4, -100.0, 100.0, 1e4], dtype=F32), size=(7, 5)),
+        with_nan,
+        with_zero_rows,
+        np.concatenate([balanced, -balanced]),
+    ]
+    for state in states:
+        got, want = decoder_mod._mix_tokens(state), _textbook_mix_tokens(state)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_decode_step_pre_softmax_trace_carries_raw_scores():
     w = make_weights(1, 8, 8, seed=7)
     rng = np.random.default_rng(6)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamgate.decoder import make_weights
+from streamgate.decoder import decode_step, encode_frame, make_weights, readout
 from streamgate.errors import ConfigError
 from streamgate.evaluation import (
     WorldSpec,
@@ -13,8 +13,8 @@ from streamgate.evaluation import (
     session_for_seed,
     tau_sweep,
 )
-from streamgate.gating import GateConfig, Strategy
-from streamgate.world import CoverageSchedule, ScheduleKind, generate_scene
+from streamgate.gating import GateConfig, Strategy, gate_step
+from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, generate_scene
 
 SMALL_WORLD = WorldSpec(
     regions=6,
@@ -88,6 +88,40 @@ def test_run_session_validation():
         )
 
 
+def _replayed_scores(scene, schedule, weights, cfg, strategy, frames, noise_sigma, seed):
+    """Per-frame errors, scored against the truth projected on every frame,
+    and mask stats, both in their textbook numpy form."""
+    cursor = StreamCursor(scene, schedule, noise_sigma, seed)
+    state, prev_candidate, prev_frame = initial_state(scene, weights), None, None
+    errors, mask_stats = [], []
+    for _ in range(frames):
+        step = cursor.step()
+        frame = encode_frame(step.observation, weights)
+        out = decode_step(frame, state, weights, cfg.attn_source)
+        state, mask = gate_step(
+            out.candidate, state, frame, out.trace, cfg, strategy,
+            prev_candidate=prev_candidate, prev_frame=prev_frame,
+        )
+        prev_candidate, prev_frame = out.candidate, frame
+        estimate = readout(out.candidate, weights).astype(np.float64)
+        truth = (step.truth_snapshot @ weights.encoder).astype(np.float64)
+        scale = float((estimate * truth).sum()) / (float((estimate * estimate).sum()) + 1e-12)
+        errors.append(float(np.sqrt(((scale * estimate - truth) ** 2).sum(axis=1)).mean()))
+        m = mask.values
+        mask_stats.append((float(m.mean()), float(m.min()), float(m.max())))
+    return errors, mask_stats
+
+
+@pytest.mark.parametrize("dynamic_fraction, drift_rate, drifts", [(0.5, 0.1, True), (0.5, 0.0, False)])
+def test_run_session_scores_against_current_truth(dynamic_fraction, drift_rate, drifts):
+    scene = generate_scene(6, 8, dynamic_fraction, drift_rate, seed=5)
+    assert scene.drifts is drifts
+    schedule = CoverageSchedule(kind=ScheduleKind.FULL, window=6)
+    args = (scene, schedule, small_weights(), GateConfig(), Strategy.FUSED, 12, 0.05, 9)
+    result = run_session(*args)
+    assert (result.per_frame_error, result.mask_stats) == _replayed_scores(*args)
+
+
 def test_initial_state_one_token_per_region():
     scene = generate_scene(6, 8, 0.0, 0.0, seed=2)
     state = initial_state(scene, small_weights())
@@ -154,6 +188,16 @@ def test_experiments_reject_repeated_seeds():
 def test_degradation_curve_rejects_lengths_below_one():
     with pytest.raises(ConfigError, match="lengths"):
         degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], [0, 4], [0])
+
+
+def test_degradation_curve_rejects_empty_seeds():
+    with pytest.raises(ConfigError, match="degradation_curve needs at least 1 seed"):
+        degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], [2, 3], [])
+
+
+def test_tau_sweep_rejects_empty_seeds():
+    with pytest.raises(ConfigError, match="tau_sweep needs at least 1 seed"):
+        tau_sweep(SMALL_WORLD, small_weights(), GateConfig(), [1.0], 3, [])
 
 
 def test_degradation_curve_equals_separately_run_sessions():

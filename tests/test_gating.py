@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streamgate.errors import ConfigError, StateError
+from streamgate.linalg import sigmoid
 from streamgate.gating import (
     AttentionTrace,
     GateConfig,
@@ -99,9 +100,27 @@ def test_temporal_mask_monotonicity():
     assert (bumped[:2] <= base[:2] + 1e-7).all()
 
 
+def test_temporal_mask_bit_identical_to_textbook_mean():
+    rng = np.random.default_rng(8)
+    cfg = GateConfig(tau=0.7)
+    for scale in (1.0, 100.0, 1e4):
+        curr = (scale * rng.standard_normal((16, 32))).astype(F32)
+        prev = (scale * rng.standard_normal((16, 32))).astype(F32)
+        delta = np.sqrt(((curr - prev) * (curr - prev)).sum(axis=1))
+        want = sigmoid(delta / F32(float(delta.mean())) - F32(cfg.tau))
+        got = temporal_mask(curr, prev, cfg).values
+        assert got.tobytes() == want.tobytes()
+
+
 def test_temporal_mask_shape_mismatch():
     with pytest.raises(ConfigError):
         temporal_mask(np.zeros((2, 2)), np.zeros((3, 2)), GateConfig())
+
+
+def test_temporal_mask_requires_a_token():
+    empty = np.zeros((0, 4), dtype=F32)
+    with pytest.raises(ConfigError, match="at least one token"):
+        temporal_mask(empty, empty, GateConfig())
 
 
 @pytest.mark.parametrize("side", ["curr", "prev"])
@@ -154,6 +173,18 @@ def test_aggregate_attention_mixed_sign_nonnegative():
     rng = np.random.default_rng(5)
     layers = tuple(rng.standard_normal((3, 4)).astype(F32) for _ in range(3))
     assert (aggregate_attention(AttentionTrace(layers)) >= 0).all()
+
+
+def test_aggregate_attention_bit_identical_to_stacked_mean():
+    rng = np.random.default_rng(6)
+    for n_layers in range(1, 7):
+        layers = [rng.standard_normal((5, 7)).astype(F32) for _ in range(n_layers)]
+        layers[0][1, 2] = 1e4
+        layers[-1][3] = rng.choice(np.array([-1e4, -100.0, 100.0, 1e4], dtype=F32), size=7)
+        layers[n_layers // 2][4, 6] = np.nan
+        want = np.stack([np.abs(m) for m in layers], axis=0).mean(axis=0)
+        got = aggregate_attention(AttentionTrace(tuple(layers)))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # --- spatial mask -------------------------------------------------------------
@@ -267,6 +298,22 @@ def test_apply_update_convexity():
         out = apply_update(cand, prev, mask)
         assert (out >= np.minimum(cand, prev)).all()
         assert (out <= np.maximum(cand, prev)).all()
+
+
+def test_apply_update_bit_identical_to_clip():
+    rng = np.random.default_rng(17)
+    extremes = np.array([-1e4, -100.0, -0.0, 0.0, 100.0, 1e4], dtype=F32)
+    for cand, prev in (
+        (rng.standard_normal((16, 32)).astype(F32), rng.standard_normal((16, 32)).astype(F32)),
+        (rng.choice(extremes, size=(8, 6)), rng.choice(extremes, size=(8, 6))),
+    ):
+        w = rng.random(cand.shape[0]).astype(F32)
+        w[:2] = (0.0, 1.0)
+        col = w[:, np.newaxis]
+        raw = col * cand + (F32(1.0) - col) * prev
+        want = np.clip(raw, np.minimum(cand, prev), np.maximum(cand, prev))
+        got = apply_update(cand, prev, UpdateMask(w, MaskKind.FUSED))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_apply_update_validation():

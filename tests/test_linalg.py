@@ -149,3 +149,75 @@ def test_matches_scalar_oracle_on_random_instances():
             rtol=1e-5,
             atol=1e-6,
         )
+
+
+# The kernels call ufuncs and ufunc reductions directly; each must stay bit
+# for bit equal to its textbook numpy form (np.clip, .sum, .max), including
+# on values that overflow exp, on NaN entries and on zero rows.
+
+
+def _textbook_row_softmax(m):
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _textbook_rowwise_l2(m):
+    return np.sqrt((m * m).sum(axis=1))
+
+
+def _textbook_rowwise_cosine(a, b):
+    denom = _textbook_rowwise_l2(a) * _textbook_rowwise_l2(b) + np.float32(1e-8)
+    return np.clip((a * b).sum(axis=1) / denom, np.float32(-1.0), np.float32(1.0))
+
+
+def _textbook_sigmoid(v):
+    with np.errstate(over="ignore"):
+        out = np.float32(1.0) / (np.float32(1.0) + np.exp(-v))
+    lo = np.nextafter(np.float32(0.0), np.float32(1.0))
+    hi = np.nextafter(np.float32(1.0), np.float32(0.0))
+    return np.clip(out, lo, hi)
+
+
+def _pin_matrices():
+    rng = np.random.default_rng(2024)
+    extremes = rng.choice(f32([-1e4, -100.0, 0.0, 100.0, 1e4]), size=(6, 5))
+    with_nan = rng.standard_normal((5, 9)).astype(np.float32)
+    with_nan[rng.random((5, 9)) < 0.2] = np.nan
+    with_zero_rows = rng.standard_normal((6, 4)).astype(np.float32)
+    with_zero_rows[[1, 4]] = 0.0
+    return [
+        rng.standard_normal((1, 1)).astype(np.float32),
+        rng.standard_normal((5, 7)).astype(np.float32),
+        (30.0 * rng.standard_normal((16, 32))).astype(np.float32),
+        extremes.astype(np.float32),
+        with_nan,
+        with_zero_rows,
+    ]
+
+
+def _same_bits(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_row_kernels_bit_identical_to_textbook_forms():
+    for m in _pin_matrices():
+        assert _same_bits(row_softmax(m), _textbook_row_softmax(m))
+        assert _same_bits(rowwise_l2(m), _textbook_rowwise_l2(m))
+        assert _same_bits(rowwise_max(m), m.max(axis=1))
+
+
+def test_sigmoid_bit_identical_to_textbook_form():
+    for m in _pin_matrices():
+        for v in (m.ravel(), -m.ravel(), 1e4 * m.ravel()):
+            assert _same_bits(sigmoid(v), _textbook_sigmoid(v))
+    assert np.isnan(sigmoid(f32([np.nan, 0.0]))[0])
+
+
+def test_rowwise_cosine_bit_identical_to_textbook_form():
+    matrices = _pin_matrices()
+    rng = np.random.default_rng(7)
+    for a in matrices:
+        b = rng.standard_normal(a.shape).astype(np.float32)
+        b[: a.shape[0] // 2] = 0.0
+        for x, y in ((a, a), (a, -a), (a, b), (b, a), (a, np.zeros_like(a))):
+            assert _same_bits(rowwise_cosine(x, y), _textbook_rowwise_cosine(x, y))

@@ -183,6 +183,23 @@ def test_stream_trace_roundtrip(tmp_path):
         assert back.truth_snapshot.tobytes() == orig.truth_snapshot.tobytes()
 
 
+def test_dump_stream_failing_part_way_keeps_the_old_file(tmp_path):
+    scene = generate_scene(3, 4, 0.0, 0.0, seed=22)
+    cursor = StreamCursor(scene, CoverageSchedule(kind=ScheduleKind.FULL), 0.1, seed=23)
+    path = tmp_path / "trace.txt"
+    path.write_text("old\n")
+
+    def steps():
+        yield cursor.step()
+        yield cursor.step()
+        raise RuntimeError("stream broke")
+
+    with pytest.raises(RuntimeError, match="stream broke"):
+        dump_stream(path, steps())
+    assert path.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.txt"]
+
+
 def _dumped_lines(tmp_path):
     scene = generate_scene(3, 4, 0.0, 0.0, seed=20)
     cursor = StreamCursor(scene, CoverageSchedule(kind=ScheduleKind.FULL), 0.1, seed=21)
