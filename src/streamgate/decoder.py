@@ -39,7 +39,7 @@ Hand-constructed weights with arbitrary matrices remain fully supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class DecoderWeights:
 
     query/key/value hold one C x C matrix per layer; readout is C x C;
     encoder maps observation channels to feature channels (C_obs x C).
+    key_value is derived: the L key projections, then the L value
+    projections, stacked into one (2L, C, C) array so that a frame is
+    projected by a single matmul.
     """
 
     query: tuple[np.ndarray, ...]
@@ -91,6 +94,7 @@ class DecoderWeights:
     readout: np.ndarray
     encoder: np.ndarray
     seed: int = 0
+    key_value: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         query = tuple(as_matrix(m, "query") for m in self.query)
@@ -117,6 +121,7 @@ class DecoderWeights:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "readout", readout)
         object.__setattr__(self, "encoder", encoder)
+        object.__setattr__(self, "key_value", np.stack((*key, *value)))
 
     @property
     def n_layers(self) -> int:
@@ -208,9 +213,11 @@ def decode_step(
     Then per layer: scores = (state @ Wq)(frame @ Wk)^T / sqrt(C),
     attention = row_softmax(scores), gate = sigmoid(GATE_GAIN *
     (rowmax(scores) - GATE_BIAS)), and tokens += RESIDUAL_RATE * gate *
-    (attention @ (frame @ Wv) - tokens). The trace records attention
-    probabilities, or the raw scaled scores when attn_source is
-    PRE_SOFTMAX_ABS.
+    (attention @ (frame @ Wv) - tokens). The frame is projected through
+    every layer's Wk and Wv by one matmul, and each layer reduces its
+    score rows to their maxima once. The trace is one (L, N, K) array of
+    attention probabilities, or of the raw scaled scores when attn_source
+    is PRE_SOFTMAX_ABS.
     """
     frame = as_matrix(frame, "frame")
     state = as_matrix(state, "state")
@@ -226,17 +233,20 @@ def decode_step(
         raise ConfigError("decode_step requires at least one state token")
     scale = F32(1.0 / math.sqrt(c))
     tokens = _mix_tokens(state)
-    traced: list[np.ndarray] = []
-    for wq, wk, wv in zip(weights.query, weights.key, weights.value):
+    n_layers = len(weights.query)
+    kv = matmul(frame, weights.key_value)
+    traced = np.empty((n_layers, state.shape[0], frame.shape[0]), dtype=F32)
+    pre_softmax = attn_source is AttnSource.PRE_SOFTMAX_ABS
+    for layer, wq in enumerate(weights.query):
         q = matmul(tokens, wq)
-        k = matmul(frame, wk)
-        scores = matmul(q, k.T) * scale
-        attn = row_softmax(scores)
-        traced.append(scores if attn_source is AttnSource.PRE_SOFTMAX_ABS else attn)
-        gate = sigmoid(_GATE_GAIN32 * (rowwise_max(scores) - _GATE_BIAS32))
-        retrieved = matmul(attn, matmul(frame, wv))
+        scores = matmul(q, kv[layer].T) * scale
+        score_max = rowwise_max(scores)
+        attn = row_softmax(scores, score_max)
+        traced[layer] = scores if pre_softmax else attn
+        gate = sigmoid(_GATE_GAIN32 * (score_max - _GATE_BIAS32))
+        retrieved = matmul(attn, kv[n_layers + layer])
         tokens = tokens + _RESIDUAL_RATE32 * gate[:, np.newaxis] * (retrieved - tokens)
-    return DecodeOutput(candidate=tokens, trace=AttentionTrace(tuple(traced)))
+    return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
 
 
 def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

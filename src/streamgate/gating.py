@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,8 @@ from .linalg import (
     rowwise_max,
     sigmoid,
 )
+
+_ONE = F32(1.0)
 
 
 class MaskKind(enum.Enum):
@@ -93,6 +95,9 @@ class GateConfig:
             raise ConfigError(f"eps_mean must be > 0, got {self.eps_mean}")
         if not self.spat_gain > 0:
             raise ConfigError(f"spat_gain must be > 0, got {self.spat_gain}")
+        for name in ("spat_gain", "spat_bias"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -113,25 +118,45 @@ class UpdateMask:
 
 @dataclass(frozen=True)
 class AttentionTrace:
-    """Per-decoder-layer N x K cross-attention magnitudes."""
+    """Cross-attention magnitudes of every decoder layer, as one (L, N, K) array.
 
-    layers: tuple[np.ndarray, ...] = field(default_factory=tuple)
+    Accepts that array, or a sequence of L equal-shape N x K matrices,
+    which it stacks. Iterating over `layers` yields the N x K matrices.
+    """
+
+    layers: np.ndarray
 
     def __post_init__(self) -> None:
-        layers = tuple(as_matrix(m, "attention layer") for m in self.layers)
-        if not layers:
+        layers = self.layers
+        if not isinstance(layers, np.ndarray):
+            matrices = [as_matrix(m, "attention layer") for m in layers]
+            if not matrices:
+                raise ConfigError("attention trace must contain at least one layer")
+            shape = matrices[0].shape
+            for m in matrices[1:]:
+                if m.shape != shape:
+                    raise ConfigError(
+                        f"attention layers disagree on shape: {shape} vs {m.shape}"
+                    )
+            layers = np.stack(matrices)
+        elif layers.dtype != F32:
+            layers = layers.astype(F32)
+        if layers.ndim != 3:
+            raise ConfigError(
+                f"attention trace must be an (L, N, K) array, got ndim={layers.ndim}"
+            )
+        if layers.shape[0] < 1:
             raise ConfigError("attention trace must contain at least one layer")
-        shape = layers[0].shape
-        for m in layers[1:]:
-            if m.shape != shape:
-                raise ConfigError(
-                    f"attention layers disagree on shape: {shape} vs {m.shape}"
-                )
         object.__setattr__(self, "layers", layers)
 
     @property
     def layer_count(self) -> int:
-        return len(self.layers)
+        return self.layers.shape[0]
+
+
+# The public gate components below validate their arguments and call one
+# private core per formula; gate_step validates its own arguments once and
+# calls the same cores, which trust their inputs.
 
 
 def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
@@ -150,6 +175,10 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
         )
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
+    return UpdateMask(_temporal(curr, prev, cfg), MaskKind.TEMPORAL)
+
+
+def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray:
     delta = rowwise_l2(curr - prev)
     mu = float(np.add.reduce(delta) / F32(delta.shape[0]))
     if not math.isfinite(mu):
@@ -158,7 +187,7 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
         normalized = delta / F32(mu)
     else:
         normalized = np.ones_like(delta)
-    return UpdateMask(sigmoid(normalized - F32(cfg.tau)), MaskKind.TEMPORAL)
+    return sigmoid(normalized - F32(cfg.tau))
 
 
 def feature_divergence(curr, prev) -> np.ndarray:
@@ -169,20 +198,21 @@ def feature_divergence(curr, prev) -> np.ndarray:
         raise ConfigError(
             f"feature_divergence shape mismatch: {curr.shape} vs {prev.shape}"
         )
-    return F32(1.0) - rowwise_cosine(curr, prev)
+    return _divergence(curr, prev)
+
+
+def _divergence(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    return _ONE - rowwise_cosine(curr, prev)
 
 
 def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
     """Elementwise mean of absolute per-layer attention matrices.
 
-    The layers are summed left to right, the order in which a reduction
-    over a stacked leading axis adds them, then divided by their count.
+    The reduction over the layer axis adds the layers left to right, then
+    the sum is divided by their count.
     """
     layers = trace.layers
-    total = np.abs(layers[0])
-    for m in layers[1:]:
-        total = total + np.abs(m)
-    return total / F32(len(layers))
+    return np.add.reduce(np.abs(layers), axis=0) / F32(layers.shape[0])
 
 
 def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
@@ -202,9 +232,12 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         raise ConfigError("spatial_mask requires at least one frame token")
     if attn.size and np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
+    return UpdateMask(_spatial(attn, divergence, cfg), MaskKind.SPATIAL)
+
+
+def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig) -> np.ndarray:
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    gated = sigmoid(F32(cfg.spat_gain) * raw + F32(cfg.spat_bias))
-    return UpdateMask(gated, MaskKind.SPATIAL)
+    return sigmoid(F32(cfg.spat_gain) * raw + F32(cfg.spat_bias))
 
 
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
@@ -242,8 +275,12 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
         )
     if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
         raise ConfigError("apply_update mask values must lie in [0, 1]")
+    return _commit(candidate, prev_state, m)
+
+
+def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.ndarray:
     w = m[:, np.newaxis]
-    raw = w * candidate + (F32(1.0) - w) * prev_state
+    raw = w * candidate + (_ONE - w) * prev_state
     lo = np.minimum(candidate, prev_state)
     hi = np.maximum(candidate, prev_state)
     state = np.minimum(np.maximum(raw, lo), hi)
@@ -257,6 +294,14 @@ def uniform_mask(n: int) -> UpdateMask:
     if n < 1:
         raise ConfigError(f"uniform_mask requires n >= 1, got {n}")
     return UpdateMask(np.ones(n, dtype=F32), MaskKind.UNIFORM)
+
+
+# Which gates each non-uniform strategy runs: (temporal, spatial, mask kind).
+_ROUTES = {
+    Strategy.TEMPORAL_ONLY: (True, False, MaskKind.TEMPORAL),
+    Strategy.SPATIAL_ONLY: (False, True, MaskKind.SPATIAL),
+    Strategy.FUSED: (True, True, MaskKind.FUSED),
+}
 
 
 def gate_step(
@@ -275,33 +320,64 @@ def gate_step(
     On the first frame of a stream both buffers are absent and the uniform
     mask is used regardless of strategy, so the initial observation is
     written in full. Supplying exactly one of the two buffers means the
-    caller's session bookkeeping is broken and raises StateError.
+    caller's session bookkeeping is broken and raises StateError, as does
+    a non-finite frame or attention trace. The inputs are validated once,
+    here; the result equals composing temporal_mask, feature_divergence,
+    aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
     candidate = as_matrix(candidate, "candidate")
+    prev_state = as_matrix(prev_state, "prev_state")
+    if candidate.shape != prev_state.shape:
+        raise ConfigError(
+            f"apply_update shape mismatch: {candidate.shape} vs {prev_state.shape}"
+        )
     if (prev_candidate is None) != (prev_frame is None):
         raise StateError(
             "prev_candidate and prev_frame must both be absent (first frame) "
             "or both be present"
         )
-    first_frame = prev_candidate is None
-
-    if first_frame or strategy is Strategy.UNIFORM:
-        mask = uniform_mask(candidate.shape[0])
-    elif strategy is Strategy.TEMPORAL_ONLY:
-        mask = temporal_mask(candidate, prev_candidate, cfg)
-    elif strategy is Strategy.SPATIAL_ONLY:
-        mask = _spatial_route(frame, prev_frame, trace, cfg)
-    elif strategy is Strategy.FUSED:
-        mask = fuse_masks(
-            temporal_mask(candidate, prev_candidate, cfg),
-            _spatial_route(frame, prev_frame, trace, cfg),
-        )
-    else:  # pragma: no cover - enum is closed
+    n = candidate.shape[0]
+    if prev_candidate is None or strategy is Strategy.UNIFORM:
+        mask = uniform_mask(n)
+        return _commit(candidate, prev_state, mask.values), mask
+    route = _ROUTES.get(strategy)
+    if route is None:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    temporal, spatial, kind = route
+    if n < 1:
+        raise ConfigError("gate_step requires at least one state token")
 
-    return apply_update(candidate, prev_state, mask), mask
-
-
-def _spatial_route(frame, prev_frame, trace: AttentionTrace, cfg: GateConfig) -> UpdateMask:
-    divergence = feature_divergence(frame, prev_frame)
-    return spatial_mask(aggregate_attention(trace), divergence, cfg)
+    values = None
+    if temporal:
+        prev_candidate = as_matrix(prev_candidate, "prev_candidate")
+        if prev_candidate.shape != candidate.shape:
+            raise ConfigError(
+                f"temporal_mask shape mismatch: {candidate.shape} vs {prev_candidate.shape}"
+            )
+        values = _temporal(candidate, prev_candidate, cfg)
+    if spatial:
+        frame = as_matrix(frame, "frame")
+        prev_frame = as_matrix(prev_frame, "prev_frame")
+        if frame.shape != prev_frame.shape:
+            raise ConfigError(
+                f"feature_divergence shape mismatch: {frame.shape} vs {prev_frame.shape}"
+            )
+        attn = aggregate_attention(trace)
+        if attn.shape != (n, frame.shape[0]):
+            raise ConfigError(
+                f"gate_step: attention trace is {attn.shape[0]} x {attn.shape[1]}, "
+                f"expected {n} state tokens x {frame.shape[0]} frame tokens"
+            )
+        if frame.shape[0] < 1:
+            raise ConfigError("spatial_mask requires at least one frame token")
+        spatial_values = _spatial(attn, _divergence(frame, prev_frame), cfg)
+        # Sigmoid values lie in (0, 1), so only a non-finite input fails this.
+        if not (np.minimum.reduce(spatial_values) >= 0 and np.maximum.reduce(spatial_values) <= 1):
+            finite_frames = np.isfinite(frame).all() and np.isfinite(prev_frame).all()
+            raise StateError(
+                f"gate_step: non-finite {'attention' if finite_frames else 'frame'} "
+                "in the spatial gate"
+            )
+        values = spatial_values if values is None else values * spatial_values
+    mask = UpdateMask(values, kind)
+    return _commit(candidate, prev_state, mask.values), mask

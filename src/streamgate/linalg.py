@@ -49,14 +49,19 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b; a is n x k, b is k x m."""
+    """Matrix product a @ b; a is n x k, b is k x m or a stack of them."""
     return np.matmul(a, b)
 
 
-def row_softmax(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    shifted = m - np.maximum.reduce(m, axis=1, keepdims=True)
-    e = np.exp(shifted)
+def row_softmax(m: np.ndarray, row_max: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax, stabilized by per-row max subtraction.
+
+    row_max, if given, must be rowwise_max(m): a caller that needs the row
+    maxima anyway passes them in instead of reducing the rows twice.
+    """
+    if row_max is None:
+        row_max = rowwise_max(m)
+    e = np.exp(m - row_max[:, np.newaxis])
     return e / np.add.reduce(e, axis=1, keepdims=True)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,11 +233,18 @@ def atomic_write(path, chunks) -> None:
     """Write the text chunks to path through a temp file and a rename.
 
     Until the rename, an existing file at path stays as it was; a failure
-    on the way removes the temp file and re-raises.
+    on the way removes the temp file and re-raises. The file gets mode
+    0o666 less the umask, as a file made by open() would.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:  # a fresh random name, created exclusively; the kernel applies the umask
+        tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)

@@ -312,6 +312,21 @@ def test_run_can_dump_stream_trace(tmp_path):
     assert steps[0].t == 1 and steps[-1].t == 5
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
+    out = tmp_path / "run.csv"
+    trace = tmp_path / "trace.txt"
+    old = os.umask(umask)
+    try:
+        assert run_cli(["run", *SMALL, "--out", str(out), "--dump-stream", str(trace)]) == 0
+        assert run_cli(["run", *SMALL, "--out", str(out)]) == 0  # replacing a file too
+    finally:
+        os.umask(old)
+    assert oct(out.stat().st_mode & 0o777) == oct(mode)
+    assert oct(trace.stat().st_mode & 0o777) == oct(mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "trace.txt"]
+
+
 def test_oracle_check_passes(capsys):
     assert run_cli(["oracle-check"]) == 0
     out = capsys.readouterr().out

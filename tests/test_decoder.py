@@ -10,6 +10,7 @@ from streamgate.decoder import (
 )
 from streamgate.errors import ConfigError
 from streamgate.gating import AttnSource
+from streamgate.linalg import matmul, row_softmax, sigmoid
 from streamgate import oracle
 import streamgate.decoder as decoder_mod
 
@@ -233,3 +234,58 @@ def test_decode_step_matches_scalar_oracle_small_instances():
         np.testing.assert_allclose(out.candidate, expected, rtol=1e-4, atol=1e-5)
         for got, exp in zip(out.trace.layers, attn):
             np.testing.assert_allclose(got, exp, rtol=1e-4, atol=1e-5)
+
+
+# decode_step projects the frame through every layer's key and value by one
+# matmul over the stacked weights and reduces each layer's score rows once;
+# both must equal the per-layer form bit for bit.
+
+
+def _random_weights(rng, n_layers, c):
+    mats = lambda: tuple(rng.standard_normal((c, c)).astype(F32) for _ in range(n_layers))
+    eye = np.eye(c, dtype=F32)
+    return DecoderWeights(query=mats(), key=mats(), value=mats(), readout=eye, encoder=eye)
+
+
+def test_stacked_projection_bit_identical_to_per_layer():
+    rng = np.random.default_rng(77)
+    for n_layers in (1, 2, 4, 7):
+        for c in (5, 8, 32, 64):
+            w = _random_weights(rng, n_layers, c)
+            assert w.key_value.shape == (2 * n_layers, c, c) and w.key_value.dtype == F32
+            for k in (1, 2, 7, 16, 33):
+                frame = rng.standard_normal((k, c)).astype(F32)
+                kv = matmul(frame, w.key_value)
+                for layer in range(n_layers):
+                    assert kv[layer].tobytes() == (frame @ w.key[layer]).tobytes()
+                    assert kv[n_layers + layer].tobytes() == (frame @ w.value[layer]).tobytes()
+
+
+def _per_layer_decode(frame, state, w, attn_source):
+    tokens = decoder_mod._mix_tokens(state)
+    scale = F32(1.0 / np.sqrt(w.channels))
+    traced = []
+    for wq, wk, wv in zip(w.query, w.key, w.value):
+        scores = matmul(matmul(tokens, wq), matmul(frame, wk).T) * scale
+        attn = row_softmax(scores)
+        traced.append(scores if attn_source is AttnSource.PRE_SOFTMAX_ABS else attn)
+        gate = sigmoid(F32(decoder_mod.GATE_GAIN) * (scores.max(axis=1) - F32(decoder_mod.GATE_BIAS)))
+        retrieved = matmul(attn, matmul(frame, wv))
+        tokens = tokens + F32(decoder_mod.RESIDUAL_RATE) * gate[:, np.newaxis] * (retrieved - tokens)
+    return tokens, traced
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+def test_decode_step_bit_identical_to_per_layer_form(attn_source):
+    rng = np.random.default_rng(78)
+    for n_layers, n, k, c in ((1, 1, 1, 5), (2, 3, 7, 8), (4, 16, 16, 32), (7, 5, 33, 12)):
+        for w in (_random_weights(rng, n_layers, c), make_weights(n_layers, c, c, seed=n)):
+            frame = rng.standard_normal((k, c)).astype(F32)
+            state = rng.standard_normal((n, c)).astype(F32)
+            out = decode_step(frame, state, w, attn_source)
+            tokens, traced = _per_layer_decode(frame, state, w, attn_source)
+            assert out.candidate.tobytes() == tokens.tobytes()
+            layers = out.trace.layers
+            assert isinstance(layers, np.ndarray) and layers.shape == (n_layers, n, k)
+            assert layers.dtype == F32
+            assert [m.tobytes() for m in layers] == [m.tobytes() for m in traced]

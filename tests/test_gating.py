@@ -3,10 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
+from streamgate.decoder import decode_step, encode_frame, make_weights
 from streamgate.errors import ConfigError, StateError
 from streamgate.linalg import sigmoid
 from streamgate.gating import (
     AttentionTrace,
+    AttnSource,
     GateConfig,
     MaskKind,
     Strategy,
@@ -31,7 +33,10 @@ def ones_mask(n, kind):
 # --- config and container validation -------------------------------------
 
 
-@pytest.mark.parametrize("kwargs", [{"tau": 0.0}, {"tau": -1.0}, {"eps_mean": 0.0}, {"spat_gain": 0.0}])
+@pytest.mark.parametrize("kwargs", [
+    {"tau": 0.0}, {"tau": -1.0}, {"eps_mean": 0.0}, {"spat_gain": 0.0},
+    {"spat_gain": np.inf}, {"spat_bias": np.nan}, {"spat_bias": -np.inf},
+])
 def test_gate_config_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
         GateConfig(**kwargs)
@@ -42,6 +47,37 @@ def test_attention_trace_rejects_empty_and_ragged():
         AttentionTrace(())
     with pytest.raises(ConfigError):
         AttentionTrace((np.zeros((2, 3), dtype=F32), np.zeros((2, 4), dtype=F32)))
+
+
+@pytest.mark.parametrize("layers, cause", [
+    ((), "at least one layer"),
+    ([], "at least one layer"),
+    (np.zeros((0, 2, 3), dtype=F32), "at least one layer"),
+    ((np.zeros((2, 3), dtype=F32), np.zeros((2, 4), dtype=F32)), "disagree on shape"),
+    ((np.zeros((2, 3), dtype=F32), np.zeros((3, 3), dtype=F32)), "disagree on shape"),
+    (np.zeros((2, 3), dtype=F32), r"\(L, N, K\) array, got ndim=2"),
+    (np.zeros((1, 2, 3, 4), dtype=F32), r"\(L, N, K\) array, got ndim=4"),
+    ((np.zeros(3, dtype=F32),), "attention layer must be 2-D"),
+])
+def test_attention_trace_rejects_naming_the_cause(layers, cause):
+    with pytest.raises(ConfigError, match=cause):
+        AttentionTrace(layers)
+
+
+def test_attention_trace_from_tuple_equals_from_array():
+    rng = np.random.default_rng(31)
+    for n_layers in (1, 2, 4, 7):
+        stacked = rng.standard_normal((n_layers, 5, 3)).astype(F32)
+        from_tuple = AttentionTrace(tuple(stacked.copy()))
+        from_array = AttentionTrace(stacked)
+        from_lists = AttentionTrace([m.astype(np.float64).tolist() for m in stacked])
+        for trace in (from_tuple, from_array, from_lists):
+            assert isinstance(trace.layers, np.ndarray) and trace.layers.dtype == F32
+            assert trace.layers.shape == (n_layers, 5, 3)
+            assert trace.layers.tobytes() == stacked.tobytes()
+            assert trace.layer_count == n_layers
+            assert [m.shape for m in trace.layers] == [(5, 3)] * n_layers
+    assert AttentionTrace(stacked.astype(np.float64)).layers.tobytes() == stacked.tobytes()
 
 
 def test_attention_trace_layer_count():
@@ -185,6 +221,21 @@ def test_aggregate_attention_bit_identical_to_stacked_mean():
         want = np.stack([np.abs(m) for m in layers], axis=0).mean(axis=0)
         got = aggregate_attention(AttentionTrace(tuple(layers)))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_aggregate_attention_bit_identical_to_left_fold():
+    rng = np.random.default_rng(9)
+    for n_layers in range(1, 8):
+        for n, k in ((1, 1), (4, 3), (16, 16), (5, 33)):
+            layers = (rng.standard_normal((n_layers, n, k)) * 10.0 ** rng.integers(-3, 5, size=(n_layers, 1, 1))).astype(F32)
+            layers[0, 0, 0] = 1e4
+            layers[-1, -1, -1] = -1e-4
+            total = np.abs(layers[0])
+            for m in layers[1:]:
+                total = total + np.abs(m)
+            want = total / F32(n_layers)
+            got = aggregate_attention(AttentionTrace(layers))
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # --- spatial mask -------------------------------------------------------------
@@ -492,3 +543,99 @@ def test_gate_step_fused_is_product_of_routes():
     )
     np.testing.assert_allclose(fused.values, tm.values * sm.values, atol=1e-6)
     assert (fused.values <= np.minimum(tm.values, sm.values) + 1e-7).all()
+
+
+# gate_step validates its inputs once and runs the same formula cores as the
+# public components; its state, mask values and kind must equal composing
+# those components, on decoder traces of either attention source.
+
+
+def _composed(candidate, prev_state, frame, trace, cfg, strategy, prev_candidate, prev_frame):
+    if prev_candidate is None or strategy is Strategy.UNIFORM:
+        mask = uniform_mask(candidate.shape[0])
+    else:
+        tm = sm = None
+        if strategy in (Strategy.TEMPORAL_ONLY, Strategy.FUSED):
+            tm = temporal_mask(candidate, prev_candidate, cfg)
+        if strategy in (Strategy.SPATIAL_ONLY, Strategy.FUSED):
+            divergence = feature_divergence(frame, prev_frame)
+            sm = spatial_mask(aggregate_attention(trace), divergence, cfg)
+        mask = fuse_masks(tm, sm) if strategy is Strategy.FUSED else (tm if tm is not None else sm)
+    return apply_update(candidate, prev_state, mask), mask
+
+
+def _decoded_frames(attn_source, seed, n=6, k=5, c=8, layers=3, frames=4):
+    w = make_weights(layers, c, c, seed=seed)
+    rng = np.random.default_rng(seed)
+    state = rng.standard_normal((n, c)).astype(F32)
+    outs = []
+    for _ in range(frames):
+        frame = rng.standard_normal((k, c)).astype(F32)
+        outs.append((frame, decode_step(frame, state, w, attn_source)))
+    return state, outs
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_gate_step_equals_composed_components(strategy, attn_source):
+    cfg = GateConfig(tau=0.8, spat_gain=3.0, spat_bias=-0.5, attn_source=attn_source)
+    for seed in range(3):
+        state, outs = _decoded_frames(attn_source, seed)
+        prev_candidate = prev_frame = None
+        for frame, out in outs:
+            args = (out.candidate, state, frame, out.trace, cfg, strategy)
+            got_state, got_mask = gate_step(*args, prev_candidate=prev_candidate, prev_frame=prev_frame)
+            want_state, want_mask = _composed(*args, prev_candidate, prev_frame)
+            assert got_state.tobytes() == want_state.tobytes()
+            assert got_mask.values.tobytes() == want_mask.values.tobytes()
+            assert got_mask.kind is want_mask.kind
+            state, prev_candidate, prev_frame = got_state, out.candidate, frame
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_gate_step_names_a_non_finite_observation(strategy):
+    w = make_weights(2, 8, 8, seed=3)
+    rng = np.random.default_rng(3)
+    state = rng.standard_normal((4, 8)).astype(F32)
+    obs = [rng.standard_normal((3, 8)).astype(F32) for _ in range(2)]
+    obs[1][1, 2] = np.nan
+    frames = [encode_frame(o, w) for o in obs]
+    first = decode_step(frames[0], state, w)
+    state, _ = gate_step(first.candidate, state, frames[0], first.trace, GateConfig(), strategy)
+    out = decode_step(frames[1], state, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="non-finite") as exc:
+            gate_step(out.candidate, state, frames[1], out.trace, GateConfig(), strategy,
+                      prev_candidate=first.candidate, prev_frame=frames[0])
+    if strategy is Strategy.SPATIAL_ONLY:
+        assert "non-finite frame" in str(exc.value)
+
+
+def test_gate_step_names_non_finite_attention():
+    d = _gate_inputs(seed=8)
+    layers = d["trace"].layers.copy()
+    layers[0, 1, 1] = np.nan
+    with pytest.raises(StateError, match="non-finite attention"):
+        gate_step(d["candidate"], d["prev_state"], d["frame"], AttentionTrace(layers), GateConfig(),
+                  Strategy.SPATIAL_ONLY, prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
+def test_gate_step_rejects_a_trace_of_the_wrong_shape(strategy, n, k):
+    d = _gate_inputs(seed=9)
+    trace = AttentionTrace(np.ones((2, n, k), dtype=F32))
+    with pytest.raises(ConfigError, match="attention trace is"):
+        gate_step(d["candidate"], d["prev_state"], d["frame"], trace, GateConfig(), strategy,
+                  prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
+
+
+@pytest.mark.parametrize("strategy", [Strategy.TEMPORAL_ONLY, Strategy.SPATIAL_ONLY, Strategy.FUSED])
+def test_gate_step_requires_a_state_token(strategy):
+    empty = np.zeros((0, 5), dtype=F32)
+    frame = np.ones((3, 5), dtype=F32)
+    trace = AttentionTrace(np.zeros((1, 0, 3), dtype=F32))
+    with pytest.raises(ConfigError, match="at least one state token"):
+        gate_step(empty, empty, frame, trace, GateConfig(), strategy,
+                  prev_candidate=empty, prev_frame=frame)

@@ -206,6 +206,11 @@ def test_row_kernels_bit_identical_to_textbook_forms():
         assert _same_bits(rowwise_max(m), m.max(axis=1))
 
 
+def test_row_softmax_with_given_row_max_bit_identical_to_textbook_form():
+    for m in _pin_matrices():
+        assert _same_bits(row_softmax(m, rowwise_max(m)), _textbook_row_softmax(m))
+
+
 def test_sigmoid_bit_identical_to_textbook_form():
     for m in _pin_matrices():
         for v in (m.ravel(), -m.ravel(), 1e4 * m.ravel()):
