@@ -49,7 +49,6 @@ from .world import (
     dump_stream,
     generate_scene,
     load_stream,
-    step_stream,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "run_session",
     "session_for_seed",
     "spatial_mask",
-    "step_stream",
     "tau_sweep",
     "temporal_mask",
     "uniform_mask",

@@ -77,7 +77,7 @@ _GATE_GAIN32 = F32(GATE_GAIN)
 _MIX_RATE32 = F32(MIX_RATE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoderWeights:
     """Immutable projection matrices for an L-layer decoder.
 
@@ -94,7 +94,7 @@ class DecoderWeights:
     readout: np.ndarray
     encoder: np.ndarray
     seed: int = 0
-    key_value: np.ndarray = field(init=False, repr=False, compare=False)
+    key_value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         query = tuple(as_matrix(m, "query") for m in self.query)

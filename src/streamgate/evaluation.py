@@ -27,7 +27,7 @@ from .decoder import DecoderWeights, decode_step, encode_frame, readout
 from .errors import ConfigError
 from .gating import GateConfig, Strategy, gate_step
 from .linalg import F32, matmul
-from .world import CoverageSchedule, Scene, StreamCursor, generate_scene
+from .world import CoverageSchedule, Scene, StreamCursor, check_seed, generate_scene
 
 _INIT_ROLE = 3
 _SCENE_ROLE = 10
@@ -52,7 +52,7 @@ class WorldSpec:
     schedule: CoverageSchedule = field(default_factory=CoverageSchedule)
 
 
-@dataclass
+@dataclass(eq=False)
 class SessionResult:
     """Per-frame traces of one streaming session."""
 
@@ -108,6 +108,7 @@ def child_seed(seed: int, role: int) -> int:
 
 def experiment_seeds(seed: int) -> tuple[int, int]:
     """Independent (scene_seed, stream_seed) pair for one experiment seed."""
+    seed = check_seed("experiment seed", seed)
     return child_seed(seed, _SCENE_ROLE), child_seed(seed, _STREAM_ROLE)
 
 
@@ -145,7 +146,7 @@ def run_session(
     prev_frame = None
 
     per_frame_error: list[float] = []
-    mask_stats: list[tuple[float, float, float]] = []
+    masks = np.empty((frames, state.shape[0]), dtype=F32)
     region_errors = np.zeros((frames, scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
     # A scene that cannot drift keeps its codes: its truth is projected once.
@@ -178,14 +179,14 @@ def run_session(
         errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
         region_errors[i] = errs
         per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
-        m = mask.values
-        mask_stats.append((
-            float(np.add.reduce(m) / F32(m.shape[0])),
-            float(np.minimum.reduce(m)),
-            float(np.maximum.reduce(m)),
-        ))
+        masks[i] = mask.values
         visible.append(step.visible_regions)
 
+    mask_stats = list(zip(
+        (np.add.reduce(masks, axis=1) / F32(masks.shape[1])).tolist(),
+        np.minimum.reduce(masks, axis=1).tolist(),
+        np.maximum.reduce(masks, axis=1).tolist(),
+    ))
     return SessionResult(
         strategy=strategy,
         per_frame_error=per_frame_error,

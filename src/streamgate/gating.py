@@ -100,7 +100,7 @@ class GateConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateMask:
     """Per-token gate in [0, 1] plus the route that produced it."""
 
@@ -116,7 +116,7 @@ class UpdateMask:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttentionTrace:
     """Cross-attention magnitudes of every decoder layer, as one (L, N, K) array.
 

@@ -7,25 +7,54 @@ currently out of view. Dynamic regions drift over time, so retention and
 adaptation can be stressed independently.
 
 Every step is a pure function of (scene seed, schedule, frame index, noise
-seed): drift and noise draws come from per-frame child seeds, so streams
-are bit-reproducible and individual steps can be regenerated at random.
+seed): frame t's drift and noise draws come from
+PCG64(SeedSequence((stream seed, t, role))), so streams are
+bit-reproducible and any frame's draws can be regenerated on their own.
+A cursor hashes those seed sequences for a block of frames at a time,
+with numpy's algorithm vectorized over the block.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
 _NOISE_ROLE = 2
+
+# Frames whose seed words a cursor hashes at once: the first block at
+# construction, each later one in the step that leaves the block before.
+_SEED_BLOCK = 256
+
+# numpy.random.SeedSequence's hash constants (pool size 4).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def check_seed(name: str, seed) -> int:
+    """seed as an int; ConfigError naming `name` unless a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+def _check_finite_rate(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
 
 class ScheduleKind(enum.Enum):
@@ -34,7 +63,7 @@ class ScheduleKind(enum.Enum):
     REVISIT = "revisit"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Ground-truth latent codes plus which regions drift."""
 
@@ -47,13 +76,14 @@ class Scene:
         codes = as_matrix(self.region_codes, "region_codes")
         if codes.shape[0] < 1:
             raise ConfigError("scene needs at least one region")
-        if self.drift_rate < 0:
-            raise ConfigError(f"drift_rate must be >= 0, got {self.drift_rate}")
+        _check_finite_rate("drift_rate", self.drift_rate)
+        seed = check_seed("scene seed", self.seed)
         bad = [i for i in self.dynamic_regions if not 0 <= i < codes.shape[0]]
         if bad:
             raise ConfigError(f"dynamic region indices out of range: {bad}")
         object.__setattr__(self, "region_codes", codes)
         object.__setattr__(self, "dynamic_regions", frozenset(self.dynamic_regions))
+        object.__setattr__(self, "seed", seed)
 
     @property
     def regions(self) -> int:
@@ -92,7 +122,7 @@ class CoverageSchedule:
             raise ConfigError(f"period must be >= 1, got {self.period}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StreamStep:
     """One frame of a stream.
 
@@ -128,7 +158,8 @@ def generate_scene(
         raise ConfigError(
             f"dynamic_fraction must be in [0, 1], got {dynamic_fraction}"
         )
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    seed = check_seed("scene seed", seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     raw = rng.standard_normal((regions, obs_channels))
     norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
     codes = (math.sqrt(obs_channels) * raw / norms).astype(F32)
@@ -138,12 +169,88 @@ def generate_scene(
         region_codes=codes,
         dynamic_regions=frozenset(int(i) for i in dynamic),
         drift_rate=float(drift_rate),
-        seed=int(seed),
+        seed=seed,
     )
 
 
-def _step_rng(seed: int, t: int, role: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(t), role)))
+def _seed_words(seed: int, t0: int, n: int, roles: tuple[int, ...]) -> np.ndarray:
+    """SeedSequence((seed, t, role)).generate_state(4, np.uint64) for a block of frames.
+
+    Returns an (n, len(roles), 4) uint64 array whose [i, r] row is that
+    state for t = t0 + i and roles[r]. This is numpy's SeedSequence
+    algorithm, with each (t, role) pair as one lane of uint32 arrays; the
+    hash constants advance the same way in every lane, so they stay
+    Python ints. Needs seed >= 0, 0 <= t0 and t0 + n <= 2**32 (t is one
+    entropy word) and roles below 2**32.
+    """
+    if t0 + n > 1 << 32:
+        raise ValueError(f"frame index {t0 + n - 1} does not fit one 32-bit word")
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    size = len(words) + 2
+    # The entropy, padded with zero words to the pool size: numpy hashes
+    # zeros into a pool longer than the entropy.
+    entropy = np.zeros((n, len(roles), max(size, _POOL_SIZE)), dtype=np.uint32)
+    entropy[:, :, : len(words)] = words
+    entropy[:, :, len(words)] = np.arange(t0, t0 + n, dtype=np.uint32)[:, np.newaxis]
+    entropy[:, :, len(words) + 1] = roles
+    entropy = entropy.reshape(n * len(roles), -1)
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, size):  # entropy longer than the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = _INIT_B
+    state = np.empty((entropy.shape[0], 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # Two uint32 words make one uint64 word, low word first.
+    state = state.astype(np.uint64)
+    out = state[:, 0::2] | (state[:, 1::2] << np.uint64(32))
+    return out.reshape(n, len(roles), -1)
+
+
+class _HashedSeed(ISeedSequence):
+    """A seed sequence whose state was hashed ahead by _seed_words.
+
+    PCG64 asks its seed sequence for generate_state(4, np.uint64) and
+    nothing else; this one hands back the precomputed row.
+    """
+
+    __slots__ = ("_row",)
+
+    def __init__(self, row: np.ndarray) -> None:
+        self._row = row
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self._row
+
+
+def _rng(row: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_HashedSeed(row)))
 
 
 def _visible_regions(schedule: CoverageSchedule, t: int, regions: int) -> tuple[int, ...]:
@@ -156,12 +263,14 @@ def _visible_regions(schedule: CoverageSchedule, t: int, regions: int) -> tuple[
     return tuple((start + i) % regions for i in range(window))
 
 
-@dataclass
+@dataclass(eq=False)
 class StreamCursor:
-    """Sequential stream generator; O(1) work per step.
+    """Sequential stream generator; O(1) amortized work per step.
 
     Mutable only through step(); distinct cursors over the same inputs
-    yield bit-identical sequences.
+    yield bit-identical sequences. Frame t's draws for a role come from
+    PCG64(SeedSequence((seed, t, role))); the seed sequences are hashed
+    _SEED_BLOCK frames at a time, for the roles the scene uses.
     """
 
     scene: Scene
@@ -170,13 +279,25 @@ class StreamCursor:
     seed: int
     _codes: np.ndarray = field(init=False, repr=False)
     _drifts: bool = field(init=False, repr=False)
+    _dynamic: np.ndarray = field(init=False, repr=False)
+    _drift_rate: np.float32 = field(init=False, repr=False)
+    _sigma: np.float32 = field(init=False, repr=False)
+    _roles: tuple[int, ...] = field(init=False, repr=False)
+    _words: np.ndarray = field(init=False, repr=False)
+    _block_t0: int = field(init=False, repr=False, default=1)
     _t: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        self._codes = self.scene.region_codes.copy()
-        self._drifts = self.scene.drifts
+        _check_finite_rate("noise_sigma", self.noise_sigma)
+        self.seed = check_seed("stream seed", self.seed)
+        scene = self.scene
+        self._codes = scene.region_codes.copy()
+        self._drifts = scene.drifts
+        self._dynamic = np.array(sorted(scene.dynamic_regions), dtype=np.intp)
+        self._drift_rate = F32(scene.drift_rate)
+        self._sigma = F32(self.noise_sigma)
+        self._roles = (_DRIFT_ROLE, _NOISE_ROLE) if self._drifts else (_NOISE_ROLE,)
+        self._words = _seed_words(self.seed, 1, _SEED_BLOCK, self._roles)
 
     @property
     def t(self) -> int:
@@ -185,48 +306,31 @@ class StreamCursor:
     def step(self) -> StreamStep:
         self._t += 1
         t = self._t
-        scene = self.scene
+        i = t - self._block_t0
+        if i == _SEED_BLOCK:
+            self._words = _seed_words(self.seed, t, _SEED_BLOCK, self._roles)
+            self._block_t0, i = t, 0
+        words = self._words[i]
+        regions, channels = self._codes.shape
         if self._drifts:
-            idx = sorted(scene.dynamic_regions)
-            drift = _step_rng(self.seed, t, _DRIFT_ROLE).standard_normal(
-                (len(idx), scene.obs_channels)
-            )
-            self._codes[idx] += F32(scene.drift_rate) * drift.astype(F32)
-        visible = _visible_regions(self.schedule, t, scene.regions)
-        noise_rng = _step_rng(self.seed, t, _NOISE_ROLE)
-        sigma = F32(self.noise_sigma)
+            drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
+            self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
+        visible = _visible_regions(self.schedule, t, regions)
+        noise_rng = _rng(words[-1])
         if self.schedule.kind is ScheduleKind.REVISIT:
-            rows = scene.regions
-            noise = noise_rng.standard_normal((rows, scene.obs_channels)).astype(F32)
-            observation = sigma * noise
+            noise = noise_rng.standard_normal((regions, channels)).astype(F32)
+            observation = self._sigma * noise
             vis = list(visible)
             observation[vis] += self._codes[vis]
         else:
-            rows = len(visible)
-            noise = noise_rng.standard_normal((rows, scene.obs_channels)).astype(F32)
-            observation = self._codes[list(visible)] + sigma * noise
+            noise = noise_rng.standard_normal((len(visible), channels)).astype(F32)
+            observation = self._codes[list(visible)] + self._sigma * noise
         return StreamStep(
             t=t,
             observation=observation,
             visible_regions=visible,
             truth_snapshot=self._codes.copy(),
         )
-
-
-def step_stream(
-    scene: Scene,
-    schedule: CoverageSchedule,
-    t: int,
-    noise_sigma: float,
-    seed: int,
-) -> StreamStep:
-    """Regenerate the stream step at frame t (t >= 1); costs O(t)."""
-    if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
-    cursor = StreamCursor(scene, schedule, noise_sigma, seed)
-    for _ in range(t - 1):
-        cursor.step()
-    return cursor.step()
 
 
 def atomic_write(path, chunks) -> None:

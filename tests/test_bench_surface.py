@@ -13,8 +13,14 @@ import sys
 
 import pytest
 
+from streamgate import GateConfig, Strategy, make_weights
+from streamgate.evaluation import WorldSpec, degradation_curve, run_ablation
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
+sys.path.insert(0, os.path.dirname(WORKER))
+
+import worker  # noqa: E402
 
 
 def _worker(tmp_path, *args):
@@ -48,3 +54,17 @@ def test_stream_worker_runs_one_checked_session(tmp_path):
 def test_grid_worker_sets_up(tmp_path, workload):
     records = _worker(tmp_path, "--workload", workload, "--seed", "0", "--seconds", "0.1", "--setup-only")
     assert records == [{"event": "ready"}]
+
+
+def test_grid_probe_samples_every_frame_but_the_first_of_each_session():
+    # The grid probe times the span between two consecutive StreamCursor.step
+    # calls of one cursor, so it holds only while a session steps its own
+    # cursor once per frame.
+    weights, cfg = make_weights(n_layers=2), GateConfig()
+    strategies, seeds, frames = [Strategy.UNIFORM, Strategy.FUSED], [0, 1], 40
+    with worker.FrameClock(worker.HostGauge()) as clock:
+        run_ablation(WorldSpec(), weights, cfg, strategies, frames, seeds)
+    assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)
+    with worker.FrameClock(worker.HostGauge()) as clock:
+        degradation_curve(WorldSpec(), weights, cfg, strategies, [5, frames], seeds)
+    assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)

@@ -13,7 +13,7 @@ from streamgate.evaluation import (
     session_for_seed,
     tau_sweep,
 )
-from streamgate.gating import GateConfig, Strategy, gate_step
+from streamgate.gating import AttentionTrace, GateConfig, MaskKind, Strategy, UpdateMask, gate_step
 from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, generate_scene
 
 SMALL_WORLD = WorldSpec(
@@ -345,3 +345,26 @@ def test_forgetting_mechanism_staleness_contrast():
                         worst_factor, rf.region_errors[t][i] / max(last_err[i], 0.1)
                     )
     assert worst_factor <= 5.0
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    scene = generate_scene(6, 8, 0.5, 0.1, seed=2)
+    schedule = CoverageSchedule(kind=ScheduleKind.FULL)
+    makers = [
+        lambda: make_weights(1, 4),
+        lambda: generate_scene(6, 8, 0.5, 0.1, seed=2),
+        lambda: StreamCursor(scene, schedule, 0.05, 1),
+        lambda: StreamCursor(scene, schedule, 0.05, 1).step(),
+        lambda: UpdateMask(np.ones(3), MaskKind.FUSED),
+        lambda: AttentionTrace(np.ones((2, 3, 4), dtype=np.float32)),
+        lambda: small_session(Strategy.FUSED, frames=2),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+    # Value objects without arrays keep value equality.
+    assert GateConfig(tau=2.0) == GateConfig(tau=2.0)
+    assert CoverageSchedule(window=3) == CoverageSchedule(window=3)
+    assert WorldSpec(regions=5) == WorldSpec(regions=5)
+    assert hash(CoverageSchedule(window=3)) == hash(CoverageSchedule(window=3))

@@ -1,18 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
 from streamgate.errors import ConfigError
+from streamgate.evaluation import experiment_seeds
 from streamgate.world import (
+    _SEED_BLOCK,
     CoverageSchedule,
+    Scene,
     ScheduleKind,
     StreamCursor,
+    _seed_words,
     dump_stream,
     generate_scene,
     load_stream,
-    step_stream,
 )
 
 F32 = np.float32
+
+
+def _steps(scene, schedule, frames, noise_sigma, seed):
+    cursor = StreamCursor(scene, schedule, noise_sigma, seed)
+    return [cursor.step() for _ in range(frames)]
 
 
 def test_generate_scene_dynamic_fraction_boundaries():
@@ -45,6 +55,36 @@ def test_generate_scene_validation():
         generate_scene(4, 4, drift_rate=-0.1)
 
 
+@pytest.mark.parametrize("drift_rate", [math.nan, math.inf, -math.inf])
+def test_non_finite_drift_rate_rejected_naming_the_field(drift_rate):
+    with pytest.raises(ConfigError, match="drift_rate"):
+        generate_scene(4, 4, 0.5, drift_rate, seed=1)
+    codes = np.ones((2, 3), dtype=F32)
+    with pytest.raises(ConfigError, match="drift_rate"):
+        Scene(codes, frozenset({0}), drift_rate, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
+def test_bad_seeds_rejected_naming_the_field(seed):
+    with pytest.raises(ConfigError, match="scene seed"):
+        generate_scene(4, 4, seed=seed)
+    with pytest.raises(ConfigError, match="scene seed"):
+        Scene(np.ones((2, 3), dtype=F32), frozenset(), 0.0, seed=seed)
+    scene = generate_scene(4, 3, 0.0, 0.0, seed=12)
+    with pytest.raises(ConfigError, match="stream seed"):
+        StreamCursor(scene, CoverageSchedule(), 0.1, seed)
+    with pytest.raises(ConfigError, match="experiment seed"):
+        experiment_seeds(seed)
+
+
+def test_numpy_integer_seeds_accepted_as_ints():
+    scene = generate_scene(4, 3, 0.5, 0.1, seed=np.int64(12))
+    assert type(scene.seed) is int and scene.seed == 12
+    cursor = StreamCursor(scene, CoverageSchedule(), 0.1, np.uint32(7))
+    assert type(cursor.seed) is int and cursor.seed == 7
+    assert experiment_seeds(np.int64(3)) == experiment_seeds(3)
+
+
 def test_coverage_schedule_validation():
     with pytest.raises(ConfigError):
         CoverageSchedule(window=0)
@@ -54,14 +94,14 @@ def test_coverage_schedule_validation():
 
 def test_full_schedule_sees_everything():
     scene = generate_scene(5, 3, 0.0, 0.0, seed=3)
-    step = step_stream(scene, CoverageSchedule(kind=ScheduleKind.FULL), 4, 0.1, seed=0)
+    step = _steps(scene, CoverageSchedule(kind=ScheduleKind.FULL), 4, 0.1, seed=0)[-1]
     assert step.visible_regions == tuple(range(5))
     assert step.observation.shape == (5, 3)
 
 
 def test_noiseless_static_full_observation_equals_codes():
     scene = generate_scene(5, 3, 0.0, 0.0, seed=4)
-    step = step_stream(scene, CoverageSchedule(kind=ScheduleKind.FULL), 7, 0.0, seed=0)
+    step = _steps(scene, CoverageSchedule(kind=ScheduleKind.FULL), 7, 0.0, seed=0)[-1]
     assert step.observation.tobytes() == scene.region_codes.tobytes()
     assert step.truth_snapshot.tobytes() == scene.region_codes.tobytes()
 
@@ -70,10 +110,10 @@ def test_sliding_window_wraps_and_covers():
     # any R consecutive frames collectively visit every region
     scene = generate_scene(6, 3, 0.0, 0.0, seed=5)
     sched = CoverageSchedule(kind=ScheduleKind.SLIDING_WINDOW, window=2)
+    steps = _steps(scene, sched, 14, 0.0, seed=0)
     for t0 in (1, 4, 9):
         seen = set()
-        for t in range(t0, t0 + 6):
-            step = step_stream(scene, sched, t, 0.0, seed=0)
+        for step in steps[t0 - 1: t0 + 5]:
             assert len(step.visible_regions) == 2
             assert step.observation.shape == (2, 3)
             seen.update(step.visible_regions)
@@ -87,8 +127,8 @@ def test_sliding_window_staleness_is_periodic():
     sched = CoverageSchedule(kind=ScheduleKind.SLIDING_WINDOW, window=window)
     target = 5
     visible_ts = [
-        t for t in range(1, 2 * regions + 1)
-        if target in step_stream(scene, sched, t, 0.0, seed=0).visible_regions
+        step.t for step in _steps(scene, sched, 2 * regions, 0.0, seed=0)
+        if target in step.visible_regions
     ]
     expected = [
         t for t in range(1, 2 * regions + 1)
@@ -98,16 +138,60 @@ def test_sliding_window_staleness_is_periodic():
     assert [b - a for a, b in zip(visible_ts, visible_ts[1:])].count(regions - window + 1) == 1
 
 
-def test_stream_cursor_matches_step_stream_bitwise():
-    scene = generate_scene(6, 4, 0.5, 0.2, seed=8)
-    sched = CoverageSchedule(kind=ScheduleKind.SLIDING_WINDOW, window=3)
-    cursor = StreamCursor(scene, sched, 0.1, seed=9)
-    for t in range(1, 8):
-        via_cursor = cursor.step()
-        via_fn = step_stream(scene, sched, t, 0.1, seed=9)
-        assert via_cursor.observation.tobytes() == via_fn.observation.tobytes()
-        assert via_cursor.truth_snapshot.tobytes() == via_fn.truth_snapshot.tobytes()
-        assert via_cursor.visible_regions == via_fn.visible_regions
+def _textbook_stream(scene, schedule, noise_sigma, seed, frames):
+    """The stream rebuilt frame by frame from default_rng(SeedSequence((seed, t, role)))."""
+    codes = scene.region_codes.copy()
+    dynamic = sorted(scene.dynamic_regions)
+    regions, channels = scene.region_codes.shape
+    for t in range(1, frames + 1):
+        if scene.drifts:
+            rng = np.random.default_rng(np.random.SeedSequence((seed, t, 1)))
+            drift = rng.standard_normal((len(dynamic), channels)).astype(F32)
+            codes[dynamic] += F32(scene.drift_rate) * drift
+        if schedule.kind is ScheduleKind.FULL or (
+            schedule.kind is ScheduleKind.REVISIT and t % schedule.period == 0
+        ):
+            visible = list(range(regions))
+        else:
+            visible = [(t - 1 + i) % regions for i in range(min(schedule.window, regions))]
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t, 2)))
+        if schedule.kind is ScheduleKind.REVISIT:
+            observation = F32(noise_sigma) * rng.standard_normal((regions, channels)).astype(F32)
+            observation[visible] += codes[visible]
+        else:
+            noise = rng.standard_normal((len(visible), channels)).astype(F32)
+            observation = codes[visible] + F32(noise_sigma) * noise
+        yield t, observation, tuple(visible), codes.copy()
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
+def test_stream_cursor_matches_textbook_numpy_seeding_bitwise(kind, seed):
+    frames = 600  # crosses two seed-block edges
+    scene = generate_scene(8, 4, 0.5, 0.1, seed=24)
+    sched = CoverageSchedule(kind=kind, window=3, period=7)
+    got = _steps(scene, sched, frames, 0.2, seed)
+    want = list(_textbook_stream(scene, sched, 0.2, seed, frames))
+    assert len(got) == len(want) == frames
+    for step, (t, observation, visible, truth) in zip(got, want):
+        assert step.t == t
+        assert step.visible_regions == visible
+        assert step.observation.tobytes() == observation.tobytes()
+        assert step.truth_snapshot.tobytes() == truth.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 3, 2**100 + 5])
+@pytest.mark.parametrize("roles", [(2,), (1, 2)])
+def test_seed_words_match_numpy_seed_sequence_at_block_edges(seed, roles):
+    for t0 in (1, _SEED_BLOCK + 1, 2**32 - _SEED_BLOCK):
+        words = _seed_words(seed, t0, _SEED_BLOCK, roles)
+        assert words.shape == (_SEED_BLOCK, len(roles), 4) and words.dtype == np.uint64
+        for i in (0, 1, _SEED_BLOCK - 1):
+            for r, role in enumerate(roles):
+                want = np.random.SeedSequence((seed, t0 + i, role)).generate_state(4, np.uint64)
+                assert words[i, r].tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        _seed_words(seed, 2**32 - _SEED_BLOCK + 1, _SEED_BLOCK, roles)
 
 
 def test_streams_bit_identical_across_runs():
@@ -121,19 +205,17 @@ def test_streams_bit_identical_across_runs():
         assert s1.truth_snapshot.tobytes() == s2.truth_snapshot.tobytes()
 
 
-def test_step_stream_validation():
+@pytest.mark.parametrize("noise_sigma", [-0.1, math.nan, math.inf])
+def test_stream_cursor_rejects_bad_noise_sigma_naming_the_field(noise_sigma):
     scene = generate_scene(4, 3, 0.0, 0.0, seed=12)
-    with pytest.raises(ConfigError):
-        step_stream(scene, CoverageSchedule(), 0, 0.1, seed=0)
-    with pytest.raises(ConfigError):
-        StreamCursor(scene, CoverageSchedule(), -0.1, seed=0)
+    with pytest.raises(ConfigError, match="noise_sigma"):
+        StreamCursor(scene, CoverageSchedule(), noise_sigma, seed=0)
 
 
 def test_revisit_schedule_full_coverage_every_period():
     scene = generate_scene(6, 3, 0.0, 0.0, seed=13)
     sched = CoverageSchedule(kind=ScheduleKind.REVISIT, window=2, period=3)
-    for t in range(1, 10):
-        step = step_stream(scene, sched, t, 0.0, seed=0)
+    for t, step in enumerate(_steps(scene, sched, 9, 0.0, seed=0), start=1):
         # fixed token grid: one row per region on every frame
         assert step.observation.shape == (6, 3)
         if t % 3 == 0:
