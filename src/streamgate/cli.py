@@ -193,7 +193,7 @@ _OPTIONS: dict[str, _Option] = {
     "schedule": _Option("schedule", _choice(_SCHEDULES), "coverage schedule", _metavar(_SCHEDULES)),
     "period": _Option("period", _COUNT, "revisit period in frames"),
     "frames": _Option("frames", _COUNT, "frames per session"),
-    "lengths": _Option("lengths", _list(_parse_int), "comma list of stream lengths for degrade"),
+    "lengths": _Option("lengths", _list(_COUNT), "comma list of stream lengths for degrade"),
     "taus": _Option("taus", _list(_POSITIVE), "comma list of thresholds for sweep-tau"),
     "strategy": _Option(
         "strategies",
@@ -495,8 +495,6 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"lengths: need at least 2 entries, got {list(cfg.lengths)}")
         if any(b < a for a, b in zip(cfg.lengths, cfg.lengths[1:])):
             raise ConfigError(f"lengths: must be sorted ascending, got {list(cfg.lengths)}")
-        if any(n < 1 for n in cfg.lengths):
-            raise ConfigError("lengths: all entries must be >= 1")
     if COMMANDS[cfg.command].writes and not cfg.out:
         raise ConfigError("out: an output path is required for this command")
 

@@ -101,7 +101,7 @@ class DegradationReport:
     growth_ratio: dict[Strategy, float]
 
 
-def child_seed(seed: int, role: int) -> int:
+def _child_seed(seed: int, role: int) -> int:
     """Derive an independent child seed for one role of an experiment."""
     return int(np.random.SeedSequence((int(seed), int(role))).generate_state(1)[0])
 
@@ -109,7 +109,7 @@ def child_seed(seed: int, role: int) -> int:
 def experiment_seeds(seed: int) -> tuple[int, int]:
     """Independent (scene_seed, stream_seed) pair for one experiment seed."""
     seed = check_seed("experiment seed", seed)
-    return child_seed(seed, _SCENE_ROLE), child_seed(seed, _STREAM_ROLE)
+    return _child_seed(seed, _SCENE_ROLE), _child_seed(seed, _STREAM_ROLE)
 
 
 def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
@@ -234,10 +234,38 @@ def session_for_seed(
     )
 
 
-def _require_distinct(op: str, name: str, values) -> None:
-    """Reject a repeated entry, which would run the same sessions twice."""
-    if len(set(values)) < len(values):
-        raise ConfigError(f"{op}: repeated {name} in {list(values)}")
+def _session_grid(
+    op: str,
+    world: WorldSpec,
+    weights: DecoderWeights,
+    cfgs: list[GateConfig],
+    strategies: list[Strategy],
+    frames: int,
+    seeds: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run every (gate config, strategy, seed) session, one at a time.
+
+    Returns the per-frame errors as a (configs, strategies, seeds, frames)
+    float64 array and each session's mean mask as a (configs, strategies,
+    seeds) array. An empty or repeated strategy or seed list, which would
+    run no session or the same sessions twice, raises a ConfigError naming `op`.
+    """
+    if not strategies:
+        raise ConfigError(f"{op} needs at least 1 strategy")
+    if not seeds:
+        raise ConfigError(f"{op} needs at least 1 seed")
+    for name, values in (("strategy", [s.value for s in strategies]), ("seed", seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{op}: repeated {name} in {list(values)}")
+    shape = (len(cfgs), len(strategies), len(seeds))
+    errors = mean_masks = None
+    for c, s, k in np.ndindex(shape):
+        result = session_for_seed(world, weights, cfgs[c], strategies[s], frames, seeds[k])
+        if errors is None:  # run_session has checked `frames` by now
+            errors, mean_masks = np.empty((*shape, frames)), np.empty(shape)
+        errors[c, s, k] = result.per_frame_error
+        mean_masks[c, s, k] = np.mean([m[0] for m in result.mask_stats])
+    return errors, mean_masks
 
 
 def run_ablation(
@@ -251,35 +279,20 @@ def run_ablation(
     """One session per (strategy, seed) on shared scenes and streams."""
     if len(strategies) < 2:
         raise ConfigError("run_ablation needs at least 2 strategies")
-    if not seeds:
-        raise ConfigError("run_ablation needs at least 1 seed")
-    _require_distinct("run_ablation", "strategy", [s.value for s in strategies])
-    _require_distinct("run_ablation", "seed", seeds)
-    rows: list[AblationRow] = []
-    finals: dict[Strategy, list[float]] = {s: [] for s in strategies}
-    for strategy in strategies:
-        for seed in seeds:
-            result = session_for_seed(world, weights, cfg, strategy, frames, seed)
-            mean_mask = float(np.mean([s[0] for s in result.mask_stats]))
-            rows.append(
-                AblationRow(
-                    strategy=strategy,
-                    seed=seed,
-                    frames=frames,
-                    final_error=result.final_error,
-                    mean_mask=mean_mask,
-                )
-            )
-            finals[strategy].append(result.final_error)
+    errors, masks = _session_grid("run_ablation", world, weights, [cfg], strategies, frames, seeds)
+    finals = errors[0, :, :, -1]
+    rows = [
+        AblationRow(strategy, seed, frames, float(finals[s, k]), float(masks[0, s, k]))
+        for s, strategy in enumerate(strategies)
+        for k, seed in enumerate(seeds)
+    ]
     summary = [
         AblationSummary(
-            strategy=s,
-            median_final_error=float(np.median(finals[s])),
-            iqr_final_error=float(
-                np.percentile(finals[s], 75) - np.percentile(finals[s], 25)
-            ),
+            strategy,
+            float(np.median(finals[s])),
+            float(np.percentile(finals[s], 75) - np.percentile(finals[s], 25)),
         )
-        for s in strategies
+        for s, strategy in enumerate(strategies)
     ]
     return AblationResult(rows=rows, summary=summary)
 
@@ -304,25 +317,14 @@ def degradation_curve(
         raise ConfigError(f"lengths must be sorted ascending, got {lengths}")
     if lengths[0] < 1:
         raise ConfigError(f"lengths must be >= 1, got {lengths}")
-    if not strategies:
-        raise ConfigError("degradation_curve needs at least 1 strategy")
-    if not seeds:
-        raise ConfigError("degradation_curve needs at least 1 seed")
-    _require_distinct("degradation_curve", "strategy", [s.value for s in strategies])
-    _require_distinct("degradation_curve", "seed", seeds)
-    errors: dict[Strategy, list[float]] = {}
-    for strategy in strategies:
-        curves = [
-            session_for_seed(world, weights, cfg, strategy, lengths[-1], seed).per_frame_error
-            for seed in seeds
-        ]
-        errors[strategy] = [
-            float(np.median([curve[n - 1] for curve in curves])) for n in lengths
-        ]
-    ratios = {}
-    for strategy in strategies:
-        first, last = errors[strategy][0], errors[strategy][-1]
-        ratios[strategy] = last / first if first > 0 else math.inf
+    curves, _ = _session_grid(
+        "degradation_curve", world, weights, [cfg], strategies, lengths[-1], seeds
+    )
+    errors = {
+        strategy: [float(np.median(curves[0, s, :, n - 1])) for n in lengths]
+        for s, strategy in enumerate(strategies)
+    }
+    ratios = {s: e[-1] / e[0] if e[0] > 0 else math.inf for s, e in errors.items()}
     return DegradationReport(
         lengths=list(lengths), errors_by_strategy=errors, growth_ratio=ratios
     )
@@ -339,16 +341,9 @@ def tau_sweep(
     """Median fused-strategy final error for each temporal threshold."""
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
-    if not seeds:
-        raise ConfigError("tau_sweep needs at least 1 seed")
-    _require_distinct("tau_sweep", "seed", seeds)
-    out = []
-    for tau_cfg in [replace(cfg, tau=tau) for tau in taus]:
-        finals = [
-            session_for_seed(
-                world, weights, tau_cfg, Strategy.FUSED, frames, seed
-            ).final_error
-            for seed in seeds
-        ]
-        out.append((float(tau_cfg.tau), float(np.median(finals))))
-    return out
+    cfgs = [replace(cfg, tau=tau) for tau in taus]
+    errors, _ = _session_grid("tau_sweep", world, weights, cfgs, [Strategy.FUSED], frames, seeds)
+    return [
+        (float(tau_cfg.tau), float(np.median(errors[c, 0, :, -1])))
+        for c, tau_cfg in enumerate(cfgs)
+    ]

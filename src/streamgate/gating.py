@@ -159,6 +159,14 @@ class AttentionTrace:
 # calls the same cores, which trust their inputs.
 
 
+def _pair(op: str, a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce two matrices that must agree in shape; a mismatch names `op`."""
+    a, b = as_matrix(a, names[0]), as_matrix(b, names[1])
+    if a.shape != b.shape:
+        raise ConfigError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
 def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     """Gate from mean-normalized per-token candidate deltas.
 
@@ -167,12 +175,7 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite candidate
     or previous candidate raises StateError.
     """
-    curr = as_matrix(curr, "curr")
-    prev = as_matrix(prev, "prev")
-    if curr.shape != prev.shape:
-        raise ConfigError(
-            f"temporal_mask shape mismatch: {curr.shape} vs {prev.shape}"
-        )
+    curr, prev = _pair("temporal_mask", curr, prev, ("curr", "prev"))
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
     return UpdateMask(_temporal(curr, prev, cfg), MaskKind.TEMPORAL)
@@ -192,13 +195,7 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
 
 def feature_divergence(curr, prev) -> np.ndarray:
     """Per-frame-token dissimilarity: 1 - cosine of consecutive frames."""
-    curr = as_matrix(curr, "curr")
-    prev = as_matrix(prev, "prev")
-    if curr.shape != prev.shape:
-        raise ConfigError(
-            f"feature_divergence shape mismatch: {curr.shape} vs {prev.shape}"
-        )
-    return _divergence(curr, prev)
+    return _divergence(*_pair("feature_divergence", curr, prev, ("curr", "prev")))
 
 
 def _divergence(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -261,12 +258,7 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
     float32. A non-finite blended state raises StateError, whatever mask
     produced it.
     """
-    candidate = as_matrix(candidate, "candidate")
-    prev_state = as_matrix(prev_state, "prev_state")
-    if candidate.shape != prev_state.shape:
-        raise ConfigError(
-            f"apply_update shape mismatch: {candidate.shape} vs {prev_state.shape}"
-        )
+    candidate, prev_state = _pair("apply_update", candidate, prev_state, ("candidate", "prev_state"))
     m = mask.values
     if m.shape[0] != candidate.shape[0]:
         raise ConfigError(
@@ -325,12 +317,7 @@ def gate_step(
     here; the result equals composing temporal_mask, feature_divergence,
     aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
-    candidate = as_matrix(candidate, "candidate")
-    prev_state = as_matrix(prev_state, "prev_state")
-    if candidate.shape != prev_state.shape:
-        raise ConfigError(
-            f"apply_update shape mismatch: {candidate.shape} vs {prev_state.shape}"
-        )
+    candidate, prev_state = _pair("apply_update", candidate, prev_state, ("candidate", "prev_state"))
     if (prev_candidate is None) != (prev_frame is None):
         raise StateError(
             "prev_candidate and prev_frame must both be absent (first frame) "
@@ -349,19 +336,12 @@ def gate_step(
 
     values = None
     if temporal:
-        prev_candidate = as_matrix(prev_candidate, "prev_candidate")
-        if prev_candidate.shape != candidate.shape:
-            raise ConfigError(
-                f"temporal_mask shape mismatch: {candidate.shape} vs {prev_candidate.shape}"
-            )
+        _, prev_candidate = _pair(
+            "temporal_mask", candidate, prev_candidate, ("candidate", "prev_candidate")
+        )
         values = _temporal(candidate, prev_candidate, cfg)
     if spatial:
-        frame = as_matrix(frame, "frame")
-        prev_frame = as_matrix(prev_frame, "prev_frame")
-        if frame.shape != prev_frame.shape:
-            raise ConfigError(
-                f"feature_divergence shape mismatch: {frame.shape} vs {prev_frame.shape}"
-            )
+        frame, prev_frame = _pair("feature_divergence", frame, prev_frame, ("frame", "prev_frame"))
         attn = aggregate_attention(trace)
         if attn.shape != (n, frame.shape[0]):
             raise ConfigError(

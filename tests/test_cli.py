@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -89,6 +90,13 @@ def test_repeated_seed_rejected_naming_key(capsys):
 def test_degrade_lengths_must_be_sorted(capsys):
     assert run_cli(["degrade", "--lengths", "50,40", "--out", "x.csv"]) == 2
     assert "lengths" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["degrade", "run"])
+def test_lengths_must_be_at_least_one(capsys, command):
+    # the bound is in the --lengths parser, so it holds for every command
+    assert run_cli([command, "--lengths", "0,5", "--out", "x.csv"]) == 2
+    assert "lengths: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_sweep_tau_rejects_nonpositive(capsys):
@@ -261,6 +269,49 @@ def test_commands_byte_identical_across_reruns(tmp_path, argv):
     first = out.read_bytes()
     assert run_cli([*argv, "--out", str(out)]) == 0
     assert out.read_bytes() == first
+
+
+# SHA-256 of the output files of small configs, recorded from the code
+# before the experiments became reductions over one session grid. The files
+# embed their own (relative) paths in the config header, so each command runs
+# in a fresh directory. A change in any byte means a change in behaviour.
+PINNED = {
+    "run": (
+        ["run", *SMALL, "--frames", "12", "--schedule", "revisit", "--period", "3",
+         "--drift-rate", "0.05", "--dynamic-fraction", "0.5", "--attn-source", "preabs",
+         "--out", "run.csv", "--dump-stream", "trace.txt"],
+        {
+            "run.csv": "b47833463cde5a404d5332377abd0946f93d533f047ef84f39142afd0e94c8a7",
+            "trace.txt": "1c022d2a233a2180cdee9272b552bdc5a3ab9d850932f21c0a16fdff56d1cccb",
+        },
+    ),
+    "ablate-csv": (
+        ["ablate", *SMALL, "--out", "ablate.csv"],
+        {"ablate.csv": "2d1108b77fb6037f3a190f797608869ff4cd0a55970dad4defd7b099f49c75cb"},
+    ),
+    "ablate-jsonl": (
+        ["ablate", *SMALL, "--strategy", "fused,uniform", "--seeds", "3,1,2",
+         "--format", "jsonl", "--out", "ablate.jsonl"],
+        {"ablate.jsonl": "0691e7e045739aa68c9652d599c85a66f079fb55908813b1ef99d1730308ce47"},
+    ),
+    "degrade-repeated-length": (
+        ["degrade", *SMALL, "--lengths", "3,3,6", "--out", "degrade.csv"],
+        {"degrade.csv": "d2160b36d1e0597670b9672a9cfcdcac91a3d5951c55b59ff0772d0b2ca7af7d"},
+    ),
+    "sweep-tau-repeated-tau": (
+        ["sweep-tau", *SMALL, "--taus", "0.5,0.5,2.0", "--out", "tau.csv"],
+        {"tau.csv": "172458ed6c05c026cf09c9f9de00dff973258ad9c2fce6148f0e34e5ebfb141a"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_output_files_match_pinned_hashes(tmp_path, monkeypatch, name):
+    argv, digests = PINNED[name]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
 
 
 def test_degrade_emits_growth_ratio_summary(tmp_path):

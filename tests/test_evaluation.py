@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from streamgate import evaluation
 from streamgate.decoder import decode_step, encode_frame, make_weights, readout
 from streamgate.errors import ConfigError
 from streamgate.evaluation import (
@@ -214,6 +215,37 @@ def test_degradation_curve_equals_separately_run_sessions():
         assert report.errors_by_strategy[strategy] == separate
 
 
+def test_run_ablation_equals_separately_run_sessions():
+    strategies = [Strategy.FUSED, Strategy.UNIFORM, Strategy.SPATIAL_ONLY]
+    seeds, frames = [2, 0, 5], 7
+    table = run_ablation(SMALL_WORLD, small_weights(), GateConfig(), strategies, frames, seeds)
+    separate = []
+    for strategy in strategies:
+        for seed in seeds:
+            result = small_session(strategy, frames, seed)
+            mean_mask = float(np.mean([m[0] for m in result.mask_stats]))
+            separate.append((strategy, seed, frames, result.final_error, mean_mask))
+    assert [(r.strategy, r.seed, r.frames, r.final_error, r.mean_mask) for r in table.rows] == separate
+    for summary, strategy in zip(table.summary, strategies):
+        finals = [row[3] for row in separate if row[0] is strategy]
+        assert summary.strategy is strategy
+        assert summary.median_final_error == float(np.median(finals))
+        assert summary.iqr_final_error == float(
+            np.percentile(finals, 75) - np.percentile(finals, 25)
+        )
+
+
+def test_tau_sweep_equals_separately_run_sessions():
+    taus, seeds, frames = [0.5, 2.0, 0.5], [1, 3], 6
+    rows = tau_sweep(SMALL_WORLD, small_weights(), GateConfig(spat_gain=2.0), taus, frames, seeds)
+    separate = []
+    for tau in taus:
+        cfg = GateConfig(tau=tau, spat_gain=2.0)
+        finals = [small_session(Strategy.FUSED, frames, seed, cfg).final_error for seed in seeds]
+        separate.append((tau, float(np.median(finals))))
+    assert rows == separate
+
+
 def test_degradation_curve_equal_lengths_ratio_one():
     report = degradation_curve(
         SMALL_WORLD,
@@ -368,3 +400,8 @@ def test_array_holders_compare_and_hash_by_identity():
     assert CoverageSchedule(window=3) == CoverageSchedule(window=3)
     assert WorldSpec(regions=5) == WorldSpec(regions=5)
     assert hash(CoverageSchedule(window=3)) == hash(CoverageSchedule(window=3))
+
+
+def test_child_seed_is_private():
+    # Only experiment_seeds derives child seeds, after it has checked the seed.
+    assert not hasattr(evaluation, "child_seed")

@@ -459,6 +459,53 @@ def test_gate_step_fused_fallback_quarter():
     assert mask.kind is MaskKind.FUSED
 
 
+# Each gate input pair is checked for shape in one place: the message names
+# the operation whose formula needs the pair, and a wrong-rank argument is
+# named as the caller passed it.
+@pytest.mark.parametrize(
+    "strategy, arg, message",
+    [
+        (Strategy.UNIFORM, "candidate", r"apply_update shape mismatch: \(3, 5\) vs \(4, 5\)"),
+        (Strategy.UNIFORM, "prev_state", r"apply_update shape mismatch: \(4, 5\) vs \(3, 5\)"),
+        (Strategy.TEMPORAL_ONLY, "prev_candidate",
+         r"temporal_mask shape mismatch: \(4, 5\) vs \(3, 5\)"),
+        (Strategy.SPATIAL_ONLY, "frame", r"feature_divergence shape mismatch: \(2, 5\) vs \(3, 5\)"),
+        (Strategy.SPATIAL_ONLY, "prev_frame",
+         r"feature_divergence shape mismatch: \(3, 5\) vs \(2, 5\)"),
+    ],
+)
+def test_gate_step_names_each_mismatched_pair(strategy, arg, message):
+    d = _gate_inputs(seed=8)
+
+    def gate(**changed):
+        inputs = {**d, **changed}
+        return gate_step(
+            inputs["candidate"], inputs["prev_state"], inputs["frame"], inputs["trace"],
+            GateConfig(), strategy,
+            prev_candidate=inputs["prev_candidate"], prev_frame=inputs["prev_frame"],
+        )
+
+    with pytest.raises(ConfigError, match=message):
+        gate(**{arg: d[arg][1:]})
+    with pytest.raises(ConfigError, match=f"^{arg} must be 2-D, got ndim=1$"):
+        gate(**{arg: d[arg][0]})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda a, b: temporal_mask(a, b, GateConfig()), "temporal_mask"),
+        (feature_divergence, "feature_divergence"),
+        (lambda a, b: apply_update(a, b, uniform_mask(2)), "apply_update"),
+    ],
+    ids=["temporal_mask", "feature_divergence", "apply_update"],
+)
+def test_gate_components_name_a_mismatched_pair(call, message):
+    a, b = np.ones((2, 3)), np.ones((2, 4))
+    with pytest.raises(ConfigError, match=rf"^{message} shape mismatch: \(2, 3\) vs \(2, 4\)$"):
+        call(a, b)
+
+
 def test_gate_step_partial_buffers_raise_state_error():
     d = _gate_inputs(seed=4)
     with pytest.raises(StateError):
