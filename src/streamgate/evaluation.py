@@ -19,6 +19,8 @@ regions, and forgetting as fast growth.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,7 +56,13 @@ class WorldSpec:
 
 @dataclass(eq=False)
 class SessionResult:
-    """Per-frame traces of one streaming session."""
+    """Per-frame traces of one streaming session.
+
+    `per_frame_error` and the rows of `region_errors` hold the scored
+    frames only, in frame order: every frame by default, or the frames
+    `run_session` was asked to score (always including the last, whose
+    error is `final_error`). `mask_stats` and `visible` hold every frame.
+    """
 
     strategy: Strategy
     per_frame_error: list[float]
@@ -136,10 +144,21 @@ def run_session(
     frames: int,
     noise_sigma: float,
     stream_seed: int,
+    *,
+    scored: Iterable[int] | None = None,
 ) -> SessionResult:
-    """Stream `frames` observations through one gated session."""
+    """Stream `frames` observations through one gated session.
+
+    `scored` lists the 1-based frames whose error is computed; None scores
+    every frame. Repeats collapse and the last frame is always scored. An
+    unscored frame still steps the stream, decodes, gates and records its
+    mask, but skips the readout and the alignment against the truth, so
+    the scored frames' errors are the same bits either way.
+    """
     if frames < 1:
         raise ConfigError(f"frames must be >= 1, got {frames}")
+    scored = _scored_frames(scored, frames)
+    score = set(scored)
     cursor = StreamCursor(scene, schedule, noise_sigma, stream_seed)
     state = initial_state(scene, weights)
     prev_candidate = None
@@ -147,7 +166,7 @@ def run_session(
 
     per_frame_error: list[float] = []
     masks = np.empty((frames, state.shape[0]), dtype=F32)
-    region_errors = np.zeros((frames, scene.regions), dtype=np.float64)
+    region_errors = np.zeros((len(scored), scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
     # A scene that cannot drift keeps its codes: its truth is projected once.
     drifts = scene.drifts
@@ -169,6 +188,10 @@ def run_session(
         )
         prev_candidate = out.candidate
         prev_frame = frame
+        masks[i] = mask.values
+        visible.append(step.visible_regions)
+        if i + 1 not in score:
+            continue
 
         estimate = readout(out.candidate, weights).astype(np.float64)
         if truth is None or drifts:
@@ -177,10 +200,8 @@ def run_session(
             float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
         )
         errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
-        region_errors[i] = errs
+        region_errors[len(per_frame_error)] = errs
         per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
-        masks[i] = mask.values
-        visible.append(step.visible_regions)
 
     mask_stats = list(zip(
         (np.add.reduce(masks, axis=1) / F32(masks.shape[1])).tolist(),
@@ -197,6 +218,19 @@ def run_session(
         visible=visible,
         final_state=state,
     )
+
+
+def _scored_frames(scored, frames: int):
+    """The distinct frames to score, ascending and ending at `frames`."""
+    if scored is None:
+        return range(1, frames + 1)
+    if not isinstance(scored, Iterable):
+        raise ConfigError(f"scored must be a collection of frame numbers, got {scored!r}")
+    scored = list(scored)
+    for t in scored:
+        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 1 <= t <= frames:
+            raise ConfigError(f"scored frames must be integers in 1..{frames}, got {t!r}")
+    return sorted({int(t) for t in scored} | {frames})
 
 
 def seeded_scene(world: WorldSpec, seed: int) -> tuple[Scene, int]:
@@ -219,6 +253,8 @@ def session_for_seed(
     strategy: Strategy,
     frames: int,
     seed: int,
+    *,
+    scored: Iterable[int] | None = None,
 ) -> SessionResult:
     """Run one session on the scene and stream derived from `seed`."""
     scene, stream_seed = seeded_scene(world, seed)
@@ -231,6 +267,7 @@ def session_for_seed(
         frames,
         world.noise_sigma,
         stream_seed=stream_seed,
+        scored=scored,
     )
 
 
@@ -240,15 +277,19 @@ def _session_grid(
     weights: DecoderWeights,
     cfgs: list[GateConfig],
     strategies: list[Strategy],
-    frames: int,
+    lengths: list[int],
     seeds: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run every (gate config, strategy, seed) session, one at a time.
 
-    Returns the per-frame errors as a (configs, strategies, seeds, frames)
-    float64 array and each session's mean mask as a (configs, strategies,
-    seeds) array. An empty or repeated strategy or seed list, which would
-    run no session or the same sessions twice, raises a ConfigError naming `op`.
+    A session's first n frames do not depend on how long it runs, so each
+    session runs once, to the longest of `lengths`, and scores only the
+    frames in `lengths`. Returns the error at each length (repeats
+    included) as a (configs, strategies, seeds, len(lengths)) float64 array
+    and each session's mean mask over all its frames as a (configs,
+    strategies, seeds) array. An empty or repeated strategy or seed list,
+    which would run no session or the same sessions twice, raises a
+    ConfigError naming `op`.
     """
     if not strategies:
         raise ConfigError(f"{op} needs at least 1 strategy")
@@ -258,12 +299,14 @@ def _session_grid(
         if len(set(values)) < len(values):
             raise ConfigError(f"{op}: repeated {name} in {list(values)}")
     shape = (len(cfgs), len(strategies), len(seeds))
-    errors = mean_masks = None
+    errors, mean_masks = np.empty((*shape, len(lengths))), np.empty(shape)
     for c, s, k in np.ndindex(shape):
-        result = session_for_seed(world, weights, cfgs[c], strategies[s], frames, seeds[k])
-        if errors is None:  # run_session has checked `frames` by now
-            errors, mean_masks = np.empty((*shape, frames)), np.empty(shape)
-        errors[c, s, k] = result.per_frame_error
+        result = session_for_seed(
+            world, weights, cfgs[c], strategies[s], max(lengths), seeds[k], scored=lengths
+        )
+        # run_session has checked `lengths` and scored each distinct one, ascending.
+        by_length = dict(zip(sorted(set(lengths)), result.per_frame_error))
+        errors[c, s, k] = [by_length[n] for n in lengths]
         mean_masks[c, s, k] = np.mean([m[0] for m in result.mask_stats])
     return errors, mean_masks
 
@@ -279,8 +322,8 @@ def run_ablation(
     """One session per (strategy, seed) on shared scenes and streams."""
     if len(strategies) < 2:
         raise ConfigError("run_ablation needs at least 2 strategies")
-    errors, masks = _session_grid("run_ablation", world, weights, [cfg], strategies, frames, seeds)
-    finals = errors[0, :, :, -1]
+    errors, masks = _session_grid("run_ablation", world, weights, [cfg], strategies, [frames], seeds)
+    finals = errors[0, :, :, 0]
     rows = [
         AblationRow(strategy, seed, frames, float(finals[s, k]), float(masks[0, s, k]))
         for s, strategy in enumerate(strategies)
@@ -307,9 +350,8 @@ def degradation_curve(
 ) -> DegradationReport:
     """Median final error per strategy as the stream length grows.
 
-    A session's first n frames do not depend on how long it runs, so each
-    (strategy, seed) session runs once, at the longest length, and the
-    shorter lengths read their final error off its per-frame errors.
+    Each (strategy, seed) session runs once, at the longest length, and
+    scores only the frames at the requested lengths.
     """
     if len(lengths) < 2:
         raise ConfigError("degradation_curve needs at least 2 lengths")
@@ -318,10 +360,10 @@ def degradation_curve(
     if lengths[0] < 1:
         raise ConfigError(f"lengths must be >= 1, got {lengths}")
     curves, _ = _session_grid(
-        "degradation_curve", world, weights, [cfg], strategies, lengths[-1], seeds
+        "degradation_curve", world, weights, [cfg], strategies, lengths, seeds
     )
     errors = {
-        strategy: [float(np.median(curves[0, s, :, n - 1])) for n in lengths]
+        strategy: [float(np.median(curves[0, s, :, j])) for j in range(len(lengths))]
         for s, strategy in enumerate(strategies)
     }
     ratios = {s: e[-1] / e[0] if e[0] > 0 else math.inf for s, e in errors.items()}
@@ -342,8 +384,8 @@ def tau_sweep(
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
     cfgs = [replace(cfg, tau=tau) for tau in taus]
-    errors, _ = _session_grid("tau_sweep", world, weights, cfgs, [Strategy.FUSED], frames, seeds)
+    errors, _ = _session_grid("tau_sweep", world, weights, cfgs, [Strategy.FUSED], [frames], seeds)
     return [
-        (float(tau_cfg.tau), float(np.median(errors[c, 0, :, -1])))
+        (float(tau_cfg.tau), float(np.median(errors[c, 0, :, 0])))
         for c, tau_cfg in enumerate(cfgs)
     ]

@@ -159,12 +159,12 @@ class AttentionTrace:
 # calls the same cores, which trust their inputs.
 
 
-def _pair(op: str, a, b, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce two matrices that must agree in shape; a mismatch names `op`."""
-    a, b = as_matrix(a, names[0]), as_matrix(b, names[1])
+def _matching(op: str, a: np.ndarray, b, name: str) -> np.ndarray:
+    """Coerce `b` to a matrix shaped like the already-coerced `a`; a mismatch names `op`."""
+    b = as_matrix(b, name)
     if a.shape != b.shape:
         raise ConfigError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
-    return a, b
+    return b
 
 
 def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
@@ -175,7 +175,8 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite candidate
     or previous candidate raises StateError.
     """
-    curr, prev = _pair("temporal_mask", curr, prev, ("curr", "prev"))
+    curr = as_matrix(curr, "curr")
+    prev = _matching("temporal_mask", curr, prev, "prev")
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
     return UpdateMask(_temporal(curr, prev, cfg), MaskKind.TEMPORAL)
@@ -195,7 +196,8 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
 
 def feature_divergence(curr, prev) -> np.ndarray:
     """Per-frame-token dissimilarity: 1 - cosine of consecutive frames."""
-    return _divergence(*_pair("feature_divergence", curr, prev, ("curr", "prev")))
+    curr = as_matrix(curr, "curr")
+    return _divergence(curr, _matching("feature_divergence", curr, prev, "prev"))
 
 
 def _divergence(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -258,7 +260,8 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
     float32. A non-finite blended state raises StateError, whatever mask
     produced it.
     """
-    candidate, prev_state = _pair("apply_update", candidate, prev_state, ("candidate", "prev_state"))
+    candidate = as_matrix(candidate, "candidate")
+    prev_state = _matching("apply_update", candidate, prev_state, "prev_state")
     m = mask.values
     if m.shape[0] != candidate.shape[0]:
         raise ConfigError(
@@ -317,7 +320,8 @@ def gate_step(
     here; the result equals composing temporal_mask, feature_divergence,
     aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
-    candidate, prev_state = _pair("apply_update", candidate, prev_state, ("candidate", "prev_state"))
+    candidate = as_matrix(candidate, "candidate")
+    prev_state = _matching("apply_update", candidate, prev_state, "prev_state")
     if (prev_candidate is None) != (prev_frame is None):
         raise StateError(
             "prev_candidate and prev_frame must both be absent (first frame) "
@@ -336,12 +340,11 @@ def gate_step(
 
     values = None
     if temporal:
-        _, prev_candidate = _pair(
-            "temporal_mask", candidate, prev_candidate, ("candidate", "prev_candidate")
-        )
+        prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate")
         values = _temporal(candidate, prev_candidate, cfg)
     if spatial:
-        frame, prev_frame = _pair("feature_divergence", frame, prev_frame, ("frame", "prev_frame"))
+        frame = as_matrix(frame, "frame")
+        prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame")
         attn = aggregate_attention(trace)
         if attn.shape != (n, frame.shape[0]):
             raise ConfigError(

@@ -405,3 +405,63 @@ def test_array_holders_compare_and_hash_by_identity():
 def test_child_seed_is_private():
     # Only experiment_seeds derives child seeds, after it has checked the seed.
     assert not hasattr(evaluation, "child_seed")
+
+
+@pytest.mark.parametrize("dynamic_fraction, drift_rate", [(0.0, 0.0), (0.5, 0.1)])
+def test_scoring_some_frames_changes_nothing_else(dynamic_fraction, drift_rate):
+    scene = generate_scene(6, 8, dynamic_fraction, drift_rate, seed=4)
+    args = (scene, SMALL_WORLD.schedule, small_weights(), GateConfig(), Strategy.FUSED, 15, 0.05, 2)
+    full = run_session(*args)
+    # Repeats collapse, order does not matter, and the last frame is always scored.
+    for scored in ([1, 7, 15], [3, 9], [5, 5, 2], [], np.array([15, 4])):
+        part = run_session(*args, scored=scored)
+        frames = sorted(set(int(t) for t in scored) | {15})
+        assert part.per_frame_error == [full.per_frame_error[t - 1] for t in frames]
+        assert part.region_errors.tobytes() == full.region_errors[np.array(frames) - 1].tobytes()
+        assert part.final_error == full.final_error
+        assert part.mask_stats == full.mask_stats
+        assert part.visible == full.visible
+        assert part.final_state.tobytes() == full.final_state.tobytes()
+        assert part.frames == full.frames
+
+
+@pytest.mark.parametrize("scored", [[0], [7], [-1], [2.0], [True], ["3"], "3", 5, [None]])
+def test_run_session_rejects_bad_scored_frames_naming_the_argument(scored):
+    with pytest.raises(ConfigError, match="scored"):
+        session_for_seed(
+            SMALL_WORLD, small_weights(), GateConfig(), Strategy.FUSED, 6, 0, scored=scored
+        )
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(evaluation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("scored"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, name, counted)
+    return calls
+
+
+def test_grids_run_each_session_once_and_read_only_their_lengths(monkeypatch):
+    sessions = _counting(monkeypatch, "run_session")
+    readouts = _counting(monkeypatch, "readout")
+    strategies, seeds = [Strategy.FUSED, Strategy.UNIFORM, Strategy.TEMPORAL_ONLY], [2, 0]
+    run_ablation(SMALL_WORLD, small_weights(), GateConfig(), strategies, 7, seeds)
+    assert sessions == [[7]] * 6
+    assert len(readouts) == 6
+
+    sessions.clear()
+    readouts.clear()
+    lengths = [1, 4, 4, 9]
+    degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), strategies[:2], lengths, seeds)
+    assert sessions == [lengths] * 4
+    assert len(readouts) == 3 * 4
+
+    sessions.clear()
+    readouts.clear()
+    tau_sweep(SMALL_WORLD, small_weights(), GateConfig(), [0.5, 2.0, 0.5], 5, seeds)
+    assert sessions == [[5]] * 6
+    assert len(readouts) == 6
