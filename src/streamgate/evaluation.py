@@ -29,7 +29,7 @@ from .decoder import DecoderWeights, decode_step, encode_frame, readout
 from .errors import ConfigError
 from .gating import GateConfig, Strategy, gate_step
 from .linalg import F32, matmul
-from .world import CoverageSchedule, Scene, StreamCursor, check_seed, generate_scene
+from .world import CoverageSchedule, Scene, StreamCursor, StreamTape, check_seed, generate_scene
 
 _INIT_ROLE = 3
 _SCENE_ROLE = 10
@@ -146,6 +146,7 @@ def run_session(
     stream_seed: int,
     *,
     scored: Iterable[int] | None = None,
+    tape: StreamTape | None = None,
 ) -> SessionResult:
     """Stream `frames` observations through one gated session.
 
@@ -154,12 +155,24 @@ def run_session(
     unscored frame still steps the stream, decodes, gates and records its
     mask, but skips the readout and the alignment against the truth, so
     the scored frames' errors are the same bits either way.
+
+    `tape`, a StreamTape of this very `scene` (the same object) and of an
+    equal schedule, noise_sigma and stream_seed, lets the session replay
+    steps another session has generated; the results are the same bits.
+    A tape of any other stream raises a ConfigError.
     """
-    if frames < 1:
-        raise ConfigError(f"frames must be >= 1, got {frames}")
+    if isinstance(frames, bool) or not isinstance(frames, numbers.Integral) or frames < 1:
+        raise ConfigError(f"frames must be an integer >= 1, got {frames!r}")
     scored = _scored_frames(scored, frames)
     score = set(scored)
-    cursor = StreamCursor(scene, schedule, noise_sigma, stream_seed)
+    if tape is None:
+        cursor = StreamCursor(scene, schedule, noise_sigma, stream_seed)
+    else:
+        cursor = tape.cursor()
+        stream = (scene, schedule, noise_sigma, check_seed("stream seed", stream_seed))
+        if (cursor.scene, cursor.schedule, cursor.noise_sigma, cursor.seed) != stream:
+            raise ConfigError("tape records another stream than the session's scene, "
+                              "schedule, noise_sigma and stream_seed")
     state = initial_state(scene, weights)
     prev_candidate = None
     prev_frame = None
@@ -280,16 +293,19 @@ def _session_grid(
     lengths: list[int],
     seeds: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run every (gate config, strategy, seed) session, one at a time.
+    """Run every (gate config, strategy, seed) session, seed-major on one tape per seed.
 
-    A session's first n frames do not depend on how long it runs, so each
-    session runs once, to the longest of `lengths`, and scores only the
-    frames in `lengths`. Returns the error at each length (repeats
-    included) as a (configs, strategies, seeds, len(lengths)) float64 array
-    and each session's mean mask over all its frames as a (configs,
-    strategies, seeds) array. An empty or repeated strategy or seed list,
-    which would run no session or the same sessions twice, raises a
-    ConfigError naming `op`.
+    The sessions of one seed share its scene and stream, so the grid makes
+    the scene and a StreamTape once per seed and runs that seed's sessions
+    one after another through `run_session`, each replaying the tape; the
+    tape is dropped before the next seed's. A session's first n frames do
+    not depend on how long it runs, so each session runs once, to the
+    longest of `lengths`, and scores only the frames in `lengths`. Returns
+    the error at each length (repeats included) as a (configs, strategies,
+    seeds, len(lengths)) float64 array and each session's mean mask over
+    all its frames as a (configs, strategies, seeds) array. An empty or
+    repeated strategy or seed list, which would run no session or the
+    same sessions twice, raises a ConfigError naming `op`.
     """
     if not strategies:
         raise ConfigError(f"{op} needs at least 1 strategy")
@@ -300,14 +316,19 @@ def _session_grid(
             raise ConfigError(f"{op}: repeated {name} in {list(values)}")
     shape = (len(cfgs), len(strategies), len(seeds))
     errors, mean_masks = np.empty((*shape, len(lengths))), np.empty(shape)
-    for c, s, k in np.ndindex(shape):
-        result = session_for_seed(
-            world, weights, cfgs[c], strategies[s], max(lengths), seeds[k], scored=lengths
-        )
-        # run_session has checked `lengths` and scored each distinct one, ascending.
-        by_length = dict(zip(sorted(set(lengths)), result.per_frame_error))
-        errors[c, s, k] = [by_length[n] for n in lengths]
-        mean_masks[c, s, k] = np.mean([m[0] for m in result.mask_stats])
+    for k, seed in enumerate(seeds):
+        scene, stream_seed = seeded_scene(world, seed)
+        tape = StreamTape(scene, world.schedule, world.noise_sigma, stream_seed)
+        for c, s in np.ndindex(shape[:2]):
+            result = run_session(
+                scene, world.schedule, weights, cfgs[c], strategies[s], max(lengths),
+                world.noise_sigma, stream_seed, scored=lengths, tape=tape,
+            )
+            # run_session has checked `lengths` and scored each distinct one, ascending.
+            by_length = dict(zip(sorted(set(lengths)), result.per_frame_error))
+            errors[c, s, k] = [by_length[n] for n in lengths]
+            mean_masks[c, s, k] = np.mean([m[0] for m in result.mask_stats])
+        del tape  # one seed's tape alive at a time
     return errors, mean_masks
 
 

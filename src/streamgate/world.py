@@ -11,11 +11,13 @@ seed): frame t's drift and noise draws come from
 PCG64(SeedSequence((stream seed, t, role))), so streams are
 bit-reproducible and any frame's draws can be regenerated on their own.
 A cursor hashes those seed sequences for a block of frames at a time,
-with numpy's algorithm vectorized over the block.
+with numpy's algorithm vectorized over the block. A StreamTape records one
+stream's steps once for any number of cursors to replay.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import numbers
@@ -128,7 +130,9 @@ class StreamStep:
 
     observation rows follow visible_regions order for FULL and
     SLIDING_WINDOW schedules; REVISIT observations have one row per region
-    in region order. truth_snapshot holds all current (post-drift) codes.
+    in region order. truth_snapshot holds all current (post-drift) codes;
+    a scene that cannot drift hands every step of a cursor the same
+    read-only array. A StreamTape's steps are read-only throughout.
     """
 
     t: int
@@ -270,7 +274,8 @@ class StreamCursor:
     Mutable only through step(); distinct cursors over the same inputs
     yield bit-identical sequences. Frame t's draws for a role come from
     PCG64(SeedSequence((seed, t, role))); the seed sequences are hashed
-    _SEED_BLOCK frames at a time, for the roles the scene uses.
+    _SEED_BLOCK frames at a time, for the roles the scene uses. A cursor
+    made by StreamTape.cursor() replays the tape's steps instead.
     """
 
     scene: Scene
@@ -286,6 +291,7 @@ class StreamCursor:
     _words: np.ndarray = field(init=False, repr=False)
     _block_t0: int = field(init=False, repr=False, default=1)
     _t: int = field(init=False, default=0)
+    _tape: StreamTape | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         _check_finite_rate("noise_sigma", self.noise_sigma)
@@ -293,6 +299,8 @@ class StreamCursor:
         scene = self.scene
         self._codes = scene.region_codes.copy()
         self._drifts = scene.drifts
+        if not self._drifts:  # every step's truth_snapshot
+            self._codes.flags.writeable = False
         self._dynamic = np.array(sorted(scene.dynamic_regions), dtype=np.intp)
         self._drift_rate = F32(scene.drift_rate)
         self._sigma = F32(self.noise_sigma)
@@ -304,6 +312,13 @@ class StreamCursor:
         return self._t
 
     def step(self) -> StreamStep:
+        if self._tape is not None:
+            self._t += 1
+            return self._tape._recorded(self._t)
+        return self._advance()
+
+    def _advance(self) -> StreamStep:
+        """Generate the next frame."""
         self._t += 1
         t = self._t
         i = t - self._block_t0
@@ -329,8 +344,45 @@ class StreamCursor:
             t=t,
             observation=observation,
             visible_regions=visible,
-            truth_snapshot=self._codes.copy(),
+            truth_snapshot=self._codes.copy() if self._drifts else self._codes,
         )
+
+
+class StreamTape:
+    """The steps of one stream, generated once and replayed by any number of cursors.
+
+    The tape records the steps of StreamCursor(scene, schedule,
+    noise_sigma, seed) as its cursors first reach them, so sessions that
+    share a scene and a stream generate it once, bit-identical to a fresh
+    cursor. The recorded steps are read-only, and the tape keeps every
+    one until it is dropped.
+    """
+
+    def __init__(
+        self, scene: Scene, schedule: CoverageSchedule, noise_sigma: float, seed: int
+    ) -> None:
+        self._source = StreamCursor(scene, schedule, noise_sigma, seed)
+        self._steps: list[StreamStep] = []
+
+    def cursor(self) -> StreamCursor:
+        """A fresh StreamCursor at frame 0 whose steps are this tape's."""
+        # The copy carries the source's validated inputs; its generator state goes unused.
+        cursor = copy.copy(self._source)
+        cursor._t, cursor._tape = 0, self
+        return cursor
+
+    def _recorded(self, t: int) -> StreamStep:
+        """Step t, generated first if no cursor has reached it yet.
+
+        Cursors advance one step at a time, so t is at most one past the
+        recorded steps.
+        """
+        if t > len(self._steps):
+            step = self._source._advance()
+            step.observation.flags.writeable = False
+            step.truth_snapshot.flags.writeable = False
+            self._steps.append(step)
+        return self._steps[t - 1]
 
 
 def atomic_write(path, chunks) -> None:

@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
-from streamgate import GateConfig, Strategy, make_weights
-from streamgate.evaluation import WorldSpec, degradation_curve, run_ablation
+from streamgate import CoverageSchedule, GateConfig, ScheduleKind, Strategy, make_weights
+from streamgate.evaluation import WorldSpec, degradation_curve, run_ablation, tau_sweep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKER = os.path.join(ROOT, "perfbench", "worker.py")
@@ -67,4 +67,14 @@ def test_grid_probe_samples_every_frame_but_the_first_of_each_session():
     assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)
     with worker.FrameClock(worker.HostGauge()) as clock:
         degradation_curve(WorldSpec(), weights, cfg, strategies, [5, frames], seeds)
+    assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)
+    # Sessions that replay their seed's stream tape step their own cursors too.
+    taus = [0.5, 1.0, 2.0]
+    with worker.FrameClock(worker.HostGauge()) as clock:
+        tau_sweep(WorldSpec(), weights, cfg, taus, frames, seeds)
+    assert len(clock.samples) == len(taus) * len(seeds) * (frames - 1)
+    drifting_revisit = WorldSpec(dynamic_fraction=0.5, drift_rate=0.05,
+                                 schedule=CoverageSchedule(ScheduleKind.REVISIT, 4, 5))
+    with worker.FrameClock(worker.HostGauge()) as clock:
+        run_ablation(drifting_revisit, weights, cfg, strategies, frames, seeds)
     assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)

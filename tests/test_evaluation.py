@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,16 @@ from streamgate.evaluation import (
     session_for_seed,
     tau_sweep,
 )
-from streamgate.gating import AttentionTrace, GateConfig, MaskKind, Strategy, UpdateMask, gate_step
-from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, generate_scene
+from streamgate.gating import (
+    AttentionTrace,
+    AttnSource,
+    GateConfig,
+    MaskKind,
+    Strategy,
+    UpdateMask,
+    gate_step,
+)
+from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, StreamTape, generate_scene
 
 SMALL_WORLD = WorldSpec(
     regions=6,
@@ -87,6 +97,31 @@ def test_run_session_validation():
             0.05,
             stream_seed=1,
         )
+
+
+@pytest.mark.parametrize("frames", [2.5, True, "3", 0])
+def test_run_session_rejects_bad_frames_naming_the_argument(frames):
+    with pytest.raises(ConfigError, match="frames"):
+        session_for_seed(SMALL_WORLD, small_weights(), GateConfig(), Strategy.FUSED, frames, 0)
+
+
+def test_run_session_rejects_a_tape_of_another_stream():
+    scene = generate_scene(6, 8, 0.0, 0.0, seed=1)
+    twin = generate_scene(6, 8, 0.0, 0.0, seed=1)  # equal codes, another scene
+    schedule = SMALL_WORLD.schedule
+    tape = StreamTape(scene, schedule, 0.05, 1)
+    args = (small_weights(), GateConfig(), Strategy.FUSED, 3)
+    run_session(scene, schedule, *args, 0.05, 1, tape=tape)
+    for other_scene, other_schedule, sigma, seed in [
+        (twin, schedule, 0.05, 1),
+        (scene, CoverageSchedule(window=3), 0.05, 1),
+        (scene, schedule, 0.1, 1),
+        (scene, schedule, 0.05, 2),
+    ]:
+        with pytest.raises(ConfigError, match="tape"):
+            run_session(other_scene, other_schedule, *args, sigma, seed, tape=tape)
+    with pytest.raises(ConfigError, match="stream seed"):
+        run_session(scene, schedule, *args, 0.05, True, tape=tape)
 
 
 def _replayed_scores(scene, schedule, weights, cfg, strategy, frames, noise_sigma, seed):
@@ -465,3 +500,55 @@ def test_grids_run_each_session_once_and_read_only_their_lengths(monkeypatch):
     tau_sweep(SMALL_WORLD, small_weights(), GateConfig(), [0.5, 2.0, 0.5], 5, seeds)
     assert sessions == [[5]] * 6
     assert len(readouts) == 6
+
+
+_GRID_WORLDS = {
+    "sliding": SMALL_WORLD,
+    "revisit": WorldSpec(
+        regions=6, obs_channels=8, schedule=CoverageSchedule(ScheduleKind.REVISIT, 2, 3)
+    ),
+    "full-drift": WorldSpec(
+        regions=6, obs_channels=8, dynamic_fraction=0.5, drift_rate=0.05,
+        schedule=CoverageSchedule(ScheduleKind.FULL),
+    ),
+}
+
+
+@pytest.mark.parametrize("world", list(_GRID_WORLDS.values()), ids=list(_GRID_WORLDS))
+def test_session_grid_on_tapes_equals_sessions_on_their_own_streams(world):
+    cfgs = [GateConfig(attn_source=source) for source in AttnSource]
+    strategies, lengths, seeds = list(Strategy), [3, 11, 3], [4, 1]
+    errors, masks = evaluation._session_grid(
+        "grid", world, small_weights(), cfgs, strategies, lengths, seeds
+    )
+    for c, s, k in np.ndindex(masks.shape):
+        alone = session_for_seed(
+            world, small_weights(), cfgs[c], strategies[s], max(lengths), seeds[k], scored=lengths
+        )
+        by_length = dict(zip(sorted(set(lengths)), alone.per_frame_error))
+        assert errors[c, s, k].tolist() == [by_length[n] for n in lengths]
+        assert masks[c, s, k] == np.mean([m[0] for m in alone.mask_stats])
+
+
+def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch):
+    calls = []
+    original = evaluation.run_session
+
+    def recorded(*args, **kwargs):
+        cfg, strategy, stream_seed = args[3], args[4], args[7]
+        calls.append((cfg, strategy, stream_seed, kwargs["tape"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "run_session", recorded)
+    cfgs = [GateConfig(tau=0.5), GateConfig(tau=2.0)]
+    strategies, seeds = [Strategy.UNIFORM, Strategy.FUSED], [3, 0, 7]
+    evaluation._session_grid("grid", SMALL_WORLD, small_weights(), cfgs, strategies, [4], seeds)
+    stream_seeds = [experiment_seeds(seed)[1] for seed in seeds]
+    # Once per (config, strategy, seed) ...
+    ran = sorted((cfgs.index(c), strategies.index(s), stream_seeds.index(k)) for c, s, k, _ in calls)
+    assert ran == list(np.ndindex(len(cfgs), len(strategies), len(seeds)))
+    # ... with all sessions of one seed consecutive, on that seed's one tape.
+    runs = [list(run) for _, run in itertools.groupby(calls, key=lambda call: call[2])]
+    assert [run[0][2] for run in runs] == stream_seeds
+    for run in runs:
+        assert isinstance(run[0][3], StreamTape) and all(call[3] is run[0][3] for call in run)

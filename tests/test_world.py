@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamgate.errors import ConfigError
 from streamgate.evaluation import experiment_seeds
@@ -11,6 +13,7 @@ from streamgate.world import (
     Scene,
     ScheduleKind,
     StreamCursor,
+    StreamTape,
     _seed_words,
     dump_stream,
     generate_scene,
@@ -306,3 +309,55 @@ def test_load_stream_names_a_wrong_value_count(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match="line 3: malformed step"):
         load_stream(path, obs_channels=4)
+
+
+def _same_step(a, b):
+    return (a.t, a.visible_regions, a.observation.tobytes(), a.truth_snapshot.tobytes()) == (
+        b.t, b.visible_regions, b.observation.tobytes(), b.truth_snapshot.tobytes()
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(list(ScheduleKind)),
+    window=st.integers(1, 6),
+    drift_rate=st.sampled_from([0.0, 0.05, 0.3]),
+    short=st.integers(1, 300),
+    extra=st.integers(1, 40),
+)
+def test_tape_cursors_replay_a_fresh_cursor_past_the_recorded_end(kind, window, drift_rate, short, extra):
+    # A shorter session records a prefix; a longer one after it replays that
+    # prefix and records the rest, across a seed-block edge when short > 256.
+    scene = generate_scene(5, 3, 0.4, drift_rate, seed=31)
+    sched = CoverageSchedule(kind=kind, window=window, period=4)
+    want = _steps(scene, sched, short + extra, 0.2, seed=32)
+    tape = StreamTape(scene, sched, 0.2, 32)
+    first, second = tape.cursor(), tape.cursor()
+    assert first.t == second.t == 0
+    replayed = [first.step() for _ in range(short)]
+    assert all(_same_step(a, b) for a, b in zip(replayed, want))
+    for t, w in enumerate(want, start=1):
+        step = second.step()
+        assert second.t == t and _same_step(step, w)
+        if t <= short:
+            assert step is replayed[t - 1]
+
+
+@pytest.mark.parametrize("drift_rate", [0.0, 0.1])
+def test_tape_steps_are_read_only(drift_rate):
+    scene = generate_scene(5, 3, 0.4, drift_rate, seed=33)
+    cursor = StreamTape(scene, CoverageSchedule(kind=ScheduleKind.REVISIT, period=2), 0.1, 34).cursor()
+    for step in [cursor.step() for _ in range(4)]:
+        for array in (step.observation, step.truth_snapshot):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+
+def test_static_truth_is_one_read_only_array_drifting_truth_a_copy_per_step():
+    static = _steps(generate_scene(5, 3, 0.4, 0.0, seed=35), CoverageSchedule(), 3, 0.1, seed=36)
+    assert static[0].truth_snapshot is static[2].truth_snapshot
+    assert not static[0].truth_snapshot.flags.writeable
+    drifting = _steps(generate_scene(5, 3, 0.4, 0.1, seed=35), CoverageSchedule(), 3, 0.1, seed=36)
+    assert drifting[0].truth_snapshot is not drifting[2].truth_snapshot
+    assert drifting[0].truth_snapshot.tobytes() != drifting[2].truth_snapshot.tobytes()
