@@ -34,13 +34,15 @@ from .evaluation import (
     WorldSpec,
     degradation_curve,
     run_ablation,
+    run_session,
     seeded_scene,
-    session_for_seed,
     tau_sweep,
 )
 from .gating import AttnSource, GateConfig, Strategy
 from .oracle import run_oracle_suite
-from .world import CoverageSchedule, ScheduleKind, StreamCursor, atomic_write, dump_stream
+from .world import (
+    CoverageSchedule, ScheduleKind, StreamCursor, StreamTape, atomic_write, dump_stream,
+)
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
@@ -307,13 +309,15 @@ def _rows(header: list[str], values) -> list[dict]:
 
 def _run(cfg: RunConfig):
     world, weights, gate_cfg, strategies = _experiment(cfg)
-    result = session_for_seed(
-        world, weights, gate_cfg, strategies[0], cfg.frames, cfg.seeds[0]
-    )
-    if cfg.dump_stream:
-        scene, stream_seed = seeded_scene(world, cfg.seeds[0])
-        cursor = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
-        dump_stream(cfg.dump_stream, [cursor.step() for _ in range(cfg.frames)])
+    scene, stream_seed = seeded_scene(world, cfg.seeds[0])
+    spec = (scene, world.schedule, world.noise_sigma, stream_seed)
+    # A dump replays the steps the session generated; a run without one keeps no tape.
+    tape = StreamTape(*spec) if cfg.dump_stream else None
+    cursor = tape.cursor() if tape else StreamCursor(*spec)
+    result = run_session(cursor, weights, gate_cfg, strategies[0], cfg.frames)
+    if tape:
+        replay = tape.cursor()
+        dump_stream(cfg.dump_stream, [replay.step() for _ in range(cfg.frames)])
     header = ["t", "frame_error", "mask_mean", "mask_min", "mask_max"]
     frames = zip(result.per_frame_error, result.mask_stats)
     rows = _rows(header, ((t, e, *stats) for t, (e, stats) in enumerate(frames, start=1)))

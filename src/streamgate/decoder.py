@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .gating import AttentionTrace, AttnSource
 from .linalg import F32, as_matrix, matmul, row_softmax, rowwise_max, sigmoid
 
@@ -160,15 +160,11 @@ def make_weights(
     value/readout are identity (see the module docstring for why a
     training-free decoder needs this).
     """
-    if n_layers < 1:
-        raise ConfigError(f"n_layers must be >= 1, got {n_layers}")
-    if channels < 1:
-        raise ConfigError(f"channels must be >= 1, got {channels}")
-    if obs_channels is None:
-        obs_channels = channels
-    if obs_channels < 1:
-        raise ConfigError(f"obs_channels must be >= 1, got {obs_channels}")
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x57A7E)))
+    n_layers = check_int("n_layers", n_layers, 1)
+    channels = check_int("channels", channels, 1)
+    obs_channels = channels if obs_channels is None else check_int("obs_channels", obs_channels, 1)
+    seed = check_int("model seed", seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7E)))
     eye = np.eye(channels, dtype=F32)
     q_gain = math.sqrt(SCORE_GAIN)
     jitter_scale = QK_JITTER / math.sqrt(channels)
@@ -185,7 +181,7 @@ def make_weights(
         value=tuple(eye for _ in range(n_layers)),
         readout=eye,
         encoder=encoder,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -19,17 +19,16 @@ regions, and forgetting as fast growth.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .decoder import DecoderWeights, decode_step, encode_frame, readout
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .gating import GateConfig, Strategy, gate_step
 from .linalg import F32, matmul
-from .world import CoverageSchedule, Scene, StreamCursor, StreamTape, check_seed, generate_scene
+from .world import CoverageSchedule, Scene, StreamCursor, StreamTape, generate_scene
 
 _INIT_ROLE = 3
 _SCENE_ROLE = 10
@@ -116,7 +115,7 @@ def _child_seed(seed: int, role: int) -> int:
 
 def experiment_seeds(seed: int) -> tuple[int, int]:
     """Independent (scene_seed, stream_seed) pair for one experiment seed."""
-    seed = check_seed("experiment seed", seed)
+    seed = check_int("experiment seed", seed)
     return _child_seed(seed, _SCENE_ROLE), _child_seed(seed, _STREAM_ROLE)
 
 
@@ -136,43 +135,33 @@ def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
 
 
 def run_session(
-    scene: Scene,
-    schedule: CoverageSchedule,
+    stream: StreamCursor,
     weights: DecoderWeights,
     cfg: GateConfig,
     strategy: Strategy,
     frames: int,
-    noise_sigma: float,
-    stream_seed: int,
     *,
     scored: Iterable[int] | None = None,
-    tape: StreamTape | None = None,
 ) -> SessionResult:
-    """Stream `frames` observations through one gated session.
+    """Stream `frames` observations of `stream` through one gated session.
+
+    `stream` is a StreamCursor at frame 0, and the session's scene is its
+    scene: a fresh cursor generates the stream, and a StreamTape's
+    `cursor()` replays the steps another session has generated, the same
+    bits. A cursor past frame 0 raises a ConfigError.
 
     `scored` lists the 1-based frames whose error is computed; None scores
     every frame. Repeats collapse and the last frame is always scored. An
     unscored frame still steps the stream, decodes, gates and records its
     mask, but skips the readout and the alignment against the truth, so
     the scored frames' errors are the same bits either way.
-
-    `tape`, a StreamTape of this very `scene` (the same object) and of an
-    equal schedule, noise_sigma and stream_seed, lets the session replay
-    steps another session has generated; the results are the same bits.
-    A tape of any other stream raises a ConfigError.
     """
-    if isinstance(frames, bool) or not isinstance(frames, numbers.Integral) or frames < 1:
-        raise ConfigError(f"frames must be an integer >= 1, got {frames!r}")
+    if stream.t != 0:
+        raise ConfigError(f"stream must be a cursor at frame 0, got one at frame {stream.t}")
+    frames = check_int("frames", frames, 1)
     scored = _scored_frames(scored, frames)
     score = set(scored)
-    if tape is None:
-        cursor = StreamCursor(scene, schedule, noise_sigma, stream_seed)
-    else:
-        cursor = tape.cursor()
-        stream = (scene, schedule, noise_sigma, check_seed("stream seed", stream_seed))
-        if (cursor.scene, cursor.schedule, cursor.noise_sigma, cursor.seed) != stream:
-            raise ConfigError("tape records another stream than the session's scene, "
-                              "schedule, noise_sigma and stream_seed")
+    scene = stream.scene
     state = initial_state(scene, weights)
     prev_candidate = None
     prev_frame = None
@@ -186,7 +175,7 @@ def run_session(
     truth = None
 
     for i in range(frames):
-        step = cursor.step()
+        step = stream.step()
         frame = encode_frame(step.observation, weights)
         out = decode_step(frame, state, weights, cfg.attn_source)
         state, mask = gate_step(
@@ -240,10 +229,7 @@ def _scored_frames(scored, frames: int):
     if not isinstance(scored, Iterable):
         raise ConfigError(f"scored must be a collection of frame numbers, got {scored!r}")
     scored = list(scored)
-    for t in scored:
-        if isinstance(t, bool) or not isinstance(t, numbers.Integral) or not 1 <= t <= frames:
-            raise ConfigError(f"scored frames must be integers in 1..{frames}, got {t!r}")
-    return sorted({int(t) for t in scored} | {frames})
+    return sorted({check_int("scored frame", t, 1, frames) for t in scored} | {frames})
 
 
 def seeded_scene(world: WorldSpec, seed: int) -> tuple[Scene, int]:
@@ -271,17 +257,8 @@ def session_for_seed(
 ) -> SessionResult:
     """Run one session on the scene and stream derived from `seed`."""
     scene, stream_seed = seeded_scene(world, seed)
-    return run_session(
-        scene,
-        world.schedule,
-        weights,
-        cfg,
-        strategy,
-        frames,
-        world.noise_sigma,
-        stream_seed=stream_seed,
-        scored=scored,
-    )
+    stream = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
+    return run_session(stream, weights, cfg, strategy, frames, scored=scored)
 
 
 def _session_grid(
@@ -297,10 +274,10 @@ def _session_grid(
 
     The sessions of one seed share its scene and stream, so the grid makes
     the scene and a StreamTape once per seed and runs that seed's sessions
-    one after another through `run_session`, each replaying the tape; the
-    tape is dropped before the next seed's. A session's first n frames do
-    not depend on how long it runs, so each session runs once, to the
-    longest of `lengths`, and scores only the frames in `lengths`. Returns
+    one after another through `run_session`, each on its own cursor of the
+    tape; the tape is dropped before the next seed's. A session's first n
+    frames do not depend on how long it runs, so each session runs once, to
+    the longest of `lengths`, and scores only the frames in `lengths`. Returns
     the error at each length (repeats included) as a (configs, strategies,
     seeds, len(lengths)) float64 array and each session's mean mask over
     all its frames as a (configs, strategies, seeds) array. An empty or
@@ -321,8 +298,7 @@ def _session_grid(
         tape = StreamTape(scene, world.schedule, world.noise_sigma, stream_seed)
         for c, s in np.ndindex(shape[:2]):
             result = run_session(
-                scene, world.schedule, weights, cfgs[c], strategies[s], max(lengths),
-                world.noise_sigma, stream_seed, scored=lengths, tape=tape,
+                tape.cursor(), weights, cfgs[c], strategies[s], max(lengths), scored=lengths
             )
             # run_session has checked `lengths` and scored each distinct one, ascending.
             by_length = dict(zip(sorted(set(lengths)), result.per_frame_error))
@@ -376,10 +352,10 @@ def degradation_curve(
     """
     if len(lengths) < 2:
         raise ConfigError("degradation_curve needs at least 2 lengths")
+    for n in lengths:
+        check_int("lengths entry", n, 1)
     if any(b < a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be sorted ascending, got {lengths}")
-    if lengths[0] < 1:
-        raise ConfigError(f"lengths must be >= 1, got {lengths}")
     curves, _ = _session_grid(
         "degradation_curve", world, weights, [cfg], strategies, lengths, seeds
     )

@@ -89,15 +89,12 @@ class GateConfig:
     attn_source: AttnSource = AttnSource.POST_SOFTMAX
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if not self.eps_mean > 0:
-            raise ConfigError(f"eps_mean must be > 0, got {self.eps_mean}")
-        if not self.spat_gain > 0:
-            raise ConfigError(f"spat_gain must be > 0, got {self.spat_gain}")
-        for name in ("spat_gain", "spat_bias"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("tau", "eps_mean", "spat_gain", "spat_bias"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+            if name != "spat_bias" and not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import copy
 import enum
 import math
-import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
@@ -45,13 +44,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-
-
-def check_seed(name: str, seed) -> int:
-    """seed as an int; ConfigError naming `name` unless a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
-    return int(seed)
 
 
 def _check_finite_rate(name: str, value: float) -> None:
@@ -79,7 +71,7 @@ class Scene:
         if codes.shape[0] < 1:
             raise ConfigError("scene needs at least one region")
         _check_finite_rate("drift_rate", self.drift_rate)
-        seed = check_seed("scene seed", self.seed)
+        seed = check_int("scene seed", self.seed)
         bad = [i for i in self.dynamic_regions if not 0 <= i < codes.shape[0]]
         if bad:
             raise ConfigError(f"dynamic region indices out of range: {bad}")
@@ -118,10 +110,8 @@ class CoverageSchedule:
     period: int = 10
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.period < 1:
-            raise ConfigError(f"period must be >= 1, got {self.period}")
+        check_int("window", self.window, 1)
+        check_int("period", self.period, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +144,13 @@ def generate_scene(
     sqrt(obs_channels): random directions, equal energy per region, so no
     region is structurally too faint to observe.
     """
-    if regions < 1:
-        raise ConfigError(f"regions must be >= 1, got {regions}")
-    if obs_channels < 1:
-        raise ConfigError(f"obs_channels must be >= 1, got {obs_channels}")
+    regions = check_int("regions", regions, 1)
+    obs_channels = check_int("obs_channels", obs_channels, 1)
     if not 0.0 <= dynamic_fraction <= 1.0:
         raise ConfigError(
             f"dynamic_fraction must be in [0, 1], got {dynamic_fraction}"
         )
-    seed = check_seed("scene seed", seed)
+    seed = check_int("scene seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     raw = rng.standard_normal((regions, obs_channels))
     norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
@@ -295,7 +283,7 @@ class StreamCursor:
 
     def __post_init__(self) -> None:
         _check_finite_rate("noise_sigma", self.noise_sigma)
-        self.seed = check_seed("stream seed", self.seed)
+        self.seed = check_int("stream seed", self.seed)
         scene = self.scene
         self._codes = scene.region_codes.copy()
         self._drifts = scene.drifts

@@ -119,8 +119,8 @@ def test_criterion_3_uniform_equivalence_bit_identical():
     scene = generate_scene(16, 32, 0.0, 0.0, seed=scene_seed)
 
     session = run_session(
-        scene, world.schedule, weights, cfg, Strategy.UNIFORM,
-        frames, world.noise_sigma, stream_seed,
+        StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed),
+        weights, cfg, Strategy.UNIFORM, frames,
     )
 
     # direct-replacement recurrence: no masking code path at all

@@ -314,6 +314,31 @@ def test_output_files_match_pinned_hashes(tmp_path, monkeypatch, name):
     assert got == digests
 
 
+def test_run_generates_its_stream_once_and_keeps_a_tape_only_to_dump(tmp_path, monkeypatch):
+    from streamgate.world import StreamCursor, StreamTape
+
+    advanced, replayed = [], []
+    advance, recorded = StreamCursor._advance, StreamTape._recorded
+    monkeypatch.setattr(StreamCursor, "_advance", lambda self: advanced.append(self.t) or advance(self))
+    monkeypatch.setattr(StreamTape, "_recorded", lambda self, t: replayed.append(t) or recorded(self, t))
+    monkeypatch.chdir(tmp_path)
+    argv, digests = PINNED["run"]
+    frames = parse_config(argv).frames
+    assert argv[-2:] == ["--dump-stream", "trace.txt"] and frames == 12
+    assert run_cli(argv) == 0
+    assert advanced == list(range(frames))  # the session and the dump read one tape
+    assert replayed == list(range(1, frames + 1)) * 2
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests}
+    assert got == digests
+    rows = [l for l in (tmp_path / "run.csv").read_text().splitlines() if not l.startswith("#")]
+
+    advanced.clear()
+    replayed.clear()
+    assert run_cli(argv[:-2]) == 0
+    assert advanced == list(range(frames)) and replayed == []  # no dump, no tape
+    assert rows == [l for l in (tmp_path / "run.csv").read_text().splitlines() if not l.startswith("#")]
+
+
 def test_degrade_emits_growth_ratio_summary(tmp_path):
     out = tmp_path / "deg.csv"
     assert run_cli(["degrade", *SMALL, "--lengths", "3,6", "--out", str(out)]) == 0

@@ -49,6 +49,25 @@ def test_make_weights_shapes_and_validation():
         make_weights(2, 0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_layers": 2.5}, "n_layers"),
+    ({"channels": 8.0}, "channels"),
+    ({"obs_channels": True}, "obs_channels"),
+    ({"seed": -1}, "model seed"),
+    ({"seed": 1.5}, "model seed"),
+])
+def test_make_weights_rejects_bad_integers_naming_the_field(kwargs, name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        make_weights(**kwargs)
+
+
+def test_make_weights_accepts_numpy_integers():
+    a = make_weights(np.int64(2), np.int32(8), np.uint8(6), seed=np.uint32(3))
+    b = make_weights(2, 8, 6, seed=3)
+    assert a.key_value.tobytes() == b.key_value.tobytes()
+    assert a.encoder.tobytes() == b.encoder.tobytes()
+
+
 def test_make_weights_encoder_preserves_norms():
     w = make_weights(2, 32, 32, seed=1)
     rng = np.random.default_rng(0)

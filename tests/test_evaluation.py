@@ -86,17 +86,9 @@ def test_session_result_structure():
 
 def test_run_session_validation():
     scene = generate_scene(6, 8, 0.0, 0.0, seed=1)
+    stream = StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1)
     with pytest.raises(ConfigError):
-        run_session(
-            scene,
-            SMALL_WORLD.schedule,
-            small_weights(),
-            GateConfig(),
-            Strategy.FUSED,
-            0,
-            0.05,
-            stream_seed=1,
-        )
+        run_session(stream, small_weights(), GateConfig(), Strategy.FUSED, 0)
 
 
 @pytest.mark.parametrize("frames", [2.5, True, "3", 0])
@@ -105,23 +97,15 @@ def test_run_session_rejects_bad_frames_naming_the_argument(frames):
         session_for_seed(SMALL_WORLD, small_weights(), GateConfig(), Strategy.FUSED, frames, 0)
 
 
-def test_run_session_rejects_a_tape_of_another_stream():
+def test_run_session_rejects_a_stepped_stream_naming_it():
     scene = generate_scene(6, 8, 0.0, 0.0, seed=1)
-    twin = generate_scene(6, 8, 0.0, 0.0, seed=1)  # equal codes, another scene
-    schedule = SMALL_WORLD.schedule
-    tape = StreamTape(scene, schedule, 0.05, 1)
+    tape = StreamTape(scene, SMALL_WORLD.schedule, 0.05, 1)
     args = (small_weights(), GateConfig(), Strategy.FUSED, 3)
-    run_session(scene, schedule, *args, 0.05, 1, tape=tape)
-    for other_scene, other_schedule, sigma, seed in [
-        (twin, schedule, 0.05, 1),
-        (scene, CoverageSchedule(window=3), 0.05, 1),
-        (scene, schedule, 0.1, 1),
-        (scene, schedule, 0.05, 2),
-    ]:
-        with pytest.raises(ConfigError, match="tape"):
-            run_session(other_scene, other_schedule, *args, sigma, seed, tape=tape)
-    with pytest.raises(ConfigError, match="stream seed"):
-        run_session(scene, schedule, *args, 0.05, True, tape=tape)
+    run_session(tape.cursor(), *args)
+    for stream in (StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1), tape.cursor()):
+        stream.step()
+        with pytest.raises(ConfigError, match="stream must be a cursor at frame 0"):
+            run_session(stream, *args)
 
 
 def _replayed_scores(scene, schedule, weights, cfg, strategy, frames, noise_sigma, seed):
@@ -153,9 +137,10 @@ def test_run_session_scores_against_current_truth(dynamic_fraction, drift_rate, 
     scene = generate_scene(6, 8, dynamic_fraction, drift_rate, seed=5)
     assert scene.drifts is drifts
     schedule = CoverageSchedule(kind=ScheduleKind.FULL, window=6)
-    args = (scene, schedule, small_weights(), GateConfig(), Strategy.FUSED, 12, 0.05, 9)
-    result = run_session(*args)
-    assert (result.per_frame_error, result.mask_stats) == _replayed_scores(*args)
+    weights, cfg = small_weights(), GateConfig()
+    result = run_session(StreamCursor(scene, schedule, 0.05, 9), weights, cfg, Strategy.FUSED, 12)
+    replayed = _replayed_scores(scene, schedule, weights, cfg, Strategy.FUSED, 12, 0.05, 9)
+    assert (result.per_frame_error, result.mask_stats) == replayed
 
 
 def test_initial_state_one_token_per_region():
@@ -219,11 +204,6 @@ def test_experiments_reject_repeated_seeds():
         degradation_curve(SMALL_WORLD, w, GateConfig(), strategies, [2, 3], [4, 4])
     with pytest.raises(ConfigError, match="tau_sweep: repeated seed"):
         tau_sweep(SMALL_WORLD, w, GateConfig(), [1.0], 3, [2, 2])
-
-
-def test_degradation_curve_rejects_lengths_below_one():
-    with pytest.raises(ConfigError, match="lengths"):
-        degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], [0, 4], [0])
 
 
 def test_degradation_curve_rejects_empty_seeds():
@@ -309,6 +289,12 @@ def test_degradation_curve_structure():
         assert report.growth_ratio[strat] >= 0.0
 
 
+@pytest.mark.parametrize("lengths", [[0, 4], [1.5, 3], [2, True]])
+def test_degradation_curve_rejects_bad_lengths_naming_them(lengths):
+    with pytest.raises(ConfigError, match="lengths entry must be an integer >= 1"):
+        degradation_curve(SMALL_WORLD, small_weights(), GateConfig(), [Strategy.FUSED], lengths, [0])
+
+
 def test_tau_sweep_validation_and_determinism():
     w = small_weights()
     with pytest.raises(ConfigError):
@@ -352,16 +338,8 @@ def test_full_noiseless_fused_error_declines():
     for s in range(20):
         scene_seed, stream_seed = experiment_seeds(s)
         scene = generate_scene(16, 32, 0.0, 0.0, seed=scene_seed)
-        r = run_session(
-            scene,
-            CoverageSchedule(kind=ScheduleKind.FULL),
-            weights,
-            cfg,
-            Strategy.FUSED,
-            60,
-            0.0,
-            stream_seed,
-        )
+        stream = StreamCursor(scene, CoverageSchedule(kind=ScheduleKind.FULL), 0.0, stream_seed)
+        r = run_session(stream, weights, cfg, Strategy.FUSED, 60)
         e = np.array(r.per_frame_error)
         worst = max(worst, float(np.max(e[2:] - e[1:-1])))
         assert e[-1] < e[0]
@@ -392,7 +370,7 @@ def test_forgetting_mechanism_staleness_contrast():
     for s in range(20):
         scene_seed, stream_seed = experiment_seeds(s)
         scene = generate_scene(16, 32, 0.0, 0.0, seed=scene_seed)
-        ru = run_session(scene, sched, weights, cfg, Strategy.UNIFORM, 300, 0.0, stream_seed)
+        ru = run_session(StreamCursor(scene, sched, 0.0, stream_seed), weights, cfg, Strategy.UNIFORM, 300)
         st = staleness(ru.visible, 16, 300)
         fresh, very_stale = [], []
         for t in range(17, 300):
@@ -400,7 +378,7 @@ def test_forgetting_mechanism_staleness_contrast():
             very_stale.extend(ru.region_errors[t][st[t] >= 8].tolist())
         assert np.median(very_stale) > np.median(fresh)
 
-        rf = run_session(scene, sched, weights, cfg, Strategy.FUSED, 300, 0.0, stream_seed)
+        rf = run_session(StreamCursor(scene, sched, 0.0, stream_seed), weights, cfg, Strategy.FUSED, 300)
         last_err = {}
         for t in range(300):
             vis = set(rf.visible[t])
@@ -445,11 +423,15 @@ def test_child_seed_is_private():
 @pytest.mark.parametrize("dynamic_fraction, drift_rate", [(0.0, 0.0), (0.5, 0.1)])
 def test_scoring_some_frames_changes_nothing_else(dynamic_fraction, drift_rate):
     scene = generate_scene(6, 8, dynamic_fraction, drift_rate, seed=4)
-    args = (scene, SMALL_WORLD.schedule, small_weights(), GateConfig(), Strategy.FUSED, 15, 0.05, 2)
-    full = run_session(*args)
+
+    def session(scored=None):
+        stream = StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 2)
+        return run_session(stream, small_weights(), GateConfig(), Strategy.FUSED, 15, scored=scored)
+
+    full = session()
     # Repeats collapse, order does not matter, and the last frame is always scored.
     for scored in ([1, 7, 15], [3, 9], [5, 5, 2], [], np.array([15, 4])):
-        part = run_session(*args, scored=scored)
+        part = session(scored)
         frames = sorted(set(int(t) for t in scored) | {15})
         assert part.per_frame_error == [full.per_frame_error[t - 1] for t in frames]
         assert part.region_errors.tobytes() == full.region_errors[np.array(frames) - 1].tobytes()
@@ -534,10 +516,10 @@ def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch)
     calls = []
     original = evaluation.run_session
 
-    def recorded(*args, **kwargs):
-        cfg, strategy, stream_seed = args[3], args[4], args[7]
-        calls.append((cfg, strategy, stream_seed, kwargs["tape"]))
-        return original(*args, **kwargs)
+    def recorded(stream, weights, cfg, strategy, *args, **kwargs):
+        assert stream.t == 0
+        calls.append((cfg, strategy, stream.seed, stream._tape))
+        return original(stream, weights, cfg, strategy, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "run_session", recorded)
     cfgs = [GateConfig(tau=0.5), GateConfig(tau=2.0)]

@@ -35,11 +35,17 @@ def ones_mask(n, kind):
 
 @pytest.mark.parametrize("kwargs", [
     {"tau": 0.0}, {"tau": -1.0}, {"eps_mean": 0.0}, {"spat_gain": 0.0},
-    {"spat_gain": np.inf}, {"spat_bias": np.nan}, {"spat_bias": -np.inf},
 ])
 def test_gate_config_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"{next(iter(kwargs))} must be > 0"):
         GateConfig(**kwargs)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["tau", "eps_mean", "spat_gain", "spat_bias"])
+def test_gate_config_rejects_non_finite_reals_naming_the_field(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        GateConfig(**{name: value})
 
 
 def test_attention_trace_rejects_empty_and_ragged():

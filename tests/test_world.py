@@ -95,6 +95,17 @@ def test_coverage_schedule_validation():
         CoverageSchedule(period=0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda: CoverageSchedule(window=2.5), "window"),
+    (lambda: CoverageSchedule(period=True), "period"),
+    (lambda: generate_scene(2.5, 4), "regions"),
+    (lambda: generate_scene(4, "4"), "obs_channels"),
+], ids=["window-float", "period-bool", "regions-float", "obs_channels-str"])
+def test_non_integer_counts_rejected_naming_the_field(make, name):
+    with pytest.raises(ConfigError, match=f"{name} must be an integer >= 1"):
+        make()
+
+
 def test_full_schedule_sees_everything():
     scene = generate_scene(5, 3, 0.0, 0.0, seed=3)
     step = _steps(scene, CoverageSchedule(kind=ScheduleKind.FULL), 4, 0.1, seed=0)[-1]
