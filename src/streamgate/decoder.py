@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, check_int
 from .gating import AttentionTrace, AttnSource
-from .linalg import F32, as_matrix, matmul, row_softmax, rowwise_max, sigmoid
+from .linalg import F32, as_matrix, matmul, row_softmax, rowwise_max, sigmoid_inplace
 
 # Fraction of the gap between a token and its retrieved value closed per
 # layer, plus the score level below which a token counts as disengaged and
@@ -210,10 +210,15 @@ def decode_step(
     attention = row_softmax(scores), gate = sigmoid(GATE_GAIN *
     (rowmax(scores) - GATE_BIAS)), and tokens += RESIDUAL_RATE * gate *
     (attention @ (frame @ Wv) - tokens). The frame is projected through
-    every layer's Wk and Wv by one matmul, and each layer reduces its
+    every layer's Wk and Wv by one matmul, every layer's transposed keys
+    are read from one swapaxes view of it, and each layer reduces its
     score rows to their maxima once. The trace is one (L, N, K) array of
-    attention probabilities, or of the raw scaled scores when attn_source
-    is PRE_SOFTMAX_ABS.
+    attention probabilities, which the softmax writes into directly, or of
+    the raw scaled scores when attn_source is PRE_SOFTMAX_ABS. The layers
+    scale, gate and update arrays they own in place, with the same
+    operations in the same order as the formulas above, and run under one
+    np.errstate(over="ignore"), so the gate's exp saturates without a
+    warning; frame and state are left unchanged.
     """
     frame = as_matrix(frame, "frame")
     state = as_matrix(state, "state")
@@ -231,17 +236,25 @@ def decode_step(
     tokens = _mix_tokens(state)
     n_layers = len(weights.query)
     kv = matmul(frame, weights.key_value)
+    keys_t = kv[:n_layers].swapaxes(1, 2)
     traced = np.empty((n_layers, state.shape[0], frame.shape[0]), dtype=F32)
     pre_softmax = attn_source is AttnSource.PRE_SOFTMAX_ABS
-    for layer, wq in enumerate(weights.query):
-        q = matmul(tokens, wq)
-        scores = matmul(q, kv[layer].T) * scale
-        score_max = rowwise_max(scores)
-        attn = row_softmax(scores, score_max)
-        traced[layer] = scores if pre_softmax else attn
-        gate = sigmoid(_GATE_GAIN32 * (score_max - _GATE_BIAS32))
-        retrieved = matmul(attn, kv[n_layers + layer])
-        tokens = tokens + _RESIDUAL_RATE32 * gate[:, np.newaxis] * (retrieved - tokens)
+    with np.errstate(over="ignore"):
+        for layer, wq in enumerate(weights.query):
+            scores = matmul(matmul(tokens, wq), keys_t[layer])
+            scores *= scale
+            score_max = rowwise_max(scores)
+            if pre_softmax:
+                traced[layer] = scores
+            attn = row_softmax(scores, score_max, out=scores if pre_softmax else traced[layer])
+            score_max -= _GATE_BIAS32
+            np.multiply(_GATE_GAIN32, score_max, out=score_max)
+            gate = sigmoid_inplace(score_max)
+            np.multiply(_RESIDUAL_RATE32, gate, out=gate)
+            retrieved = matmul(attn, kv[n_layers + layer])
+            retrieved -= tokens
+            np.multiply(gate[:, np.newaxis], retrieved, out=retrieved)
+            tokens += retrieved
     return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
 
 

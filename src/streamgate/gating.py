@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError, StateError, check_int
 from .linalg import (
     F32,
     as_matrix,
@@ -38,7 +38,7 @@ from .linalg import (
     rowwise_cosine,
     rowwise_l2,
     rowwise_max,
-    sigmoid,
+    sigmoid_inplace,
 )
 
 _ONE = F32(1.0)
@@ -153,7 +153,8 @@ class AttentionTrace:
 
 # The public gate components below validate their arguments and call one
 # private core per formula; gate_step validates its own arguments once and
-# calls the same cores, which trust their inputs.
+# calls the same cores, which trust their inputs. The cores compute their
+# sigmoid arguments into arrays they own and apply sigmoid_inplace to them.
 
 
 def _matching(op: str, a: np.ndarray, b, name: str) -> np.ndarray:
@@ -185,10 +186,12 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
     if not math.isfinite(mu):
         raise StateError("temporal_mask: non-finite candidate or previous candidate")
     if mu >= cfg.eps_mean:
-        normalized = delta / F32(mu)
+        delta /= F32(mu)
     else:
-        normalized = np.ones_like(delta)
-    return sigmoid(normalized - F32(cfg.tau))
+        delta = np.ones_like(delta)
+    delta -= F32(cfg.tau)
+    with np.errstate(over="ignore"):
+        return sigmoid_inplace(delta)
 
 
 def feature_divergence(curr, prev) -> np.ndarray:
@@ -233,7 +236,10 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
 
 def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig) -> np.ndarray:
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    return sigmoid(F32(cfg.spat_gain) * raw + F32(cfg.spat_bias))
+    np.multiply(F32(cfg.spat_gain), raw, out=raw)
+    raw += F32(cfg.spat_bias)
+    with np.errstate(over="ignore"):
+        return sigmoid_inplace(raw)
 
 
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
@@ -283,9 +289,7 @@ def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.
 
 def uniform_mask(n: int) -> UpdateMask:
     """All-ones mask of length n (full-replacement recurrence)."""
-    if n < 1:
-        raise ConfigError(f"uniform_mask requires n >= 1, got {n}")
-    return UpdateMask(np.ones(n, dtype=F32), MaskKind.UNIFORM)
+    return UpdateMask(np.ones(check_int("n", n, 1), dtype=F32), MaskKind.UNIFORM)
 
 
 # Which gates each non-uniform strategy runs: (temporal, spatial, mask kind).

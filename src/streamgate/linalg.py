@@ -5,8 +5,14 @@ ndarray of the right rank, and the shapes are compatible. They neither
 coerce nor check; the public operations in `gating` and `decoder` do
 both, once, with `as_matrix`/`as_vector`, and raise ConfigError there.
 They call ufuncs and ufunc reductions directly (`np.add.reduce` for
-`.sum`, `np.minimum(np.maximum(...))` for `np.clip`): the results are
-bit-identical, and the per-frame loop skips numpy's Python-level wrappers.
+`.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send 2-D
+products through `ndarray.dot` rather than `np.matmul`: the results are
+bit-identical, and the per-frame loop skips numpy's Python-level wrappers
+and the slower dispatch. For the same reason `row_softmax` can write into
+an `out=` array, and `sigmoid_inplace` overwrites an array its caller owns,
+under the caller's `np.errstate`; the public `sigmoid` wraps it with an
+errstate and a copy. Each in-place form applies the same operations to the
+same operands in the same order as its out-of-place form.
 Given finite inputs every kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
 """
@@ -49,20 +55,29 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b; a is n x k, b is k x m or a stack of them."""
-    return np.matmul(a, b)
+    """Matrix product a @ b; a is n x k, b is k x m or a stack of them.
+
+    A 2-D b goes through `a.dot(b)`, which dispatches faster than
+    `np.matmul` and gives the same bits; a stack keeps `np.matmul`.
+    """
+    return a.dot(b) if b.ndim == 2 else np.matmul(a, b)
 
 
-def row_softmax(m: np.ndarray, row_max: np.ndarray | None = None) -> np.ndarray:
+def row_softmax(
+    m: np.ndarray, row_max: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction.
 
     row_max, if given, must be rowwise_max(m): a caller that needs the row
-    maxima anyway passes them in instead of reducing the rows twice.
+    maxima anyway passes them in instead of reducing the rows twice. out,
+    if given, is a float32 array shaped like m (m itself included) that
+    receives the result; otherwise a new array does.
     """
     if row_max is None:
         row_max = rowwise_max(m)
-    e = np.exp(m - row_max[:, np.newaxis])
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = np.subtract(m, row_max[:, np.newaxis], out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)
 
 
 def rowwise_l2(m: np.ndarray) -> np.ndarray:
@@ -81,11 +96,25 @@ def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(v: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, strictly inside (0, 1)."""
+    """Elementwise logistic function, strictly inside (0, 1); v is unchanged."""
     # A fresh errstate per call: numpy refuses to re-enter a shared one.
     with np.errstate(over="ignore"):
-        out = _ONE / (_ONE + np.exp(-v))
-    return np.minimum(np.maximum(out, _SIG_LO), _SIG_HI)
+        return sigmoid_inplace(v.copy())
+
+
+def sigmoid_inplace(v: np.ndarray) -> np.ndarray:
+    """Overwrite v with sigmoid(v) and return it.
+
+    exp(-v) overflows for v below about -88; the caller runs this under
+    `np.errstate(over="ignore")`, where the overflow saturates to the
+    smallest float32 above 0.
+    """
+    np.negative(v, out=v)
+    np.exp(v, out=v)
+    np.add(_ONE, v, out=v)
+    np.divide(_ONE, v, out=v)
+    np.maximum(v, _SIG_LO, out=v)
+    return np.minimum(v, _SIG_HI, out=v)
 
 
 def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:

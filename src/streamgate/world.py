@@ -72,11 +72,11 @@ class Scene:
             raise ConfigError("scene needs at least one region")
         _check_finite_rate("drift_rate", self.drift_rate)
         seed = check_int("scene seed", self.seed)
-        bad = [i for i in self.dynamic_regions if not 0 <= i < codes.shape[0]]
-        if bad:
-            raise ConfigError(f"dynamic region indices out of range: {bad}")
+        dynamic = frozenset(
+            check_int("dynamic region", i, 0, codes.shape[0] - 1) for i in self.dynamic_regions
+        )
         object.__setattr__(self, "region_codes", codes)
-        object.__setattr__(self, "dynamic_regions", frozenset(self.dynamic_regions))
+        object.__setattr__(self, "dynamic_regions", dynamic)
         object.__setattr__(self, "seed", seed)
 
     @property

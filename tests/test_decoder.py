@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,38 @@ def test_decode_step_bit_identical_to_per_layer_form(attn_source):
             assert isinstance(layers, np.ndarray) and layers.shape == (n_layers, n, k)
             assert layers.dtype == F32
             assert [m.tobytes() for m in layers] == [m.tobytes() for m in traced]
+
+
+# decode_step scales, gates and updates arrays it owns in place, under one
+# errstate: its inputs must come back unchanged, and a gate whose exp
+# overflows must stay silent and equal the per-layer form.
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+def test_decode_step_leaves_frame_and_state_unchanged(attn_source):
+    rng = np.random.default_rng(79)
+    w = make_weights(3, 8, 8, seed=5)
+    frame = rng.standard_normal((5, 8)).astype(F32)
+    state = rng.standard_normal((4, 8)).astype(F32)
+    before = frame.tobytes(), state.tobytes()
+    decode_step(frame, state, w, attn_source)
+    assert (frame.tobytes(), state.tobytes()) == before
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+def test_decode_step_saturated_gate_raises_no_warning(attn_source):
+    # Every state token points along u and every frame token against it, so
+    # each score is 10 * -10 / sqrt(4) = -50 and the gate argument
+    # GATE_GAIN * (max score - GATE_BIAS) is -120: exp(120) overflows float32.
+    u = np.array([1.0, 0.0, 0.0, 0.0], dtype=F32)
+    state = np.stack([10.0 * u] * 3)
+    frame = np.stack([-10.0 * u] * 2)
+    w = identity_weights(channels=4, n_layers=2)
+    scores = decode_step(frame, state, w, AttnSource.PRE_SOFTMAX_ABS).trace.layers
+    assert (F32(decoder_mod.GATE_GAIN) * (scores.max(axis=-1) - F32(decoder_mod.GATE_BIAS)) < -88).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = decode_step(frame, state, w, attn_source)
+    tokens, traced = _per_layer_decode(frame, state, w, attn_source)
+    assert out.candidate.tobytes() == tokens.tobytes()
+    assert [m.tobytes() for m in out.trace.layers] == [m.tobytes() for m in traced]

@@ -400,6 +400,12 @@ def test_uniform_mask_basics():
         uniform_mask(0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_uniform_mask_rejects_a_non_integer_length_naming_n(n):
+    with pytest.raises(ConfigError, match="n must be an integer >= 1"):
+        uniform_mask(n)
+
+
 def test_uniform_mask_rejected_by_fuse():
     with pytest.raises(ConfigError):
         fuse_masks(uniform_mask(2), ones_mask(2, MaskKind.SPATIAL))
@@ -692,3 +698,45 @@ def test_gate_step_requires_a_state_token(strategy):
     with pytest.raises(ConfigError, match="at least one state token"):
         gate_step(empty, empty, frame, trace, GateConfig(), strategy,
                   prev_candidate=empty, prev_frame=frame)
+
+
+# The gate cores compute their sigmoid arguments into arrays they own and
+# overwrite those in place; no caller's array may change, and a saturated
+# sigmoid must stay silent under pyproject's error::RuntimeWarning filter.
+
+
+def _snapshot(arrays):
+    return {name: a.tobytes() for name, a in arrays.items()}
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_gate_step_leaves_its_inputs_unchanged(strategy, attn_source):
+    cfg = GateConfig(tau=0.8, spat_gain=3.0, spat_bias=-0.5, attn_source=attn_source)
+    state, outs = _decoded_frames(attn_source, seed=4)
+    prev_candidate = prev_frame = None
+    for frame, out in outs:
+        inputs = {"candidate": out.candidate, "prev_state": state, "frame": frame,
+                  "trace.layers": out.trace.layers}
+        if prev_candidate is not None:
+            inputs.update(prev_candidate=prev_candidate, prev_frame=prev_frame)
+        before = _snapshot(inputs)
+        new_state, _ = gate_step(out.candidate, state, frame, out.trace, cfg, strategy,
+                                 prev_candidate=prev_candidate, prev_frame=prev_frame)
+        assert _snapshot(inputs) == before
+        state, prev_candidate, prev_frame = new_state, out.candidate, frame
+
+
+@pytest.mark.parametrize("spat_bias", [-1e30, 1e30])
+@pytest.mark.parametrize("strategy", [Strategy.TEMPORAL_ONLY, Strategy.SPATIAL_ONLY, Strategy.FUSED])
+def test_gate_step_saturated_sigmoids_raise_no_warning(strategy, spat_bias):
+    # tau = 1e30 drives every temporal argument to -1e30, whose exp overflows;
+    # spat_bias drives every spatial argument to +-1e30.
+    d = _gate_inputs(seed=10)
+    cfg = GateConfig(tau=1e30, spat_bias=spat_bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state, mask = gate_step(d["candidate"], d["prev_state"], d["frame"], d["trace"], cfg, strategy,
+                                prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
+    assert np.isfinite(state).all()
+    assert (mask.values >= 0).all() and (mask.values < 1).all()

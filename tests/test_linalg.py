@@ -12,6 +12,7 @@ from streamgate.linalg import (
     rowwise_l2,
     rowwise_max,
     sigmoid,
+    sigmoid_inplace,
 )
 from streamgate import oracle
 
@@ -103,6 +104,34 @@ def test_outputs_are_float32():
     assert matmul(f32([[1.0]]), f32([[2.0]])).dtype == np.float32
     assert row_softmax(f32([[1.0, 2.0]])).dtype == np.float32
     assert sigmoid(f32([1.0])).dtype == np.float32
+
+
+def test_public_sigmoid_and_row_softmax_leave_their_argument_unchanged():
+    rng = np.random.default_rng(11)
+    m = (30.0 * rng.standard_normal((4, 6))).astype(np.float32)
+    before = m.tobytes()
+    row_softmax(m)
+    row_softmax(m, rowwise_max(m))
+    sigmoid(m)
+    sigmoid(m.ravel())
+    assert m.tobytes() == before
+
+
+def test_row_softmax_writes_into_out():
+    rng = np.random.default_rng(12)
+    m = rng.standard_normal((3, 5)).astype(np.float32)
+    want = row_softmax(m)
+    out = np.empty_like(m)
+    assert row_softmax(m, out=out) is out and out.tobytes() == want.tobytes()
+    assert row_softmax(m, rowwise_max(m), out=m) is m and m.tobytes() == want.tobytes()
+
+
+def test_sigmoid_inplace_overwrites_its_argument_with_sigmoid():
+    v = f32([-1e30, -100.0, 0.0, 0.7, 1e30])
+    want = sigmoid(v)
+    with np.errstate(over="ignore"):
+        assert sigmoid_inplace(v) is v
+    assert v.tobytes() == want.tobytes()
 
 
 def test_kernels_deterministic_bitwise():
@@ -226,3 +255,29 @@ def test_rowwise_cosine_bit_identical_to_textbook_form():
         b[: a.shape[0] // 2] = 0.0
         for x, y in ((a, a), (a, -a), (a, b), (b, a), (a, np.zeros_like(a))):
             assert _same_bits(rowwise_cosine(x, y), _textbook_rowwise_cosine(x, y))
+
+
+# matmul sends a 2-D right operand through ndarray.dot, which must give the
+# bits np.matmul gives, on every operand shape the frame path meets.
+
+
+def _matmul_cases():
+    rng = np.random.default_rng(2025)
+    for n, k, m in ((1, 32, 32), (16, 32, 1), (16, 1, 32), (1, 1, 1), (1, 7, 1), (16, 32, 32), (5, 33, 16)):
+        a = rng.standard_normal((n, k)).astype(np.float32)
+        b = rng.standard_normal((k, m)).astype(np.float32)
+        yield f"{n}x{k} @ {k}x{m}", a, b
+        yield f"{n}x{k} @ transposed view of {m}x{k}", a, np.ascontiguousarray(b.T).T
+        yield f"transposed view of {k}x{n} @ {k}x{m}", np.ascontiguousarray(a.T).T, b
+        stacked = rng.standard_normal((3, k, m)).astype(np.float32)
+        yield f"{n}x{k} @ stack of 3 {k}x{m}", a, stacked
+        yield f"{n}x{k} @ transposed views of a stack", a, np.ascontiguousarray(stacked.swapaxes(1, 2)).swapaxes(1, 2)
+
+
+def test_matmul_bit_identical_to_np_matmul():
+    for case, a, b in _matmul_cases():
+        got, want = matmul(a, b), np.matmul(a, b)
+        assert _same_bits(got, want), (
+            f"linalg.matmul (ndarray.dot) and np.matmul disagree for {case}: "
+            "this platform's BLAS computes the two products differently"
+        )

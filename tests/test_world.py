@@ -67,6 +67,19 @@ def test_non_finite_drift_rate_rejected_naming_the_field(drift_rate):
         Scene(codes, frozenset({0}), drift_rate, seed=0)
 
 
+@pytest.mark.parametrize("region", [0.5, True, -1, 2])
+def test_scene_rejects_a_dynamic_region_that_is_not_a_region_index(region):
+    # 0.5 and True would otherwise be cast to region 0 or 1 by the cursor.
+    with pytest.raises(ConfigError, match="dynamic region must be an integer in 0..1"):
+        Scene(np.ones((2, 3), dtype=F32), frozenset({region}), 0.1, 0)
+
+
+def test_scene_stores_dynamic_regions_as_ints():
+    scene = Scene(np.ones((3, 3), dtype=F32), frozenset({np.int64(2), 0}), 0.1, 0)
+    assert scene.dynamic_regions == {0, 2}
+    assert all(type(i) is int for i in scene.dynamic_regions)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
 def test_bad_seeds_rejected_naming_the_field(seed):
     with pytest.raises(ConfigError, match="scene seed"):
