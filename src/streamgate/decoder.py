@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, check_int
 from .gating import AttentionTrace, AttnSource
-from .linalg import F32, as_matrix, matmul, row_softmax, rowwise_max, sigmoid_inplace
+from .linalg import F32, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
 # Fraction of the gap between a token and its retrieved value closed per
 # layer, plus the score level below which a token counts as disengaged and
@@ -75,6 +75,7 @@ _RESIDUAL_RATE32 = F32(RESIDUAL_RATE)
 _GATE_BIAS32 = F32(GATE_BIAS)
 _GATE_GAIN32 = F32(GATE_GAIN)
 _MIX_RATE32 = F32(MIX_RATE)
+_ONE = F32(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +213,10 @@ def decode_step(
     (attention @ (frame @ Wv) - tokens). The frame is projected through
     every layer's Wk and Wv by one matmul, every layer's transposed keys
     are read from one swapaxes view of it, and each layer reduces its
-    score rows to their maxima once. The trace is one (L, N, K) array of
+    score rows once, to an (N, 1) column of maxima that the softmax, the
+    gate and the residual scale broadcast directly. The gate's sigmoid
+    argument is computed already negated, GATE_GAIN * (GATE_BIAS -
+    rowmax(scores)), which is exact. The trace is one (L, N, K) array of
     attention probabilities, which the softmax writes into directly, or of
     the raw scaled scores when attn_source is PRE_SOFTMAX_ABS. The layers
     scale, gate and update arrays they own in place, with the same
@@ -243,17 +247,17 @@ def decode_step(
         for layer, wq in enumerate(weights.query):
             scores = matmul(matmul(tokens, wq), keys_t[layer])
             scores *= scale
-            score_max = rowwise_max(scores)
+            score_max = np.maximum.reduce(scores, axis=1, keepdims=True)
             if pre_softmax:
                 traced[layer] = scores
             attn = row_softmax(scores, score_max, out=scores if pre_softmax else traced[layer])
-            score_max -= _GATE_BIAS32
+            np.subtract(_GATE_BIAS32, score_max, out=score_max)
             np.multiply(_GATE_GAIN32, score_max, out=score_max)
-            gate = sigmoid_inplace(score_max)
+            gate = sigmoid_neg_inplace(score_max)
             np.multiply(_RESIDUAL_RATE32, gate, out=gate)
             retrieved = matmul(attn, kv[n_layers + layer])
             retrieved -= tokens
-            np.multiply(gate[:, np.newaxis], retrieved, out=retrieved)
+            np.multiply(gate, retrieved, out=retrieved)
             tokens += retrieved
     return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
 
@@ -268,17 +272,29 @@ def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 
 def _mix_tokens(state: np.ndarray) -> np.ndarray:
-    """Norm-preserving rotation of each token toward the mean direction."""
-    mean = np.add.reduce(state, axis=0) / F32(state.shape[0])
-    mean_norm = float(np.sqrt(np.add.reduce(mean * mean)))
-    if mean_norm == 0.0:
+    """Norm-preserving rotation of each token toward the mean direction.
+
+    The temporaries are updated in place, with the operations of
+    mixed = state + MIX_RATE * (mean / |mean| * |state_i| - state) and
+    mixed * (|state_i| / |mixed_i|) on the same operands.
+    """
+    mean = np.add.reduce(state, axis=0)
+    mean /= F32(state.shape[0])
+    mean_norm = np.sqrt(np.add.reduce(mean * mean))
+    if mean_norm == 0:
         return state.copy()
-    orig = np.sqrt(np.add.reduce(state * state, axis=1, keepdims=True))
-    target = (mean / F32(mean_norm))[np.newaxis, :] * orig
-    mixed = state + _MIX_RATE32 * (target - state)
-    new = np.sqrt(np.add.reduce(mixed * mixed, axis=1, keepdims=True))
-    safe = np.where(new > 0, new, F32(1.0))
-    return mixed * (orig / safe)
+    mean /= mean_norm
+    orig = np.add.reduce(state * state, axis=1, keepdims=True)
+    np.sqrt(orig, out=orig)
+    mixed = mean * orig
+    mixed -= state
+    np.multiply(_MIX_RATE32, mixed, out=mixed)
+    mixed += state
+    new = np.add.reduce(mixed * mixed, axis=1, keepdims=True)
+    np.sqrt(new, out=new)
+    orig /= np.where(new > 0, new, _ONE)
+    mixed *= orig
+    return mixed
 
 
 def readout(candidate, weights: DecoderWeights) -> np.ndarray:

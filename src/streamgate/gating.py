@@ -38,7 +38,7 @@ from .linalg import (
     rowwise_cosine,
     rowwise_l2,
     rowwise_max,
-    sigmoid_inplace,
+    sigmoid_neg_inplace,
 )
 
 _ONE = F32(1.0)
@@ -154,7 +154,9 @@ class AttentionTrace:
 # The public gate components below validate their arguments and call one
 # private core per formula; gate_step validates its own arguments once and
 # calls the same cores, which trust their inputs. The cores compute their
-# sigmoid arguments into arrays they own and apply sigmoid_inplace to them.
+# sigmoid arguments already negated, into arrays they own, and apply
+# sigmoid_neg_inplace to them; they run under their caller's
+# np.errstate(over="ignore"), one per public call and one per gate_step.
 
 
 def _matching(op: str, a: np.ndarray, b, name: str) -> np.ndarray:
@@ -177,7 +179,9 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     prev = _matching("temporal_mask", curr, prev, "prev")
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
-    return UpdateMask(_temporal(curr, prev, cfg), MaskKind.TEMPORAL)
+    with np.errstate(over="ignore"):
+        values = _temporal(curr, prev, cfg)
+    return UpdateMask(values, MaskKind.TEMPORAL)
 
 
 def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray:
@@ -189,9 +193,7 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
         delta /= F32(mu)
     else:
         delta = np.ones_like(delta)
-    delta -= F32(cfg.tau)
-    with np.errstate(over="ignore"):
-        return sigmoid_inplace(delta)
+    return sigmoid_neg_inplace(np.subtract(F32(cfg.tau), delta, out=delta))
 
 
 def feature_divergence(curr, prev) -> np.ndarray:
@@ -218,7 +220,9 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     """Gate from attention-weighted divergence, max-pooled over frame tokens.
 
     raw[i] = max_k attn[i, k] * divergence[k];
-    mask[i] = sigmoid(spat_gain * raw[i] + spat_bias).
+    mask[i] = sigmoid(spat_gain * raw[i] + spat_bias). A NaN or infinite
+    raw[i] from a non-finite attention or divergence raises StateError
+    naming that input.
     """
     attn = as_matrix(attn, "attn")
     divergence = as_vector(divergence, "divergence")
@@ -231,15 +235,29 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         raise ConfigError("spatial_mask requires at least one frame token")
     if attn.size and np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
-    return UpdateMask(_spatial(attn, divergence, cfg), MaskKind.SPATIAL)
-
-
-def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig) -> np.ndarray:
-    raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    np.multiply(F32(cfg.spat_gain), raw, out=raw)
-    raw += F32(cfg.spat_bias)
     with np.errstate(over="ignore"):
-        return sigmoid_inplace(raw)
+        values = _spatial(attn, divergence, cfg, "spatial_mask",
+                          (("attention", attn), ("divergence", divergence)))
+    return UpdateMask(values, MaskKind.SPATIAL)
+
+
+def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, inputs) -> np.ndarray:
+    """The spatial gate's values; `inputs` are the (name, array) pairs it came from.
+
+    A NaN or infinite input reaches the sum of the pooled activations, so
+    one finiteness check of that sum guards the gate; only when it fails
+    are the inputs searched, and the first non-finite one is named in a
+    StateError. If they are all finite, a product overflowed, and the
+    sigmoid saturates as it does for any large argument.
+    """
+    raw = rowwise_max(col_broadcast_mul(attn, divergence))
+    if not math.isfinite(np.add.reduce(raw)):
+        for name, array in inputs:
+            if not np.isfinite(array).all():
+                raise StateError(f"{op}: non-finite {name} in the spatial gate")
+    np.multiply(F32(-cfg.spat_gain), raw, out=raw)
+    raw -= F32(cfg.spat_bias)
+    return sigmoid_neg_inplace(raw)
 
 
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
@@ -339,29 +357,28 @@ def gate_step(
     if n < 1:
         raise ConfigError("gate_step requires at least one state token")
 
-    values = None
-    if temporal:
-        prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate")
-        values = _temporal(candidate, prev_candidate, cfg)
-    if spatial:
-        frame = as_matrix(frame, "frame")
-        prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame")
-        attn = aggregate_attention(trace)
-        if attn.shape != (n, frame.shape[0]):
-            raise ConfigError(
-                f"gate_step: attention trace is {attn.shape[0]} x {attn.shape[1]}, "
-                f"expected {n} state tokens x {frame.shape[0]} frame tokens"
+    # One errstate around both cores: numpy's context manager costs a few
+    # microseconds to enter, and a saturating sigmoid must stay silent.
+    with np.errstate(over="ignore"):
+        values = None
+        if temporal:
+            prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate")
+            values = _temporal(candidate, prev_candidate, cfg)
+        if spatial:
+            frame = as_matrix(frame, "frame")
+            prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame")
+            attn = aggregate_attention(trace)
+            if attn.shape != (n, frame.shape[0]):
+                raise ConfigError(
+                    f"gate_step: attention trace is {attn.shape[0]} x {attn.shape[1]}, "
+                    f"expected {n} state tokens x {frame.shape[0]} frame tokens"
+                )
+            if frame.shape[0] < 1:
+                raise ConfigError("spatial_mask requires at least one frame token")
+            spatial_values = _spatial(
+                attn, _divergence(frame, prev_frame), cfg, "gate_step",
+                (("frame", frame), ("frame", prev_frame), ("attention", trace.layers)),
             )
-        if frame.shape[0] < 1:
-            raise ConfigError("spatial_mask requires at least one frame token")
-        spatial_values = _spatial(attn, _divergence(frame, prev_frame), cfg)
-        # Sigmoid values lie in (0, 1), so only a non-finite input fails this.
-        if not (np.minimum.reduce(spatial_values) >= 0 and np.maximum.reduce(spatial_values) <= 1):
-            finite_frames = np.isfinite(frame).all() and np.isfinite(prev_frame).all()
-            raise StateError(
-                f"gate_step: non-finite {'attention' if finite_frames else 'frame'} "
-                "in the spatial gate"
-            )
-        values = spatial_values if values is None else values * spatial_values
+            values = spatial_values if values is None else values * spatial_values
     mask = UpdateMask(values, kind)
     return _commit(candidate, prev_state, mask.values), mask

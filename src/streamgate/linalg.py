@@ -5,14 +5,22 @@ ndarray of the right rank, and the shapes are compatible. They neither
 coerce nor check; the public operations in `gating` and `decoder` do
 both, once, with `as_matrix`/`as_vector`, and raise ConfigError there.
 They call ufuncs and ufunc reductions directly (`np.add.reduce` for
-`.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send 2-D
-products through `ndarray.dot` rather than `np.matmul`: the results are
-bit-identical, and the per-frame loop skips numpy's Python-level wrappers
-and the slower dispatch. For the same reason `row_softmax` can write into
-an `out=` array, and `sigmoid_inplace` overwrites an array its caller owns,
-under the caller's `np.errstate`; the public `sigmoid` wraps it with an
-errstate and a copy. Each in-place form applies the same operations to the
-same operands in the same order as its out-of-place form.
+`.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send products
+of two 2-D operands through `ndarray.dot` rather than `np.matmul`: the
+results are bit-identical, and the per-frame loop skips numpy's
+Python-level wrappers and the slower dispatch. A stacked operand on
+either side keeps `np.matmul`, because `dot` of a stack by a matrix is
+not bit-identical to it. For the same reason `row_softmax` takes its row
+maxima as an (N, 1) column, as `np.maximum.reduce(m, axis=1,
+keepdims=True)` returns them, and can write into an `out=` array;
+`sigmoid_neg_inplace` overwrites an array its caller owns with the
+sigmoid of its negation, under the caller's `np.errstate`, so a caller
+that computes its argument already negated skips the negation; the public
+`sigmoid` negates into a new array and calls it under an errstate, so the
+formula has one definition. IEEE negation and the subtraction
+`b - a == -(a - b)` are exact, so a negated argument gives the same bits,
+and each in-place form applies the same operations to the same operands
+in the same order as its out-of-place form.
 Given finite inputs every kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
 """
@@ -55,12 +63,13 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b; a is n x k, b is k x m or a stack of them.
+    """Matrix product a @ b; a is n x k or a stack of them, b likewise k x m.
 
-    A 2-D b goes through `a.dot(b)`, which dispatches faster than
-    `np.matmul` and gives the same bits; a stack keeps `np.matmul`.
+    Two 2-D operands go through `a.dot(b)`, which dispatches faster than
+    `np.matmul` and gives the same bits; a stack on either side keeps
+    `np.matmul` (`dot` of a stack by a matrix gives other bits).
     """
-    return a.dot(b) if b.ndim == 2 else np.matmul(a, b)
+    return a.dot(b) if a.ndim == 2 and b.ndim == 2 else np.matmul(a, b)
 
 
 def row_softmax(
@@ -68,14 +77,15 @@ def row_softmax(
 ) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction.
 
-    row_max, if given, must be rowwise_max(m): a caller that needs the row
-    maxima anyway passes them in instead of reducing the rows twice. out,
+    row_max, if given, must be the (N, 1) column of row maxima,
+    `np.maximum.reduce(m, axis=1, keepdims=True)`: a caller that needs the
+    row maxima anyway passes them in instead of reducing the rows twice. out,
     if given, is a float32 array shaped like m (m itself included) that
     receives the result; otherwise a new array does.
     """
     if row_max is None:
-        row_max = rowwise_max(m)
-    e = np.subtract(m, row_max[:, np.newaxis], out=out)
+        row_max = np.maximum.reduce(m, axis=1, keepdims=True)
+    e = np.subtract(m, row_max, out=out)
     np.exp(e, out=e)
     return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)
 
@@ -99,22 +109,21 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, strictly inside (0, 1); v is unchanged."""
     # A fresh errstate per call: numpy refuses to re-enter a shared one.
     with np.errstate(over="ignore"):
-        return sigmoid_inplace(v.copy())
+        return sigmoid_neg_inplace(np.negative(v))
 
 
-def sigmoid_inplace(v: np.ndarray) -> np.ndarray:
-    """Overwrite v with sigmoid(v) and return it.
+def sigmoid_neg_inplace(u: np.ndarray) -> np.ndarray:
+    """Overwrite u with sigmoid(-u) = 1 / (1 + exp(u)) and return it.
 
-    exp(-v) overflows for v below about -88; the caller runs this under
+    exp(u) overflows for u above about 88.72; the caller runs this under
     `np.errstate(over="ignore")`, where the overflow saturates to the
     smallest float32 above 0.
     """
-    np.negative(v, out=v)
-    np.exp(v, out=v)
-    np.add(_ONE, v, out=v)
-    np.divide(_ONE, v, out=v)
-    np.maximum(v, _SIG_LO, out=v)
-    return np.minimum(v, _SIG_HI, out=v)
+    np.exp(u, out=u)
+    np.add(_ONE, u, out=u)
+    np.divide(_ONE, u, out=u)
+    np.maximum(u, _SIG_LO, out=u)
+    return np.minimum(u, _SIG_HI, out=u)
 
 
 def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:

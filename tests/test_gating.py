@@ -680,6 +680,80 @@ def test_gate_step_names_non_finite_attention():
                   Strategy.SPATIAL_ONLY, prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
 
 
+# A non-finite input to a gated step is named by the first check it reaches:
+# the temporal gate (fused only) sees the candidate, the spatial gate the
+# frames and the trace, and the committed blend the candidate and prev_state.
+_SPATIAL_MESSAGE = "gate_step: non-finite frame in the spatial gate"
+_ATTENTION_MESSAGE = "gate_step: non-finite attention in the spatial gate"
+_TEMPORAL_MESSAGE = "temporal_mask: non-finite candidate or previous candidate"
+_BLEND_MESSAGE = "apply_update: non-finite blended state"
+
+
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+@pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])
+@pytest.mark.parametrize(
+    "name, value, spatial_message, fused_message",
+    [
+        pytest.param("frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-frame"),
+        pytest.param("prev_frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-prev_frame"),
+        pytest.param("trace", np.nan, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="nan-trace"),
+        pytest.param("trace", np.inf, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="inf-trace"),
+        pytest.param("candidate", np.inf, _BLEND_MESSAGE, _TEMPORAL_MESSAGE, id="inf-candidate"),
+        pytest.param("candidate", -np.inf, _BLEND_MESSAGE, _TEMPORAL_MESSAGE, id="-inf-candidate"),
+        pytest.param("candidate", np.nan, _BLEND_MESSAGE, _TEMPORAL_MESSAGE, id="nan-candidate"),
+        pytest.param("prev_state", np.inf, _BLEND_MESSAGE, _BLEND_MESSAGE, id="inf-prev_state"),
+    ],
+)
+def test_gate_step_names_the_non_finite_input(attn_source, strategy, name, value, spatial_message, fused_message):
+    state, outs = _decoded_frames(attn_source, seed=5, frames=2)
+    (prev_frame, prev_out), (frame, out) = outs
+    arrays = {
+        "candidate": out.candidate.copy(),
+        "prev_state": state.copy(),
+        "frame": frame.copy(),
+        "prev_frame": prev_frame.copy(),
+        "trace": out.trace.layers[0].copy(),
+    }
+    arrays[name][1, 2] = value
+    trace = AttentionTrace(np.concatenate((arrays["trace"][np.newaxis], out.trace.layers[1:])))
+    message = spatial_message if strategy is Strategy.SPATIAL_ONLY else fused_message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=message):
+            gate_step(arrays["candidate"], arrays["prev_state"], arrays["frame"], trace,
+                      GateConfig(attn_source=attn_source), strategy,
+                      prev_candidate=prev_out.candidate, prev_frame=arrays["prev_frame"])
+
+
+@pytest.mark.parametrize(
+    "attn, divergence, message",
+    [
+        pytest.param(np.full((2, 2), np.nan), np.ones(2), "spatial_mask: non-finite attention", id="nan-attention"),
+        pytest.param([[0.5, np.inf]], [1.0, 1.0], "spatial_mask: non-finite attention", id="inf-attention"),
+        pytest.param([[0.5, 0.5]], [np.nan, 1.0], "spatial_mask: non-finite divergence", id="nan-divergence"),
+        pytest.param([[0.5, 0.5]], [1.0, np.inf], "spatial_mask: non-finite divergence", id="inf-divergence"),
+        pytest.param([[0.5]], [-np.inf], "spatial_mask: non-finite divergence", id="-inf-divergence"),
+    ],
+)
+def test_spatial_mask_names_a_non_finite_input(attn, divergence, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=message):
+            spatial_mask(attn, divergence, GateConfig())
+
+
+def test_spatial_mask_saturates_where_finite_inputs_overflow():
+    # 3e38 * 2 overflows float32, so a pooled activation is inf although
+    # every input is finite: the sigmoid saturates, as it does for a large
+    # finite argument, and nothing is raised.
+    big = np.finfo(F32).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask = spatial_mask([[big, 0.5], [0.5, 0.5]], [2.0, 1.0], GateConfig())
+    assert mask.values[0] == np.nextafter(F32(1.0), F32(0.0))
+    assert mask.values[1] == sigmoid(F32([1.0]))[0]
+
+
 @pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])
 @pytest.mark.parametrize("n, k", [(3, 3), (4, 2)])
 def test_gate_step_rejects_a_trace_of_the_wrong_shape(strategy, n, k):

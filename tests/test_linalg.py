@@ -12,7 +12,7 @@ from streamgate.linalg import (
     rowwise_l2,
     rowwise_max,
     sigmoid,
-    sigmoid_inplace,
+    sigmoid_neg_inplace,
 )
 from streamgate import oracle
 
@@ -111,7 +111,7 @@ def test_public_sigmoid_and_row_softmax_leave_their_argument_unchanged():
     m = (30.0 * rng.standard_normal((4, 6))).astype(np.float32)
     before = m.tobytes()
     row_softmax(m)
-    row_softmax(m, rowwise_max(m))
+    row_softmax(m, m.max(axis=1, keepdims=True))
     sigmoid(m)
     sigmoid(m.ravel())
     assert m.tobytes() == before
@@ -123,15 +123,7 @@ def test_row_softmax_writes_into_out():
     want = row_softmax(m)
     out = np.empty_like(m)
     assert row_softmax(m, out=out) is out and out.tobytes() == want.tobytes()
-    assert row_softmax(m, rowwise_max(m), out=m) is m and m.tobytes() == want.tobytes()
-
-
-def test_sigmoid_inplace_overwrites_its_argument_with_sigmoid():
-    v = f32([-1e30, -100.0, 0.0, 0.7, 1e30])
-    want = sigmoid(v)
-    with np.errstate(over="ignore"):
-        assert sigmoid_inplace(v) is v
-    assert v.tobytes() == want.tobytes()
+    assert row_softmax(m, m.max(axis=1, keepdims=True), out=m) is m and m.tobytes() == want.tobytes()
 
 
 def test_kernels_deterministic_bitwise():
@@ -224,6 +216,9 @@ def _pin_matrices():
     ]
 
 
+F32_INF = np.float32(np.inf)
+
+
 def _same_bits(got, want):
     return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -236,8 +231,11 @@ def test_row_kernels_bit_identical_to_textbook_forms():
 
 
 def test_row_softmax_with_given_row_max_bit_identical_to_textbook_form():
+    # row_max is the (N, 1) column np.maximum.reduce(..., keepdims=True) gives.
     for m in _pin_matrices():
-        assert _same_bits(row_softmax(m, rowwise_max(m)), _textbook_row_softmax(m))
+        column = np.maximum.reduce(m, axis=1, keepdims=True)
+        assert column.shape == (m.shape[0], 1)
+        assert _same_bits(row_softmax(m, column), _textbook_row_softmax(m))
 
 
 def test_sigmoid_bit_identical_to_textbook_form():
@@ -245,6 +243,24 @@ def test_sigmoid_bit_identical_to_textbook_form():
         for v in (m.ravel(), -m.ravel(), 1e4 * m.ravel()):
             assert _same_bits(sigmoid(v), _textbook_sigmoid(v))
     assert np.isnan(sigmoid(f32([np.nan, 0.0]))[0])
+
+
+def test_sigmoid_neg_inplace_of_negated_values_equals_sigmoid():
+    # Negation is exact, so sigmoid_neg_inplace(-v) must overwrite its
+    # argument with sigmoid(v)'s bits, also where exp overflows (|v| past
+    # about 88.72) and saturates.
+    boundary = f32([88.72283, 88.72284])
+    boundary = np.concatenate([boundary, np.nextafter(boundary, F32_INF), np.nextafter(boundary, -F32_INF)])
+    cases = [m.ravel() for m in _pin_matrices()] + [
+        np.concatenate([boundary, -boundary]),
+        f32([-1e30, -1e4, -100.0, -0.0, 0.0, 0.7, 100.0, 1e4, 1e30, np.finfo(np.float32).max]),
+    ]
+    for v in cases:
+        u = np.negative(v)
+        with np.errstate(over="ignore"):
+            assert sigmoid_neg_inplace(u) is u
+        assert _same_bits(u, sigmoid(v))
+        assert _same_bits(u, _textbook_sigmoid(v))
 
 
 def test_rowwise_cosine_bit_identical_to_textbook_form():
@@ -257,8 +273,10 @@ def test_rowwise_cosine_bit_identical_to_textbook_form():
             assert _same_bits(rowwise_cosine(x, y), _textbook_rowwise_cosine(x, y))
 
 
-# matmul sends a 2-D right operand through ndarray.dot, which must give the
-# bits np.matmul gives, on every operand shape the frame path meets.
+# matmul sends two 2-D operands through ndarray.dot, which must give the
+# bits np.matmul gives, on every operand shape the frame path meets; a
+# stacked left operand must keep np.matmul's bits too, which ndarray.dot of
+# a stack by a matrix does not give.
 
 
 def _matmul_cases():
@@ -272,6 +290,10 @@ def _matmul_cases():
         stacked = rng.standard_normal((3, k, m)).astype(np.float32)
         yield f"{n}x{k} @ stack of 3 {k}x{m}", a, stacked
         yield f"{n}x{k} @ transposed views of a stack", a, np.ascontiguousarray(stacked.swapaxes(1, 2)).swapaxes(1, 2)
+        for batch in (1, 2, 4, 80):
+            left = rng.standard_normal((batch, n, k)).astype(np.float32)
+            yield f"stack of {batch} {n}x{k} @ {k}x{m}", left, b
+            yield f"stack of {batch} {n}x{k} @ transposed view of {m}x{k}", left, np.ascontiguousarray(b.T).T
 
 
 def test_matmul_bit_identical_to_np_matmul():
