@@ -21,14 +21,13 @@ from .evaluation import (
     initial_state,
     run_ablation,
     run_session,
-    session_for_seed,
+    seeded_stream,
     tau_sweep,
 )
 from .gating import (
     AttentionTrace,
     AttnSource,
     GateConfig,
-    MaskKind,
     Strategy,
     UpdateMask,
     aggregate_attention,
@@ -64,7 +63,6 @@ __all__ = [
     "DecoderWeights",
     "DegradationReport",
     "GateConfig",
-    "MaskKind",
     "Scene",
     "ScheduleKind",
     "SessionResult",
@@ -92,7 +90,7 @@ __all__ = [
     "readout",
     "run_ablation",
     "run_session",
-    "session_for_seed",
+    "seeded_stream",
     "spatial_mask",
     "tau_sweep",
     "temporal_mask",

@@ -35,14 +35,12 @@ from .evaluation import (
     degradation_curve,
     run_ablation,
     run_session,
-    seeded_scene,
+    seeded_stream,
     tau_sweep,
 )
 from .gating import AttnSource, GateConfig, Strategy
 from .oracle import run_oracle_suite
-from .world import (
-    CoverageSchedule, ScheduleKind, StreamCursor, StreamTape, atomic_write, dump_stream,
-)
+from .world import CoverageSchedule, ScheduleKind, StreamTape, atomic_write, dump_stream
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
@@ -309,12 +307,11 @@ def _rows(header: list[str], values) -> list[dict]:
 
 def _run(cfg: RunConfig):
     world, weights, gate_cfg, strategies = _experiment(cfg)
-    scene, stream_seed = seeded_scene(world, cfg.seeds[0])
-    spec = (scene, world.schedule, world.noise_sigma, stream_seed)
+    stream = seeded_stream(world, cfg.seeds[0])
     # A dump replays the steps the session generated; a run without one keeps no tape.
-    tape = StreamTape(*spec) if cfg.dump_stream else None
-    cursor = tape.cursor() if tape else StreamCursor(*spec)
-    result = run_session(cursor, weights, gate_cfg, strategies[0], cfg.frames)
+    tape = StreamTape(stream) if cfg.dump_stream else None
+    session = tape.cursor() if tape else stream
+    result = run_session(session, weights, gate_cfg, strategies[0], cfg.frames)
     if tape:
         replay = tape.cursor()
         dump_stream(cfg.dump_stream, [replay.step() for _ in range(cfg.frames)])

@@ -232,8 +232,8 @@ def _scored_frames(scored, frames: int):
     return sorted({check_int("scored frame", t, 1, frames) for t in scored} | {frames})
 
 
-def seeded_scene(world: WorldSpec, seed: int) -> tuple[Scene, int]:
-    """The scene and the stream seed that experiment `seed` derives."""
+def seeded_stream(world: WorldSpec, seed: int) -> StreamCursor:
+    """A fresh cursor on the scene and stream that experiment `seed` derives."""
     scene_seed, stream_seed = experiment_seeds(seed)
     scene = generate_scene(
         world.regions,
@@ -242,23 +242,7 @@ def seeded_scene(world: WorldSpec, seed: int) -> tuple[Scene, int]:
         world.drift_rate,
         seed=scene_seed,
     )
-    return scene, stream_seed
-
-
-def session_for_seed(
-    world: WorldSpec,
-    weights: DecoderWeights,
-    cfg: GateConfig,
-    strategy: Strategy,
-    frames: int,
-    seed: int,
-    *,
-    scored: Iterable[int] | None = None,
-) -> SessionResult:
-    """Run one session on the scene and stream derived from `seed`."""
-    scene, stream_seed = seeded_scene(world, seed)
-    stream = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
-    return run_session(stream, weights, cfg, strategy, frames, scored=scored)
+    return StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
 
 
 def _session_grid(
@@ -272,12 +256,13 @@ def _session_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run every (gate config, strategy, seed) session, seed-major on one tape per seed.
 
-    The sessions of one seed share its scene and stream, so the grid makes
-    the scene and a StreamTape once per seed and runs that seed's sessions
-    one after another through `run_session`, each on its own cursor of the
-    tape; the tape is dropped before the next seed's. A session's first n
-    frames do not depend on how long it runs, so each session runs once, to
-    the longest of `lengths`, and scores only the frames in `lengths`. Returns
+    The sessions of one seed share its scene and stream, so the grid tapes
+    `seeded_stream(world, seed)` once per seed and runs that seed's
+    sessions one after another through `run_session`, each on its own
+    cursor of the tape; the tape is dropped before the next seed's. A
+    session's first n frames do not depend on how long it runs, so each
+    session runs once, to the longest of `lengths`, and scores only the
+    frames in `lengths`. Returns
     the error at each length (repeats included) as a (configs, strategies,
     seeds, len(lengths)) float64 array and each session's mean mask over
     all its frames as a (configs, strategies, seeds) array. An empty or
@@ -294,8 +279,7 @@ def _session_grid(
     shape = (len(cfgs), len(strategies), len(seeds))
     errors, mean_masks = np.empty((*shape, len(lengths))), np.empty(shape)
     for k, seed in enumerate(seeds):
-        scene, stream_seed = seeded_scene(world, seed)
-        tape = StreamTape(scene, world.schedule, world.noise_sigma, stream_seed)
+        tape = StreamTape(seeded_stream(world, seed))
         for c, s in np.ndindex(shape[:2]):
             result = run_session(
                 tape.cursor(), weights, cfgs[c], strategies[s], max(lengths), scored=lengths

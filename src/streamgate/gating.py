@@ -44,13 +44,6 @@ from .linalg import (
 _ONE = F32(1.0)
 
 
-class MaskKind(enum.Enum):
-    TEMPORAL = "temporal"
-    SPATIAL = "spatial"
-    FUSED = "fused"
-    UNIFORM = "uniform"
-
-
 class AttnSource(enum.Enum):
     """Which decoder quantity the attention trace records.
 
@@ -99,10 +92,10 @@ class GateConfig:
 
 @dataclass(frozen=True, eq=False)
 class UpdateMask:
-    """Per-token gate in [0, 1] plus the route that produced it."""
+    """Per-token gate in [0, 1] plus the strategy whose route produced it."""
 
     values: np.ndarray
-    kind: MaskKind
+    kind: Strategy
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", as_vector(self.values, "mask"))
@@ -155,8 +148,10 @@ class AttentionTrace:
 # private core per formula; gate_step validates its own arguments once and
 # calls the same cores, which trust their inputs. The cores compute their
 # sigmoid arguments already negated, into arrays they own, and apply
-# sigmoid_neg_inplace to them; they run under their caller's
-# np.errstate(over="ignore"), one per public call and one per gate_step.
+# sigmoid_neg_inplace to them. They run under their caller's
+# np.errstate(over="ignore", invalid="ignore"), one per public call and one
+# per gate_step: a saturating sigmoid stays silent, and the NaN of a
+# non-finite input (inf - inf, inf / inf, 0 * inf) reaches a named StateError.
 
 
 def _matching(op: str, a: np.ndarray, b, name: str) -> np.ndarray:
@@ -179,9 +174,9 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     prev = _matching("temporal_mask", curr, prev, "prev")
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _temporal(curr, prev, cfg)
-    return UpdateMask(values, MaskKind.TEMPORAL)
+    return UpdateMask(values, Strategy.TEMPORAL_ONLY)
 
 
 def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray:
@@ -197,9 +192,21 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
 
 
 def feature_divergence(curr, prev) -> np.ndarray:
-    """Per-frame-token dissimilarity: 1 - cosine of consecutive frames."""
+    """Per-frame-token dissimilarity: 1 - cosine of consecutive frames.
+
+    A non-finite frame entry makes its row NaN; only then are the frames
+    searched, and a StateError names the first non-finite one.
+    """
     curr = as_matrix(curr, "curr")
-    return _divergence(curr, _matching("feature_divergence", curr, prev, "prev"))
+    prev = _matching("feature_divergence", curr, prev, "prev")
+    # Overflow from huge finite frames still warns: only their NaN is ignored.
+    with np.errstate(invalid="ignore"):
+        divergence = _divergence(curr, prev)
+    if not math.isfinite(np.add.reduce(divergence)):
+        for name, array in (("curr", curr), ("prev", prev)):
+            if not np.isfinite(array).all():
+                raise StateError(f"feature_divergence: non-finite {name}")
+    return divergence
 
 
 def _divergence(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
@@ -235,10 +242,10 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         raise ConfigError("spatial_mask requires at least one frame token")
     if attn.size and np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _spatial(attn, divergence, cfg, "spatial_mask",
                           (("attention", attn), ("divergence", divergence)))
-    return UpdateMask(values, MaskKind.SPATIAL)
+    return UpdateMask(values, Strategy.SPATIAL_ONLY)
 
 
 def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, inputs) -> np.ndarray:
@@ -262,15 +269,15 @@ def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str,
 
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
     """Elementwise product of a temporal and a spatial mask."""
-    if temporal.kind is not MaskKind.TEMPORAL:
+    if temporal.kind is not Strategy.TEMPORAL_ONLY:
         raise ConfigError(f"expected a temporal mask, got kind={temporal.kind.value}")
-    if spatial.kind is not MaskKind.SPATIAL:
+    if spatial.kind is not Strategy.SPATIAL_ONLY:
         raise ConfigError(f"expected a spatial mask, got kind={spatial.kind.value}")
     if len(temporal) != len(spatial):
         raise ConfigError(
             f"fuse_masks length mismatch: {len(temporal)} vs {len(spatial)}"
         )
-    return UpdateMask(temporal.values * spatial.values, MaskKind.FUSED)
+    return UpdateMask(temporal.values * spatial.values, Strategy.FUSED)
 
 
 def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
@@ -291,7 +298,8 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
         )
     if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
         raise ConfigError("apply_update mask values must lie in [0, 1]")
-    return _commit(candidate, prev_state, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _commit(candidate, prev_state, m)
 
 
 def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -307,14 +315,14 @@ def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.
 
 def uniform_mask(n: int) -> UpdateMask:
     """All-ones mask of length n (full-replacement recurrence)."""
-    return UpdateMask(np.ones(check_int("n", n, 1), dtype=F32), MaskKind.UNIFORM)
+    return UpdateMask(np.ones(check_int("n", n, 1), dtype=F32), Strategy.UNIFORM)
 
 
-# Which gates each non-uniform strategy runs: (temporal, spatial, mask kind).
+# Which gates each non-uniform strategy runs: (temporal, spatial).
 _ROUTES = {
-    Strategy.TEMPORAL_ONLY: (True, False, MaskKind.TEMPORAL),
-    Strategy.SPATIAL_ONLY: (False, True, MaskKind.SPATIAL),
-    Strategy.FUSED: (True, True, MaskKind.FUSED),
+    Strategy.TEMPORAL_ONLY: (True, False),
+    Strategy.SPATIAL_ONLY: (False, True),
+    Strategy.FUSED: (True, True),
 }
 
 
@@ -347,19 +355,18 @@ def gate_step(
             "or both be present"
         )
     n = candidate.shape[0]
-    if prev_candidate is None or strategy is Strategy.UNIFORM:
-        mask = uniform_mask(n)
-        return _commit(candidate, prev_state, mask.values), mask
-    route = _ROUTES.get(strategy)
-    if route is None:
-        raise ConfigError(f"unknown strategy {strategy!r}")
-    temporal, spatial, kind = route
-    if n < 1:
-        raise ConfigError("gate_step requires at least one state token")
-
-    # One errstate around both cores: numpy's context manager costs a few
-    # microseconds to enter, and a saturating sigmoid must stay silent.
-    with np.errstate(over="ignore"):
+    # One errstate for the whole step, the uniform commit included: numpy's
+    # context manager costs a few microseconds to enter.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if prev_candidate is None or strategy is Strategy.UNIFORM:
+            mask = uniform_mask(n)
+            return _commit(candidate, prev_state, mask.values), mask
+        route = _ROUTES.get(strategy)
+        if route is None:
+            raise ConfigError(f"unknown strategy {strategy!r}")
+        temporal, spatial = route
+        if n < 1:
+            raise ConfigError("gate_step requires at least one state token")
         values = None
         if temporal:
             prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate")
@@ -380,5 +387,5 @@ def gate_step(
                 (("frame", frame), ("frame", prev_frame), ("attention", trace.layers)),
             )
             values = spatial_values if values is None else values * spatial_values
-    mask = UpdateMask(values, kind)
-    return _commit(candidate, prev_state, mask.values), mask
+        mask = UpdateMask(values, strategy)
+        return _commit(candidate, prev_state, mask.values), mask

@@ -70,6 +70,8 @@ class Scene:
         codes = as_matrix(self.region_codes, "region_codes")
         if codes.shape[0] < 1:
             raise ConfigError("scene needs at least one region")
+        if not np.isfinite(codes).all():
+            raise ConfigError("region_codes must be finite")
         _check_finite_rate("drift_rate", self.drift_rate)
         seed = check_int("scene seed", self.seed)
         dynamic = frozenset(
@@ -339,17 +341,20 @@ class StreamCursor:
 class StreamTape:
     """The steps of one stream, generated once and replayed by any number of cursors.
 
-    The tape records the steps of StreamCursor(scene, schedule,
-    noise_sigma, seed) as its cursors first reach them, so sessions that
-    share a scene and a stream generate it once, bit-identical to a fresh
-    cursor. The recorded steps are read-only, and the tape keeps every
-    one until it is dropped.
+    The tape takes over `stream`, a fresh generating StreamCursor, the way
+    itertools.tee takes over its iterator: the caller steps it no further.
+    It records the cursor's steps as the tape's cursors first reach them,
+    so sessions that share a scene and a stream generate it once,
+    bit-identical to a fresh cursor. The recorded steps are read-only, and
+    the tape keeps every one until it is dropped.
     """
 
-    def __init__(
-        self, scene: Scene, schedule: CoverageSchedule, noise_sigma: float, seed: int
-    ) -> None:
-        self._source = StreamCursor(scene, schedule, noise_sigma, seed)
+    def __init__(self, stream: StreamCursor) -> None:
+        if stream.t != 0:
+            raise ConfigError(f"stream must be a cursor at frame 0, got one at frame {stream.t}")
+        if stream._tape is not None:  # it shares its source's codes, which a drifting tape advances
+            raise ConfigError("stream must be a generating cursor, got a StreamTape's cursor")
+        self._source = stream
         self._steps: list[StreamStep] = []
 
     def cursor(self) -> StreamCursor:
@@ -422,27 +427,31 @@ def _stream_line(s: StreamStep) -> str:
 def load_stream(path, obs_channels: int) -> list[StreamStep]:
     """Read back a trace written by dump_stream (float32-exact).
 
-    A malformed line raises ConfigError naming its 1-based line number.
+    A malformed line, a non-ASCII byte or a non-finite value included,
+    raises ConfigError naming its 1-based line number.
     """
     steps = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    # An out-of-range value parses to inf, which the finiteness check names.
+    with open(path, "rb") as fh, np.errstate(over="ignore"):
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("ascii").strip()
+                if not line:
+                    continue
                 t_s, rows_s, vis_s, obs_s, truth_s = line.split(";")
                 obs = np.array(
                     [F32(v) for v in obs_s.split(",")], dtype=F32
                 ).reshape(int(rows_s), obs_channels)
                 truth_vals = np.array([F32(v) for v in truth_s.split(",")], dtype=F32)
+                if not (np.isfinite(obs).all() and np.isfinite(truth_vals).all()):
+                    raise ValueError("non-finite value")
                 step = StreamStep(
                     t=int(t_s),
                     observation=obs,
                     visible_regions=tuple(int(i) for i in vis_s.split(",")) if vis_s else (),
                     truth_snapshot=truth_vals.reshape(-1, obs_channels),
                 )
-            except ValueError as exc:
+            except ValueError as exc:  # UnicodeDecodeError is one too
                 raise ConfigError(f"{path}: line {lineno}: malformed step ({exc})") from None
             steps.append(step)
     return steps

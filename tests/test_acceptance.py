@@ -16,7 +16,7 @@ from streamgate.evaluation import (
     initial_state,
     run_ablation,
     run_session,
-    session_for_seed,
+    seeded_stream,
 )
 from streamgate.gating import (
     GateConfig,
@@ -195,7 +195,7 @@ def test_criterion_6_cold_start_and_degenerate_inputs():
     weights = make_weights(4, 32, 32, seed=0)
     cfg = GateConfig()
 
-    results = [session_for_seed(world, weights, cfg, s, 1, 0) for s in Strategy]
+    results = [run_session(seeded_stream(world, 0), weights, cfg, s, 1) for s in Strategy]
     first = results[0]
     frame1_ok = all(
         r.per_frame_error == first.per_frame_error

@@ -13,14 +13,13 @@ from streamgate.evaluation import (
     initial_state,
     run_ablation,
     run_session,
-    session_for_seed,
+    seeded_stream,
     tau_sweep,
 )
 from streamgate.gating import (
     AttentionTrace,
     AttnSource,
     GateConfig,
-    MaskKind,
     Strategy,
     UpdateMask,
     gate_step,
@@ -40,8 +39,8 @@ def small_weights():
 
 
 def small_session(strategy, frames=10, seed=0, cfg=None):
-    return session_for_seed(
-        SMALL_WORLD, small_weights(), cfg or GateConfig(), strategy, frames, seed
+    return run_session(
+        seeded_stream(SMALL_WORLD, seed), small_weights(), cfg or GateConfig(), strategy, frames
     )
 
 
@@ -94,12 +93,12 @@ def test_run_session_validation():
 @pytest.mark.parametrize("frames", [2.5, True, "3", 0])
 def test_run_session_rejects_bad_frames_naming_the_argument(frames):
     with pytest.raises(ConfigError, match="frames"):
-        session_for_seed(SMALL_WORLD, small_weights(), GateConfig(), Strategy.FUSED, frames, 0)
+        run_session(seeded_stream(SMALL_WORLD, 0), small_weights(), GateConfig(), Strategy.FUSED, frames)
 
 
 def test_run_session_rejects_a_stepped_stream_naming_it():
     scene = generate_scene(6, 8, 0.0, 0.0, seed=1)
-    tape = StreamTape(scene, SMALL_WORLD.schedule, 0.05, 1)
+    tape = StreamTape(StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1))
     args = (small_weights(), GateConfig(), Strategy.FUSED, 3)
     run_session(tape.cursor(), *args)
     for stream in (StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1), tape.cursor()):
@@ -309,7 +308,7 @@ def test_tau_saturation_freezes_state():
     world = WorldSpec()
     weights = make_weights(4, 32, 32, seed=0)
     frozen_cfg = GateConfig(tau=50.0)
-    r = session_for_seed(world, weights, frozen_cfg, Strategy.FUSED, 40, seed=0)
+    r = run_session(seeded_stream(world, 0), weights, frozen_cfg, Strategy.FUSED, 40)
     assert all(m[2] < 1e-6 for m in r.mask_stats[1:])  # max mask ~ 0 after frame 1
 
     # manual frozen recurrence: state committed only at frame 1
@@ -400,7 +399,7 @@ def test_array_holders_compare_and_hash_by_identity():
         lambda: generate_scene(6, 8, 0.5, 0.1, seed=2),
         lambda: StreamCursor(scene, schedule, 0.05, 1),
         lambda: StreamCursor(scene, schedule, 0.05, 1).step(),
-        lambda: UpdateMask(np.ones(3), MaskKind.FUSED),
+        lambda: UpdateMask(np.ones(3), Strategy.FUSED),
         lambda: AttentionTrace(np.ones((2, 3, 4), dtype=np.float32)),
         lambda: small_session(Strategy.FUSED, frames=2),
     ]
@@ -445,8 +444,9 @@ def test_scoring_some_frames_changes_nothing_else(dynamic_fraction, drift_rate):
 @pytest.mark.parametrize("scored", [[0], [7], [-1], [2.0], [True], ["3"], "3", 5, [None]])
 def test_run_session_rejects_bad_scored_frames_naming_the_argument(scored):
     with pytest.raises(ConfigError, match="scored"):
-        session_for_seed(
-            SMALL_WORLD, small_weights(), GateConfig(), Strategy.FUSED, 6, 0, scored=scored
+        run_session(
+            seeded_stream(SMALL_WORLD, 0), small_weights(), GateConfig(), Strategy.FUSED, 6,
+            scored=scored,
         )
 
 
@@ -497,6 +497,25 @@ _GRID_WORLDS = {
 
 
 @pytest.mark.parametrize("world", list(_GRID_WORLDS.values()), ids=list(_GRID_WORLDS))
+def test_seeded_stream_equals_a_cursor_built_from_experiment_seeds(world):
+    for seed in (0, 5):
+        scene_seed, stream_seed = experiment_seeds(seed)
+        scene = generate_scene(
+            world.regions, world.obs_channels, world.dynamic_fraction, world.drift_rate, seed=scene_seed
+        )
+        want = StreamCursor(scene, world.schedule, world.noise_sigma, stream_seed)
+        got = seeded_stream(world, seed)
+        assert got.t == 0 and got.seed == stream_seed and got.scene.seed == scene_seed
+        assert got.scene.region_codes.tobytes() == scene.region_codes.tobytes()
+        assert got.scene.dynamic_regions == scene.dynamic_regions
+        for _ in range(12):
+            a, b = got.step(), want.step()
+            assert (a.t, a.visible_regions) == (b.t, b.visible_regions)
+            assert a.observation.tobytes() == b.observation.tobytes()
+            assert a.truth_snapshot.tobytes() == b.truth_snapshot.tobytes()
+
+
+@pytest.mark.parametrize("world", list(_GRID_WORLDS.values()), ids=list(_GRID_WORLDS))
 def test_session_grid_on_tapes_equals_sessions_on_their_own_streams(world):
     cfgs = [GateConfig(attn_source=source) for source in AttnSource]
     strategies, lengths, seeds = list(Strategy), [3, 11, 3], [4, 1]
@@ -504,8 +523,9 @@ def test_session_grid_on_tapes_equals_sessions_on_their_own_streams(world):
         "grid", world, small_weights(), cfgs, strategies, lengths, seeds
     )
     for c, s, k in np.ndindex(masks.shape):
-        alone = session_for_seed(
-            world, small_weights(), cfgs[c], strategies[s], max(lengths), seeds[k], scored=lengths
+        alone = run_session(
+            seeded_stream(world, seeds[k]), small_weights(), cfgs[c], strategies[s], max(lengths),
+            scored=lengths,
         )
         by_length = dict(zip(sorted(set(lengths)), alone.per_frame_error))
         assert errors[c, s, k].tolist() == [by_length[n] for n in lengths]

@@ -10,7 +10,6 @@ from streamgate.gating import (
     AttentionTrace,
     AttnSource,
     GateConfig,
-    MaskKind,
     Strategy,
     UpdateMask,
     aggregate_attention,
@@ -98,7 +97,7 @@ def test_temporal_mask_zero_delta_fallback():
     curr = np.ones((3, 4), dtype=F32)
     mask = temporal_mask(curr, curr.copy(), GateConfig())
     np.testing.assert_allclose(mask.values, [0.5, 0.5, 0.5])
-    assert mask.kind is MaskKind.TEMPORAL
+    assert mask.kind is Strategy.TEMPORAL_ONLY
 
 
 def test_temporal_mask_hand_computed():
@@ -165,10 +164,12 @@ def test_temporal_mask_requires_a_token():
         temporal_mask(empty, empty, GateConfig())
 
 
-@pytest.mark.parametrize("side", ["curr", "prev"])
-def test_temporal_mask_rejects_non_finite_candidate(side):
+@pytest.mark.parametrize("sides", [("curr",), ("prev",), ("curr", "prev")], ids=["curr", "prev", "both"])
+def test_temporal_mask_rejects_non_finite_candidate(sides):
+    # Matching infinities in both make inf - inf, which must not warn first.
     arrays = {"curr": np.ones((2, 3), dtype=F32), "prev": np.zeros((2, 3), dtype=F32)}
-    arrays[side][0, 0] = np.inf
+    for side in sides:
+        arrays[side][0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StateError, match="non-finite"):
@@ -176,6 +177,19 @@ def test_temporal_mask_rejects_non_finite_candidate(side):
 
 
 # --- feature divergence ----------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["curr", "prev"])
+def test_feature_divergence_names_a_non_finite_input(side, value):
+    # An infinite entry makes its row's cosine inf / inf, which must not warn first.
+    rng = np.random.default_rng(4)
+    arrays = {name: rng.standard_normal((3, 5)).astype(F32) for name in ("curr", "prev")}
+    arrays[side][1, 2] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=f"feature_divergence: non-finite {side}"):
+            feature_divergence(arrays["curr"], arrays["prev"])
 
 
 def test_feature_divergence_cases():
@@ -251,7 +265,7 @@ def test_spatial_mask_zero_divergence():
     attn = np.abs(np.random.default_rng(6).standard_normal((4, 3))).astype(F32)
     mask = spatial_mask(attn, np.zeros(3, dtype=F32), GateConfig())
     np.testing.assert_allclose(mask.values, np.full(4, 0.5))
-    assert mask.kind is MaskKind.SPATIAL
+    assert mask.kind is Strategy.SPATIAL_ONLY
 
 
 def test_spatial_mask_hand_computed():
@@ -290,34 +304,34 @@ def test_spatial_mask_validation():
 
 
 def test_fuse_masks_identity_element():
-    tm = UpdateMask(np.array([0.2, 0.7], dtype=F32), MaskKind.TEMPORAL)
-    sm = ones_mask(2, MaskKind.SPATIAL)
+    tm = UpdateMask(np.array([0.2, 0.7], dtype=F32), Strategy.TEMPORAL_ONLY)
+    sm = ones_mask(2, Strategy.SPATIAL_ONLY)
     fused = fuse_masks(tm, sm)
     np.testing.assert_array_equal(fused.values, tm.values)
-    assert fused.kind is MaskKind.FUSED
+    assert fused.kind is Strategy.FUSED
 
 
 def test_fuse_masks_annihilator_and_product():
-    tm = UpdateMask(np.array([0.0, 0.5], dtype=F32), MaskKind.TEMPORAL)
-    sm = UpdateMask(np.array([0.9, 0.6], dtype=F32), MaskKind.SPATIAL)
+    tm = UpdateMask(np.array([0.0, 0.5], dtype=F32), Strategy.TEMPORAL_ONLY)
+    sm = UpdateMask(np.array([0.9, 0.6], dtype=F32), Strategy.SPATIAL_ONLY)
     np.testing.assert_allclose(fuse_masks(tm, sm).values, [0.0, 0.3], atol=1e-7)
 
 
 def test_fuse_masks_dominance():
     rng = np.random.default_rng(13)
-    tm = UpdateMask(rng.random(8).astype(F32), MaskKind.TEMPORAL)
-    sm = UpdateMask(rng.random(8).astype(F32), MaskKind.SPATIAL)
+    tm = UpdateMask(rng.random(8).astype(F32), Strategy.TEMPORAL_ONLY)
+    sm = UpdateMask(rng.random(8).astype(F32), Strategy.SPATIAL_ONLY)
     fused = fuse_masks(tm, sm).values
     assert (fused <= np.minimum(tm.values, sm.values) + 1e-7).all()
 
 
 def test_fuse_masks_kind_and_length_mismatch():
-    tm = ones_mask(2, MaskKind.TEMPORAL)
-    sm = ones_mask(2, MaskKind.SPATIAL)
+    tm = ones_mask(2, Strategy.TEMPORAL_ONLY)
+    sm = ones_mask(2, Strategy.SPATIAL_ONLY)
     with pytest.raises(ConfigError):
         fuse_masks(sm, sm)
     with pytest.raises(ConfigError):
-        fuse_masks(tm, ones_mask(3, MaskKind.SPATIAL))
+        fuse_masks(tm, ones_mask(3, Strategy.SPATIAL_ONLY))
 
 
 # --- state update ----------------------------------------------------------------
@@ -335,14 +349,14 @@ def test_apply_update_all_zeros_keeps_state():
     rng = np.random.default_rng(15)
     cand = rng.standard_normal((4, 5)).astype(F32)
     prev = rng.standard_normal((4, 5)).astype(F32)
-    zeros = UpdateMask(np.zeros(4, dtype=F32), MaskKind.FUSED)
+    zeros = UpdateMask(np.zeros(4, dtype=F32), Strategy.FUSED)
     assert apply_update(cand, prev, zeros).tobytes() == prev.tobytes()
 
 
 def test_apply_update_midpoint():
     cand = np.full((2, 2), 4.0, dtype=F32)
     prev = np.zeros((2, 2), dtype=F32)
-    half = UpdateMask(np.full(2, 0.5, dtype=F32), MaskKind.FUSED)
+    half = UpdateMask(np.full(2, 0.5, dtype=F32), Strategy.FUSED)
     np.testing.assert_allclose(apply_update(cand, prev, half), np.full((2, 2), 2.0))
 
 
@@ -351,7 +365,7 @@ def test_apply_update_convexity():
     for _ in range(30):
         cand = rng.standard_normal((5, 4)).astype(F32)
         prev = rng.standard_normal((5, 4)).astype(F32)
-        mask = UpdateMask(rng.random(5).astype(F32), MaskKind.FUSED)
+        mask = UpdateMask(rng.random(5).astype(F32), Strategy.FUSED)
         out = apply_update(cand, prev, mask)
         assert (out >= np.minimum(cand, prev)).all()
         assert (out <= np.maximum(cand, prev)).all()
@@ -369,7 +383,7 @@ def test_apply_update_bit_identical_to_clip():
         col = w[:, np.newaxis]
         raw = col * cand + (F32(1.0) - col) * prev
         want = np.clip(raw, np.minimum(cand, prev), np.maximum(cand, prev))
-        got = apply_update(cand, prev, UpdateMask(w, MaskKind.FUSED))
+        got = apply_update(cand, prev, UpdateMask(w, Strategy.FUSED))
         assert got.tobytes() == want.tobytes()
 
 
@@ -378,13 +392,13 @@ def test_apply_update_validation():
         apply_update(np.zeros((2, 2)), np.zeros((3, 2)), uniform_mask(2))
     with pytest.raises(ConfigError):
         apply_update(np.zeros((2, 2)), np.zeros((2, 2)), uniform_mask(3))
-    bad = UpdateMask(np.array([0.5, 1.5], dtype=F32), MaskKind.FUSED)
+    bad = UpdateMask(np.array([0.5, 1.5], dtype=F32), Strategy.FUSED)
     with pytest.raises(ConfigError):
         apply_update(np.zeros((2, 2)), np.zeros((2, 2)), bad)
 
 
 def test_apply_update_rejects_nan_mask():
-    nan_mask = UpdateMask(np.array([np.nan, 0.5], dtype=F32), MaskKind.FUSED)
+    nan_mask = UpdateMask(np.array([np.nan, 0.5], dtype=F32), Strategy.FUSED)
     with pytest.raises(ConfigError, match=r"\[0, 1\]"):
         apply_update(2 * np.ones((2, 3), dtype=F32), np.ones((2, 3), dtype=F32), nan_mask)
 
@@ -395,7 +409,7 @@ def test_apply_update_rejects_nan_mask():
 def test_uniform_mask_basics():
     mask = uniform_mask(3)
     np.testing.assert_array_equal(mask.values, [1.0, 1.0, 1.0])
-    assert mask.kind is MaskKind.UNIFORM
+    assert mask.kind is Strategy.UNIFORM
     with pytest.raises(ConfigError):
         uniform_mask(0)
 
@@ -408,9 +422,9 @@ def test_uniform_mask_rejects_a_non_integer_length_naming_n(n):
 
 def test_uniform_mask_rejected_by_fuse():
     with pytest.raises(ConfigError):
-        fuse_masks(uniform_mask(2), ones_mask(2, MaskKind.SPATIAL))
+        fuse_masks(uniform_mask(2), ones_mask(2, Strategy.SPATIAL_ONLY))
     with pytest.raises(ConfigError):
-        fuse_masks(ones_mask(2, MaskKind.TEMPORAL), uniform_mask(2))
+        fuse_masks(ones_mask(2, Strategy.TEMPORAL_ONLY), uniform_mask(2))
 
 
 # --- gate_step ----------------------------------------------------------------------
@@ -434,7 +448,7 @@ def test_gate_step_cold_start_writes_candidate(strategy):
     state, mask = gate_step(
         d["candidate"], d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy
     )
-    assert mask.kind is MaskKind.UNIFORM
+    assert mask.kind is Strategy.UNIFORM
     assert state.tobytes() == d["candidate"].tobytes()
 
 
@@ -451,7 +465,7 @@ def test_gate_step_uniform_is_direct_replacement():
         prev_frame=d["prev_frame"],
     )
     assert state.tobytes() == d["candidate"].tobytes()
-    assert mask.kind is MaskKind.UNIFORM
+    assert mask.kind is Strategy.UNIFORM
 
 
 def test_gate_step_fused_fallback_quarter():
@@ -468,7 +482,7 @@ def test_gate_step_fused_fallback_quarter():
         prev_frame=d["frame"].copy(),
     )
     np.testing.assert_allclose(mask.values, np.full(4, 0.25), atol=1e-6)
-    assert mask.kind is MaskKind.FUSED
+    assert mask.kind is Strategy.FUSED
 
 
 # Each gate input pair is checked for shape in one place: the message names
@@ -696,6 +710,9 @@ _BLEND_MESSAGE = "apply_update: non-finite blended state"
     [
         pytest.param("frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-frame"),
         pytest.param("prev_frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-prev_frame"),
+        pytest.param("frame", np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="inf-frame"),
+        pytest.param("frame", -np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="-inf-frame"),
+        pytest.param("prev_frame", np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="inf-prev_frame"),
         pytest.param("trace", np.nan, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="nan-trace"),
         pytest.param("trace", np.inf, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="inf-trace"),
         pytest.param("candidate", np.inf, _BLEND_MESSAGE, _TEMPORAL_MESSAGE, id="inf-candidate"),
@@ -733,6 +750,11 @@ def test_gate_step_names_the_non_finite_input(attn_source, strategy, name, value
         pytest.param([[0.5, 0.5]], [np.nan, 1.0], "spatial_mask: non-finite divergence", id="nan-divergence"),
         pytest.param([[0.5, 0.5]], [1.0, np.inf], "spatial_mask: non-finite divergence", id="inf-divergence"),
         pytest.param([[0.5]], [-np.inf], "spatial_mask: non-finite divergence", id="-inf-divergence"),
+        # 0 * inf at a frame token whose divergence, or whose attention, is exactly 0.
+        pytest.param([[np.inf, 0.5]], [0.0, 1.0], "spatial_mask: non-finite attention",
+                     id="inf-attention-at-zero-divergence"),
+        pytest.param([[0.5, 0.0]], [1.0, -np.inf], "spatial_mask: non-finite divergence",
+                     id="-inf-divergence-at-zero-attention"),
     ],
 )
 def test_spatial_mask_names_a_non_finite_input(attn, divergence, message):
@@ -752,6 +774,33 @@ def test_spatial_mask_saturates_where_finite_inputs_overflow():
         mask = spatial_mask([[big, 0.5], [0.5, 0.5]], [2.0, 1.0], GateConfig())
     assert mask.values[0] == np.nextafter(F32(1.0), F32(0.0))
     assert mask.values[1] == sigmoid(F32([1.0]))[0]
+
+
+# A uniform mask blends 0 * prev_state, which is 0 * inf here. Every
+# strategy commits uniformly on its first frame, and UNIFORM on every frame.
+@pytest.mark.parametrize(
+    "strategy, first_frame",
+    [(s, True) for s in Strategy] + [(Strategy.UNIFORM, False)],
+)
+def test_uniform_commit_names_an_infinite_prev_state(strategy, first_frame):
+    d = _gate_inputs(seed=11)
+    d["prev_state"][1, 2] = np.inf
+    buffers = {} if first_frame else dict(prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=_BLEND_MESSAGE):
+            gate_step(d["candidate"], d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy,
+                      **buffers)
+
+
+def test_apply_update_names_an_infinite_prev_state_under_a_uniform_mask():
+    rng = np.random.default_rng(12)
+    candidate, prev_state = rng.standard_normal((2, 4, 5)).astype(F32)
+    prev_state[2, 3] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=_BLEND_MESSAGE):
+            apply_update(candidate, prev_state, uniform_mask(4))
 
 
 @pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])

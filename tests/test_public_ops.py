@@ -12,7 +12,6 @@ from streamgate.decoder import decode_step, encode_frame, make_weights, readout
 from streamgate.gating import (
     AttentionTrace,
     GateConfig,
-    MaskKind,
     Strategy,
     UpdateMask,
     apply_update,
@@ -69,7 +68,7 @@ OPS = {
     "feature_divergence": lambda d: [feature_divergence(d["frame"], d["prev_frame"])],
     "spatial_mask": lambda d: [spatial_mask(d["attn"], d["divergence"], CFG).values],
     "apply_update": lambda d: [
-        apply_update(d["candidate"], d["prev_state"], UpdateMask(d["mask"], MaskKind.FUSED))
+        apply_update(d["candidate"], d["prev_state"], UpdateMask(d["mask"], Strategy.FUSED))
     ],
     **{f"gate_step-{s.value}": (lambda d, s=s: _gated(d, s)) for s in Strategy},
 }

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ def test_scene_rejects_a_dynamic_region_that_is_not_a_region_index(region):
     # 0.5 and True would otherwise be cast to region 0 or 1 by the cursor.
     with pytest.raises(ConfigError, match="dynamic region must be an integer in 0..1"):
         Scene(np.ones((2, 3), dtype=F32), frozenset({region}), 0.1, 0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_scene_rejects_non_finite_region_codes_naming_the_field(value):
+    # Its cursor would otherwise emit inf or NaN observations.
+    codes = np.ones((2, 3), dtype=F32)
+    codes[1, 2] = value
+    with pytest.raises(ConfigError, match="region_codes must be finite"):
+        Scene(codes, frozenset(), 0.0, 0)
 
 
 def test_scene_stores_dynamic_regions_as_ints():
@@ -335,6 +345,32 @@ def test_load_stream_names_a_wrong_value_count(tmp_path):
         load_stream(path, obs_channels=4)
 
 
+def test_load_stream_names_a_non_ascii_byte(tmp_path):
+    path, lines = _dumped_lines(tmp_path)
+    data = [line.encode("ascii") for line in lines]
+    data[2] = data[2].replace(b",", b"\xe9", 1)
+    path.write_bytes(b"\n".join(data) + b"\n")
+    with pytest.raises(ConfigError, match="line 3: malformed step"):
+        load_stream(path, obs_channels=4)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(3, "nan"), (3, "inf"), (3, "1e39"), (4, "-inf"), (4, "nan")],
+    ids=["nan-observation", "inf-observation", "overflowing-observation", "-inf-truth", "nan-truth"],
+)
+def test_load_stream_names_a_non_finite_value(tmp_path, field, value):
+    path, lines = _dumped_lines(tmp_path)
+    fields = lines[1].split(";")
+    fields[field] = ",".join([value] + fields[field].split(",")[1:])
+    lines[1] = ";".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"line 2: malformed step \(non-finite value\)"):
+            load_stream(path, obs_channels=4)
+
+
 def _same_step(a, b):
     return (a.t, a.visible_regions, a.observation.tobytes(), a.truth_snapshot.tobytes()) == (
         b.t, b.visible_regions, b.observation.tobytes(), b.truth_snapshot.tobytes()
@@ -355,7 +391,7 @@ def test_tape_cursors_replay_a_fresh_cursor_past_the_recorded_end(kind, window, 
     scene = generate_scene(5, 3, 0.4, drift_rate, seed=31)
     sched = CoverageSchedule(kind=kind, window=window, period=4)
     want = _steps(scene, sched, short + extra, 0.2, seed=32)
-    tape = StreamTape(scene, sched, 0.2, 32)
+    tape = StreamTape(StreamCursor(scene, sched, 0.2, 32))
     first, second = tape.cursor(), tape.cursor()
     assert first.t == second.t == 0
     replayed = [first.step() for _ in range(short)]
@@ -367,10 +403,22 @@ def test_tape_cursors_replay_a_fresh_cursor_past_the_recorded_end(kind, window, 
             assert step is replayed[t - 1]
 
 
+def test_stream_tape_takes_only_a_fresh_generating_cursor_naming_stream():
+    # A tape's cursor shares its source's codes, which a drifting tape advances.
+    scene = generate_scene(4, 3, 0.5, 0.1, seed=37)
+    stepped = StreamCursor(scene, CoverageSchedule(), 0.1, 38)
+    stepped.step()
+    tape_cursor = StreamTape(StreamCursor(scene, CoverageSchedule(), 0.1, 38)).cursor()
+    for stream, cause in ((stepped, "a cursor at frame 0"), (tape_cursor, "a generating cursor")):
+        with pytest.raises(ConfigError, match=f"stream must be {cause}"):
+            StreamTape(stream)
+
+
 @pytest.mark.parametrize("drift_rate", [0.0, 0.1])
 def test_tape_steps_are_read_only(drift_rate):
     scene = generate_scene(5, 3, 0.4, drift_rate, seed=33)
-    cursor = StreamTape(scene, CoverageSchedule(kind=ScheduleKind.REVISIT, period=2), 0.1, 34).cursor()
+    schedule = CoverageSchedule(kind=ScheduleKind.REVISIT, period=2)
+    cursor = StreamTape(StreamCursor(scene, schedule, 0.1, 34)).cursor()
     for step in [cursor.step() for _ in range(4)]:
         for array in (step.observation, step.truth_snapshot):
             assert not array.flags.writeable
