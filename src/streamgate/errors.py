@@ -14,7 +14,7 @@ class ConfigError(StreamGateError):
 
 
 class StateError(StreamGateError):
-    """Streaming session buffers used out of order."""
+    """Non-finite or overflowing values in a gate step, or session buffers used out of order."""
 
 
 def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:

@@ -32,9 +32,11 @@ import numpy as np
 from .errors import ConfigError, StateError, check_int
 from .linalg import (
     F32,
+    _as_f32,
     as_matrix,
     as_vector,
     col_broadcast_mul,
+    cosine_denominator,
     rowwise_cosine,
     rowwise_l2,
     rowwise_max,
@@ -110,38 +112,18 @@ class UpdateMask:
 class AttentionTrace:
     """Cross-attention magnitudes of every decoder layer, as one (L, N, K) array.
 
-    Accepts that array, or a sequence of L equal-shape N x K matrices,
-    which it stacks. Iterating over `layers` yields the N x K matrices.
+    Accepts anything numpy reads as that array, a sequence of L equal-shape
+    N x K matrices included. Iterating over `layers` yields the N x K
+    matrices.
     """
 
     layers: np.ndarray
 
     def __post_init__(self) -> None:
-        layers = self.layers
-        if not isinstance(layers, np.ndarray):
-            matrices = [as_matrix(m, "attention layer") for m in layers]
-            if not matrices:
-                raise ConfigError("attention trace must contain at least one layer")
-            shape = matrices[0].shape
-            for m in matrices[1:]:
-                if m.shape != shape:
-                    raise ConfigError(
-                        f"attention layers disagree on shape: {shape} vs {m.shape}"
-                    )
-            layers = np.stack(matrices)
-        elif layers.dtype != F32:
-            layers = layers.astype(F32)
-        if layers.ndim != 3:
-            raise ConfigError(
-                f"attention trace must be an (L, N, K) array, got ndim={layers.ndim}"
-            )
+        layers = _as_f32(self.layers, "attention trace", 3, "an (L, N, K) array")
         if layers.shape[0] < 1:
             raise ConfigError("attention trace must contain at least one layer")
         object.__setattr__(self, "layers", layers)
-
-    @property
-    def layer_count(self) -> int:
-        return self.layers.shape[0]
 
 
 # The public gate components below validate their arguments and call one
@@ -194,23 +176,33 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray
 def feature_divergence(curr, prev) -> np.ndarray:
     """Per-frame-token dissimilarity: 1 - cosine of consecutive frames.
 
-    A non-finite frame entry makes its row NaN; only then are the frames
-    searched, and a StateError names the first non-finite one.
+    A non-finite entry raises StateError naming its frame; so do finite
+    rows too large for float32 to take their cosine, naming the overflow.
     """
     curr = as_matrix(curr, "curr")
     prev = _matching("feature_divergence", curr, prev, "prev")
-    # Overflow from huge finite frames still warns: only their NaN is ignored.
-    with np.errstate(invalid="ignore"):
-        divergence = _divergence(curr, prev)
-    if not math.isfinite(np.add.reduce(divergence)):
-        for name, array in (("curr", curr), ("prev", prev)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _divergence(curr, prev, "feature_divergence", ("curr", "prev"))
+
+
+def _divergence(curr: np.ndarray, prev: np.ndarray, op: str, names) -> np.ndarray:
+    """1 - cosine of consecutive frames; `names` are theirs in op's StateError.
+
+    A non-finite entry makes its row's norm product non-finite, and so do
+    finite rows whose squares or norm product overflow float32, where the
+    cosine would read NaN or a wrong 0. One finiteness check of the
+    products' sum guards the divergence; only when it fails are the
+    products, then the frames, searched.
+    """
+    denom = cosine_denominator(curr, prev)
+    if not math.isfinite(np.add.reduce(denom)) and not np.isfinite(denom).all():
+        for name, array in zip(names, (curr, prev)):
             if not np.isfinite(array).all():
-                raise StateError(f"feature_divergence: non-finite {name}")
-    return divergence
-
-
-def _divergence(curr: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    return _ONE - rowwise_cosine(curr, prev)
+                raise StateError(f"{op}: non-finite {name} in the spatial gate")
+        raise StateError(
+            f"{op}: the cosine of {names[0]} and {names[1]} overflows float32 in the spatial gate"
+        )
+    return _ONE - rowwise_cosine(curr, prev, denom)
 
 
 def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
@@ -227,9 +219,8 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     """Gate from attention-weighted divergence, max-pooled over frame tokens.
 
     raw[i] = max_k attn[i, k] * divergence[k];
-    mask[i] = sigmoid(spat_gain * raw[i] + spat_bias). A NaN or infinite
-    raw[i] from a non-finite attention or divergence raises StateError
-    naming that input.
+    mask[i] = sigmoid(spat_gain * raw[i] + spat_bias). A non-finite
+    attention or divergence entry raises StateError naming that input.
     """
     attn = as_matrix(attn, "attn")
     divergence = as_vector(divergence, "divergence")
@@ -242,26 +233,26 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         raise ConfigError("spatial_mask requires at least one frame token")
     if attn.size and np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
+    # Checked here because max-pooling drops a -inf product.
+    if not np.isfinite(divergence).all():
+        raise StateError("spatial_mask: non-finite divergence in the spatial gate")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _spatial(attn, divergence, cfg, "spatial_mask",
-                          (("attention", attn), ("divergence", divergence)))
+        values = _spatial(attn, divergence, cfg, "spatial_mask", attn)
     return UpdateMask(values, Strategy.SPATIAL_ONLY)
 
 
-def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, inputs) -> np.ndarray:
-    """The spatial gate's values; `inputs` are the (name, array) pairs it came from.
+def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, attention) -> np.ndarray:
+    """The spatial gate's values from a finite divergence; attn came from `attention`.
 
-    A NaN or infinite input reaches the sum of the pooled activations, so
-    one finiteness check of that sum guards the gate; only when it fails
-    are the inputs searched, and the first non-finite one is named in a
-    StateError. If they are all finite, a product overflowed, and the
+    A NaN or infinite attention entry reaches the sum of the pooled
+    activations, so one finiteness check of that sum guards the gate; only
+    when it fails is `attention` searched, and a non-finite entry is named
+    in a StateError. If it is finite, a product overflowed, and the
     sigmoid saturates as it does for any large argument.
     """
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    if not math.isfinite(np.add.reduce(raw)):
-        for name, array in inputs:
-            if not np.isfinite(array).all():
-                raise StateError(f"{op}: non-finite {name} in the spatial gate")
+    if not math.isfinite(np.add.reduce(raw)) and not np.isfinite(attention).all():
+        raise StateError(f"{op}: non-finite attention in the spatial gate")
     np.multiply(F32(-cfg.spat_gain), raw, out=raw)
     raw -= F32(cfg.spat_bias)
     return sigmoid_neg_inplace(raw)
@@ -342,8 +333,9 @@ def gate_step(
     On the first frame of a stream both buffers are absent and the uniform
     mask is used regardless of strategy, so the initial observation is
     written in full. Supplying exactly one of the two buffers means the
-    caller's session bookkeeping is broken and raises StateError, as does
-    a non-finite frame or attention trace. The inputs are validated once,
+    caller's session bookkeeping is broken and raises StateError, as do a
+    non-finite input the strategy reads and frames too large for float32
+    to take their cosine. The inputs are validated once,
     here; the result equals composing temporal_mask, feature_divergence,
     aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
@@ -382,10 +374,8 @@ def gate_step(
                 )
             if frame.shape[0] < 1:
                 raise ConfigError("spatial_mask requires at least one frame token")
-            spatial_values = _spatial(
-                attn, _divergence(frame, prev_frame), cfg, "gate_step",
-                (("frame", frame), ("frame", prev_frame), ("attention", trace.layers)),
-            )
+            divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
+            spatial_values = _spatial(attn, divergence, cfg, "gate_step", trace.layers)
             values = spatial_values if values is None else values * spatial_values
         mask = UpdateMask(values, strategy)
         return _commit(candidate, prev_state, mask.values), mask

@@ -2,8 +2,9 @@
 
 The kernels trust their callers: every argument is already a float32
 ndarray of the right rank, and the shapes are compatible. They neither
-coerce nor check; the public operations in `gating` and `decoder` do
-both, once, with `as_matrix`/`as_vector`, and raise ConfigError there.
+coerce nor check; the public operations in `gating`, `decoder` and
+`world` do both, once, through `as_matrix`/`as_vector` (and
+`AttentionTrace`), and raise ConfigError naming the argument there.
 They call ufuncs and ufunc reductions directly (`np.add.reduce` for
 `.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send products
 of two 2-D operands through `ndarray.dot` rather than `np.matmul`: the
@@ -21,7 +22,8 @@ formula has one definition. IEEE negation and the subtraction
 `b - a == -(a - b)` are exact, so a negated argument gives the same bits,
 and each in-place form applies the same operations to the same operands
 in the same order as its out-of-place form.
-Given finite inputs every kernel returns finite float32 values.
+Given finite inputs whose products stay within float32 range, every
+kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
 """
 
@@ -46,20 +48,28 @@ _NEG_ONE = F32(-1.0)
 _EPS_COS32 = F32(EPS_COS)
 
 
+def _as_f32(x, name: str, ndim: int, form: str) -> np.ndarray:
+    """x as a float32 array of rank ndim (`form` in the message), else ConfigError naming `name`.
+
+    That includes ragged or non-numeric input, which numpy refuses.
+    """
+    try:
+        a = np.asarray(x, dtype=F32)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a rectangular numeric array, got {type(x).__name__}: {exc}") from None
+    if a.ndim != ndim:
+        raise ConfigError(f"{name} must be {form}, got ndim={a.ndim}")
+    return a
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float32 array, raising ConfigError otherwise."""
-    m = np.asarray(x, dtype=F32)
-    if m.ndim != 2:
-        raise ConfigError(f"{name} must be 2-D, got ndim={m.ndim}")
-    return m
+    return _as_f32(x, name, 2, "2-D")
 
 
 def as_vector(x, name: str = "vector") -> np.ndarray:
     """Coerce to a 1-D float32 array, raising ConfigError otherwise."""
-    v = np.asarray(x, dtype=F32)
-    if v.ndim != 1:
-        raise ConfigError(f"{name} must be 1-D, got ndim={v.ndim}")
-    return v
+    return _as_f32(x, name, 1, "1-D")
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,13 +105,25 @@ def rowwise_l2(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(m * m, axis=1))
 
 
-def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def cosine_denominator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-row |a_i| |b_i| + EPS_COS of two equal-shape matrices.
+
+    An entry is inf where finite rows overflow float32 in their squares or
+    in the norm product, and non-finite where a row is.
+    """
+    return rowwise_l2(a) * rowwise_l2(b) + _EPS_COS32
+
+
+def rowwise_cosine(a: np.ndarray, b: np.ndarray, denom: np.ndarray | None = None) -> np.ndarray:
     """Per-row cosine similarity of two equal-shape matrices.
 
     out[i] = <a_i, b_i> / (|a_i| |b_i| + EPS_COS), clamped to [-1, 1].
+    denom, if given, must be `cosine_denominator(a, b)`: a caller that
+    checks the denominators first passes them in.
     """
+    if denom is None:
+        denom = cosine_denominator(a, b)
     dots = np.add.reduce(a * b, axis=1)
-    denom = rowwise_l2(a) * rowwise_l2(b) + _EPS_COS32
     return np.minimum(np.maximum(dots / denom, _NEG_ONE), _ONE)
 
 

@@ -427,8 +427,10 @@ def _stream_line(s: StreamStep) -> str:
 def load_stream(path, obs_channels: int) -> list[StreamStep]:
     """Read back a trace written by dump_stream (float32-exact).
 
-    A malformed line, a non-ASCII byte or a non-finite value included,
-    raises ConfigError naming its 1-based line number.
+    A malformed line raises ConfigError naming its 1-based line number: a
+    non-ASCII byte, a non-finite value, a frame index below 1, a row count
+    that is not the observation's, or a visible index outside the truth's
+    regions included.
     """
     steps = []
     # An out-of-range value parses to inf, which the finiteness check names.
@@ -439,17 +441,27 @@ def load_stream(path, obs_channels: int) -> list[StreamStep]:
                 if not line:
                     continue
                 t_s, rows_s, vis_s, obs_s, truth_s = line.split(";")
+                t, rows = int(t_s), int(rows_s)
+                if t < 1:
+                    raise ValueError(f"frame index {t} < 1")
+                if rows < 1:  # reshape would infer a count of -1
+                    raise ValueError(f"row count {rows} < 1")
                 obs = np.array(
                     [F32(v) for v in obs_s.split(",")], dtype=F32
-                ).reshape(int(rows_s), obs_channels)
+                ).reshape(rows, obs_channels)
                 truth_vals = np.array([F32(v) for v in truth_s.split(",")], dtype=F32)
                 if not (np.isfinite(obs).all() and np.isfinite(truth_vals).all()):
                     raise ValueError("non-finite value")
+                truth = truth_vals.reshape(-1, obs_channels)
+                visible = tuple(int(i) for i in vis_s.split(",")) if vis_s else ()
+                for i in visible:
+                    if not 0 <= i < truth.shape[0]:
+                        raise ValueError(f"visible region {i} outside 0..{truth.shape[0] - 1}")
                 step = StreamStep(
-                    t=int(t_s),
+                    t=t,
                     observation=obs,
-                    visible_regions=tuple(int(i) for i in vis_s.split(",")) if vis_s else (),
-                    truth_snapshot=truth_vals.reshape(-1, obs_channels),
+                    visible_regions=visible,
+                    truth_snapshot=truth,
                 )
             except ValueError as exc:  # UnicodeDecodeError is one too
                 raise ConfigError(f"{path}: line {lineno}: malformed step ({exc})") from None

@@ -118,7 +118,7 @@ def test_decode_step_attention_rows_sum_to_one():
     frame = rng.standard_normal((5, 8)).astype(F32)
     state = rng.standard_normal((4, 8)).astype(F32)
     out = decode_step(frame, state, w)
-    assert out.trace.layer_count == 3
+    assert out.trace.layers.shape[0] == 3
     for layer in out.trace.layers:
         assert (layer >= 0).all()
         np.testing.assert_allclose(layer.sum(axis=1), np.ones(4), atol=1e-5)

@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamgate.decoder import decode_step, encode_frame, make_weights
 from streamgate.errors import ConfigError, StateError
-from streamgate.linalg import sigmoid
+from streamgate.linalg import rowwise_cosine, sigmoid
 from streamgate.gating import (
     AttentionTrace,
     AttnSource,
@@ -55,14 +57,14 @@ def test_attention_trace_rejects_empty_and_ragged():
 
 
 @pytest.mark.parametrize("layers, cause", [
-    ((), "at least one layer"),
-    ([], "at least one layer"),
+    ((), r"\(L, N, K\) array, got ndim=1"),
+    ([], r"\(L, N, K\) array, got ndim=1"),
     (np.zeros((0, 2, 3), dtype=F32), "at least one layer"),
-    ((np.zeros((2, 3), dtype=F32), np.zeros((2, 4), dtype=F32)), "disagree on shape"),
-    ((np.zeros((2, 3), dtype=F32), np.zeros((3, 3), dtype=F32)), "disagree on shape"),
+    ((np.zeros((2, 3), dtype=F32), np.zeros((2, 4), dtype=F32)), "must be a rectangular numeric array, got tuple"),
+    ((np.zeros((2, 3), dtype=F32), np.zeros((3, 3), dtype=F32)), "must be a rectangular numeric array, got tuple"),
     (np.zeros((2, 3), dtype=F32), r"\(L, N, K\) array, got ndim=2"),
     (np.zeros((1, 2, 3, 4), dtype=F32), r"\(L, N, K\) array, got ndim=4"),
-    ((np.zeros(3, dtype=F32),), "attention layer must be 2-D"),
+    ((np.zeros(3, dtype=F32),), r"\(L, N, K\) array, got ndim=2"),
 ])
 def test_attention_trace_rejects_naming_the_cause(layers, cause):
     with pytest.raises(ConfigError, match=cause):
@@ -80,14 +82,8 @@ def test_attention_trace_from_tuple_equals_from_array():
             assert isinstance(trace.layers, np.ndarray) and trace.layers.dtype == F32
             assert trace.layers.shape == (n_layers, 5, 3)
             assert trace.layers.tobytes() == stacked.tobytes()
-            assert trace.layer_count == n_layers
             assert [m.shape for m in trace.layers] == [(5, 3)] * n_layers
     assert AttentionTrace(stacked.astype(np.float64)).layers.tobytes() == stacked.tobytes()
-
-
-def test_attention_trace_layer_count():
-    trace = AttentionTrace((np.zeros((2, 3), dtype=F32),) * 4)
-    assert trace.layer_count == 4
 
 
 # --- temporal mask --------------------------------------------------------
@@ -199,6 +195,34 @@ def test_feature_divergence_cases():
     np.testing.assert_allclose(
         feature_divergence([[1.0, 0.0]], [[0.0, 1.0]]), [1.0], atol=1e-6
     )
+
+
+# Finite frames whose squares or norm product overflow float32: the cosine
+# would read NaN where both rows are huge, and 0 where one is huge and the
+# other tiny (the true divergence of those parallel rows is 0).
+_OVERFLOWING = {
+    "both-huge": (np.full((2, 3), 1e20, dtype=F32), np.full((2, 3), 1e20, dtype=F32)),
+    "huge-and-tiny": (np.array([[1e20, 1e20]], dtype=F32), np.array([[1e-19, 1e-19]], dtype=F32)),
+}
+
+
+@pytest.mark.parametrize("case", list(_OVERFLOWING))
+def test_feature_divergence_names_an_overflowing_cosine(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="feature_divergence: the cosine of curr and prev overflows float32"):
+            feature_divergence(*_OVERFLOWING[case])
+
+
+def test_feature_divergence_keeps_large_rows_whose_products_stay_finite():
+    # Each row's norm product is about 3e38, below the float32 maximum, but
+    # their sum overflows: the divergence is computed as before, silently.
+    rows = np.full((4, 3), 1e19, dtype=F32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        divergence = feature_divergence(rows, rows.copy())
+    want = np.float32(1.0) - rowwise_cosine(rows, rows)
+    assert divergence.tobytes() == want.tobytes()
 
 
 def test_feature_divergence_range_and_mismatch():
@@ -698,6 +722,7 @@ def test_gate_step_names_non_finite_attention():
 # the temporal gate (fused only) sees the candidate, the spatial gate the
 # frames and the trace, and the committed blend the candidate and prev_state.
 _SPATIAL_MESSAGE = "gate_step: non-finite frame in the spatial gate"
+_PREV_FRAME_MESSAGE = "gate_step: non-finite prev_frame in the spatial gate"
 _ATTENTION_MESSAGE = "gate_step: non-finite attention in the spatial gate"
 _TEMPORAL_MESSAGE = "temporal_mask: non-finite candidate or previous candidate"
 _BLEND_MESSAGE = "apply_update: non-finite blended state"
@@ -709,10 +734,10 @@ _BLEND_MESSAGE = "apply_update: non-finite blended state"
     "name, value, spatial_message, fused_message",
     [
         pytest.param("frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-frame"),
-        pytest.param("prev_frame", np.nan, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="nan-prev_frame"),
+        pytest.param("prev_frame", np.nan, _PREV_FRAME_MESSAGE, _PREV_FRAME_MESSAGE, id="nan-prev_frame"),
         pytest.param("frame", np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="inf-frame"),
         pytest.param("frame", -np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="-inf-frame"),
-        pytest.param("prev_frame", np.inf, _SPATIAL_MESSAGE, _SPATIAL_MESSAGE, id="inf-prev_frame"),
+        pytest.param("prev_frame", np.inf, _PREV_FRAME_MESSAGE, _PREV_FRAME_MESSAGE, id="inf-prev_frame"),
         pytest.param("trace", np.nan, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="nan-trace"),
         pytest.param("trace", np.inf, _ATTENTION_MESSAGE, _ATTENTION_MESSAGE, id="inf-trace"),
         pytest.param("candidate", np.inf, _BLEND_MESSAGE, _TEMPORAL_MESSAGE, id="inf-candidate"),
@@ -740,6 +765,18 @@ def test_gate_step_names_the_non_finite_input(attn_source, strategy, name, value
             gate_step(arrays["candidate"], arrays["prev_state"], arrays["frame"], trace,
                       GateConfig(attn_source=attn_source), strategy,
                       prev_candidate=prev_out.candidate, prev_frame=arrays["prev_frame"])
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])
+@pytest.mark.parametrize("case", list(_OVERFLOWING))
+def test_gate_step_names_an_overflowing_cosine(case, strategy):
+    frame, prev_frame = _OVERFLOWING[case]
+    d = _gate_inputs(seed=13, k=frame.shape[0], c=frame.shape[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="gate_step: the cosine of frame and prev_frame overflows float32"):
+            gate_step(d["candidate"], d["prev_state"], frame, d["trace"], GateConfig(), strategy,
+                      prev_candidate=d["prev_candidate"], prev_frame=prev_frame)
 
 
 @pytest.mark.parametrize(
@@ -863,3 +900,85 @@ def test_gate_step_saturated_sigmoids_raise_no_warning(strategy, spat_bias):
                                 prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
     assert np.isfinite(state).all()
     assert (mask.values >= 0).all() and (mask.values < 1).all()
+
+
+# --- non-finite input at the gate boundary, as properties -------------------
+# Every input a gate reads is checked; a NaN or infinity anywhere in one raises
+# StateError, and no RuntimeWarning escapes first.
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 6))
+
+# The inputs each strategy's gated step reads, besides candidate and prev_state.
+_READS = {
+    Strategy.UNIFORM: (),
+    Strategy.TEMPORAL_ONLY: ("prev_candidate",),
+    Strategy.SPATIAL_ONLY: ("frame", "prev_frame", "trace"),
+    Strategy.FUSED: ("prev_candidate", "frame", "prev_frame", "trace"),
+}
+
+
+def _poison(array, data, value):
+    """A copy of array with one entry, drawn by data, set to value."""
+    array = np.array(array, dtype=F32)
+    array[tuple(data.draw(st.integers(0, n - 1)) for n in array.shape)] = value
+    return array
+
+
+def _raises_state_error(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="non-finite"):
+            call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**16), side=st.sampled_from(["curr", "prev"]),
+       value=_NON_FINITE, data=st.data())
+def test_temporal_mask_and_feature_divergence_reject_any_non_finite_entry(shape, seed, side, value, data):
+    n, _, c = shape
+    rng = np.random.default_rng(seed)
+    arrays = {"curr": rng.standard_normal((n, c)), "prev": rng.standard_normal((n, c))}
+    arrays[side] = _poison(arrays[side], data, value)
+    _raises_state_error(lambda: temporal_mask(arrays["curr"], arrays["prev"], GateConfig()))
+    _raises_state_error(lambda: feature_divergence(arrays["curr"], arrays["prev"]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**16), side=st.sampled_from(["attn", "divergence"]),
+       data=st.data())
+def test_spatial_mask_rejects_any_non_finite_entry(shape, seed, side, data):
+    n, k, _ = shape
+    rng = np.random.default_rng(seed)
+    arrays = {"attn": np.abs(rng.standard_normal((n, k))), "divergence": 2 * rng.random(k)}
+    # -inf attention is negative, which the ConfigError for negative attention names first.
+    value = data.draw(st.sampled_from([np.nan, np.inf]) if side == "attn" else _NON_FINITE)
+    arrays[side] = _poison(arrays[side], data, value)
+    _raises_state_error(lambda: spatial_mask(arrays["attn"], arrays["divergence"], GateConfig()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=_SHAPES, seed=st.integers(0, 2**16), side=st.sampled_from(["candidate", "prev_state"]),
+       value=_NON_FINITE, data=st.data())
+def test_apply_update_rejects_any_non_finite_entry(shape, seed, side, value, data):
+    n, _, c = shape
+    rng = np.random.default_rng(seed)
+    arrays = {"candidate": rng.standard_normal((n, c)), "prev_state": rng.standard_normal((n, c))}
+    arrays[side] = _poison(arrays[side], data, value)
+    mask = UpdateMask(data.draw(st.sampled_from([np.zeros(n), np.ones(n), rng.random(n)])), Strategy.FUSED)
+    _raises_state_error(lambda: apply_update(arrays["candidate"], arrays["prev_state"], mask))
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), shape=_SHAPES, layers=st.integers(1, 3),
+       seed=st.integers(0, 2**16), value=_NON_FINITE, data=st.data())
+def test_gate_step_rejects_any_non_finite_input_it_reads(strategy, shape, layers, seed, value, data):
+    n, k, c = shape
+    d = _gate_inputs(seed=seed, n=n, k=k, c=c, layers=layers)
+    d["trace"] = d["trace"].layers
+    name = data.draw(st.sampled_from(("candidate", "prev_state") + _READS[strategy]))
+    d[name] = _poison(d[name], data, value)
+    _raises_state_error(lambda: gate_step(
+        d["candidate"], d["prev_state"], d["frame"], AttentionTrace(d["trace"]), GateConfig(), strategy,
+        prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"],
+    ))

@@ -1,5 +1,7 @@
 """The code README documents runs as written."""
 
+import functools
+import importlib
 import math
 import os
 import re
@@ -27,3 +29,33 @@ def test_flag_lists_name_exactly_the_cli_options():
     lists = text.split("Scene and model flags:", 1)[1].split("`streamgate <command> --help`", 1)[0]
     assert "Gate flags:" in lists and "Experiment flags:" in lists
     assert set(re.findall(r"--([a-z][a-z-]*)", lists)) == set(cli._OPTIONS)
+
+
+def _module_table():
+    """(module name, contents) per row of the README's module table."""
+    with open(README, encoding="utf-8") as fh:
+        table = fh.read().split("| module | contents |", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"^\| `(streamgate\.\w+)` \| (.*) \|$", table, re.M)
+
+
+def test_module_table_names_only_what_its_modules_define():
+    # A call (`name(`) or a class (`CamelCase`, `Class.attr`) in backticks
+    # must resolve in the module of its row, so a rename or deletion fails here.
+    rows = _module_table()
+    assert [module for module, _ in rows] == [
+        "streamgate.linalg", "streamgate.gating", "streamgate.decoder", "streamgate.world",
+        "streamgate.evaluation", "streamgate.cli", "streamgate.oracle",
+    ]
+    missing = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for span in re.findall(r"`([^`]+)`", contents):
+            name = re.match(r"(\w+(?:\.\w+)*)\(|([A-Z]\w*(?:\.\w+)*)$", span)
+            if name is None:
+                continue
+            path = (name.group(1) or name.group(2)).split(".")
+            try:
+                functools.reduce(getattr, path, module)
+            except AttributeError:
+                missing.append(f"{module_name}: {span}")
+    assert not missing

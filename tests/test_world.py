@@ -371,6 +371,61 @@ def test_load_stream_names_a_non_finite_value(tmp_path, field, value):
             load_stream(path, obs_channels=4)
 
 
+# _dumped_lines writes 3 regions under the FULL schedule: each line reads
+# t;3;0,1,2;<12 values>;<12 values>. Each case loaded silently before.
+@pytest.mark.parametrize(
+    "field, value, cause",
+    [
+        (1, "-1", "row count -1 < 1"),
+        (0, "-7", "frame index -7 < 1"),
+        (0, "0", "frame index 0 < 1"),
+        (2, "0,1,9", "visible region 9 outside 0..2"),
+        (2, "-1", "visible region -1 outside 0..2"),
+    ],
+    ids=["rows-minus-one", "negative-t", "zero-t", "visible-past-the-truth", "negative-visible"],
+)
+def test_load_stream_names_a_bad_count_or_index(tmp_path, field, value, cause):
+    path, lines = _dumped_lines(tmp_path)
+    fields = lines[1].split(";")
+    fields[field] = value
+    lines[1] = ";".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=rf"line 2: malformed step \({cause}\)"):
+        load_stream(path, obs_channels=4)
+
+
+# One corruption per kind of malformed line, each a function of its fields.
+_CORRUPTIONS = {
+    "short": lambda f: f[:3],
+    "long": lambda f: f + ["1"],
+    "rows": lambda f: [f[0], str(int(f[1]) + 1)] + f[2:],
+    "rows-minus-one": lambda f: [f[0], "-1"] + f[2:],
+    "t": lambda f: ["0"] + f[1:],
+    "t-not-an-integer": lambda f: ["1.5"] + f[1:],
+    "visible": lambda f: f[:2] + ["3"] + f[3:],
+    "value-count": lambda f: f[:3] + [f[3].rsplit(",", 1)[0]] + f[4:],
+    "non-finite": lambda f: f[:4] + ["nan" + f[4][f[4].index(","):]],
+    "non-numeric": lambda f: f[:3] + ["x" + f[3][f[3].index(","):]] + f[4:],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.integers(1, 6), bad=st.data(), kind=st.sampled_from(sorted(_CORRUPTIONS)))
+def test_load_stream_names_the_line_of_any_malformed_step(tmp_path_factory, frames, bad, kind):
+    scene = generate_scene(3, 4, 0.0, 0.0, seed=20)
+    cursor = StreamCursor(scene, CoverageSchedule(kind=ScheduleKind.FULL), 0.1, seed=21)
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    dump_stream(path, [cursor.step() for _ in range(frames)])
+    lines = path.read_text().splitlines()
+    lineno = bad.draw(st.integers(1, frames))
+    lines[lineno - 1] = ";".join(_CORRUPTIONS[kind](lines[lineno - 1].split(";")))
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f": line {lineno}: malformed step"):
+            load_stream(path, obs_channels=4)
+
+
 def _same_step(a, b):
     return (a.t, a.visible_regions, a.observation.tobytes(), a.truth_snapshot.tobytes()) == (
         b.t, b.visible_regions, b.observation.tobytes(), b.truth_snapshot.tobytes()
