@@ -4,7 +4,9 @@ Subcommands: run | ablate | degrade | sweep-tau | oracle-check. Options can
 come from flags, from a flat key=value config file (--config, or the
 STREAMGATE_CONFIG environment variable), or from defaults, with flags
 taking precedence over the file and the file over defaults. Unknown keys
-are rejected and every constraint violation names the offending key.
+are rejected, as is a key given twice in one source (only --strategy
+repeats, as a flag), and every constraint violation names the offending
+key.
 
 _OPTIONS maps each option key to its RunConfig field, a parser that also
 enforces the key's own bound, and its help text; COMMANDS maps each
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from .decoder import make_weights
-from .errors import ConfigError
+from .errors import ConfigError, StreamGateError
 from .evaluation import (
     WorldSpec,
     degradation_curve,
@@ -207,6 +209,8 @@ _OPTIONS: dict[str, _Option] = {
     "format": _Option("fmt", _choice(_FORMATS), "output format", _metavar(_FORMATS)),
     "dump-stream": _Option("dump_stream", _text, "also write the run's stream trace to this path"),
 }
+
+_REPEATABLE = {key for key, opt in _OPTIONS.items() if opt.repeatable}
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +432,15 @@ class _DefaultsFormatter(argparse.HelpFormatter):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="flat key=value config file")
+    # Every flag collects its occurrences; parse_config rejects a repeat of
+    # any but a repeatable one.
+    common.add_argument("--config", action="append", default=[], help="flat key=value config file")
     for key, opt in _OPTIONS.items():
         common.add_argument(
             f"--{key}",
             dest=key,
             default=argparse.SUPPRESS,
-            action="append" if opt.repeatable else "store",
+            action="append",
             metavar=opt.metavar,
             help=opt.help,
         )
@@ -463,6 +469,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -473,6 +480,9 @@ def _read_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _OPTIONS:
             raise ConfigError(f"config: unknown key {key!r} (line {lineno})")
+        if key in first_line:
+            raise ConfigError(f"config: key {key!r} repeated (lines {first_line[key]} and {lineno})")
+        first_line[key] = lineno
         values[key] = raw.strip()
     return values
 
@@ -504,14 +514,16 @@ def parse_config(argv=None) -> RunConfig:
     """Parse flags plus optional config file into a validated RunConfig."""
     given = vars(_build_parser().parse_args(argv))
     command = given.pop("command")
-    config_path = given.pop("config", None) or os.environ.get(ENV_CONFIG)
+    for key, raw in given.items():
+        if len(raw) > 1 and key not in _REPEATABLE:
+            raise ConfigError(f"{key}: given {len(raw)} times, at most once allowed")
+    config_path = "".join(given.pop("config")) or os.environ.get(ENV_CONFIG)  # at most one path
 
     merged = dict(COMMANDS[command].defaults)
     sources = [_read_config_file(config_path)] if config_path else []
-    for values in (*sources, given):
+    flags = {key: ",".join(raw) for key, raw in given.items()}  # a repeatable flag's values join
+    for values in (*sources, flags):
         for key, raw in values.items():
-            if isinstance(raw, list):  # a repeated flag
-                raw = ",".join(raw)
             option = _OPTIONS[key]
             merged[option.field] = option.parse(key, raw)
 
@@ -543,6 +555,9 @@ def main(argv=None) -> None:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
+    except StreamGateError as exc:  # a StateError: the run's values left float32's range
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         raise SystemExit(1) from None

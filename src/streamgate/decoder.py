@@ -39,11 +39,12 @@ Hand-constructed weights with arbitrary matrices remain fully supported.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, StateError, check_int
 from .gating import AttentionTrace, AttnSource
 from .linalg import F32, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
@@ -98,9 +99,9 @@ class DecoderWeights:
     key_value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        query = tuple(as_matrix(m, "query") for m in self.query)
-        key = tuple(as_matrix(m, "key") for m in self.key)
-        value = tuple(as_matrix(m, "value") for m in self.value)
+        query = _layer_matrices("query", self.query)
+        key = _layer_matrices("key", self.key)
+        value = _layer_matrices("value", self.value)
         if not query:
             raise ConfigError("decoder needs at least one layer")
         if not (len(query) == len(key) == len(value)):
@@ -135,6 +136,15 @@ class DecoderWeights:
     @property
     def obs_channels(self) -> int:
         return self.encoder.shape[0]
+
+
+def _layer_matrices(name: str, layers) -> tuple[np.ndarray, ...]:
+    """One float32 matrix per layer; ConfigError naming `name` unless `layers` is iterable."""
+    if not isinstance(layers, Iterable):
+        raise ConfigError(
+            f"{name} must be a sequence of per-layer matrices, got {type(layers).__name__}"
+        )
+    return tuple(as_matrix(m, name) for m in layers)
 
 
 @dataclass(frozen=True)
@@ -220,9 +230,12 @@ def decode_step(
     attention probabilities, which the softmax writes into directly, or of
     the raw scaled scores when attn_source is PRE_SOFTMAX_ABS. The layers
     scale, gate and update arrays they own in place, with the same
-    operations in the same order as the formulas above, and run under one
-    np.errstate(over="ignore"), so the gate's exp saturates without a
-    warning; frame and state are left unchanged.
+    operations in the same order as the formulas above. The step runs under
+    one np.errstate(over="ignore", invalid="ignore"): the gate's exp
+    saturates without a warning, and a candidate made non-finite by a
+    non-finite frame or state, or by a float32 overflow (scores beyond
+    float32's range make the softmax compute inf - inf), raises a
+    StateError naming the cause. Frame and state are left unchanged.
     """
     frame = as_matrix(frame, "frame")
     state = as_matrix(state, "state")
@@ -237,13 +250,13 @@ def decode_step(
     if state.shape[0] < 1:
         raise ConfigError("decode_step requires at least one state token")
     scale = F32(1.0 / math.sqrt(c))
-    tokens = _mix_tokens(state)
     n_layers = len(weights.query)
-    kv = matmul(frame, weights.key_value)
-    keys_t = kv[:n_layers].swapaxes(1, 2)
     traced = np.empty((n_layers, state.shape[0], frame.shape[0]), dtype=F32)
     pre_softmax = attn_source is AttnSource.PRE_SOFTMAX_ABS
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        tokens = _mix_tokens(state)
+        kv = matmul(frame, weights.key_value)
+        keys_t = kv[:n_layers].swapaxes(1, 2)
         for layer, wq in enumerate(weights.query):
             scores = matmul(matmul(tokens, wq), keys_t[layer])
             scores *= scale
@@ -259,6 +272,11 @@ def decode_step(
             retrieved -= tokens
             np.multiply(gate, retrieved, out=retrieved)
             tokens += retrieved
+        if not math.isfinite(np.add.reduce(tokens, axis=None)) and not np.isfinite(tokens).all():
+            for name, array in (("frame", frame), ("state", state)):
+                if not np.isfinite(array).all():
+                    raise StateError(f"decode_step: non-finite {name}")
+            raise StateError("decode_step: non-finite candidate: the finite frame and state overflow float32")
     return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
 
 

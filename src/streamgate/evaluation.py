@@ -174,36 +174,41 @@ def run_session(
     drifts = scene.drifts
     truth = None
 
-    for i in range(frames):
-        step = stream.step()
-        frame = encode_frame(step.observation, weights)
-        out = decode_step(frame, state, weights, cfg.attn_source)
-        state, mask = gate_step(
-            out.candidate,
-            state,
-            frame,
-            out.trace,
-            cfg,
-            strategy,
-            prev_candidate=prev_candidate,
-            prev_frame=prev_frame,
-        )
-        prev_candidate = out.candidate
-        prev_frame = frame
-        masks[i] = mask.values
-        visible.append(step.visible_regions)
-        if i + 1 not in score:
-            continue
+    # A stream whose codes leave float32's range makes an inf frame, which
+    # decode_step names in a StateError: the stream step and the encoding
+    # stay silent under this one errstate, as the decode and the gates do
+    # under theirs.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(frames):
+            step = stream.step()
+            frame = encode_frame(step.observation, weights)
+            out = decode_step(frame, state, weights, cfg.attn_source)
+            state, mask = gate_step(
+                out.candidate,
+                state,
+                frame,
+                out.trace,
+                cfg,
+                strategy,
+                prev_candidate=prev_candidate,
+                prev_frame=prev_frame,
+            )
+            prev_candidate = out.candidate
+            prev_frame = frame
+            masks[i] = mask.values
+            visible.append(step.visible_regions)
+            if i + 1 not in score:
+                continue
 
-        estimate = readout(out.candidate, weights).astype(np.float64)
-        if truth is None or drifts:
-            truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
-        scale = float(np.add.reduce(estimate * truth, axis=None)) / (
-            float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
-        )
-        errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
-        region_errors[len(per_frame_error)] = errs
-        per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
+            estimate = readout(out.candidate, weights).astype(np.float64)
+            if truth is None or drifts:
+                truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
+            scale = float(np.add.reduce(estimate * truth, axis=None)) / (
+                float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
+            )
+            errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
+            region_errors[len(per_frame_error)] = errs
+            per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
 
     mask_stats = list(zip(
         (np.add.reduce(masks, axis=1) / F32(masks.shape[1])).tolist(),

@@ -136,11 +136,12 @@ class AttentionTrace:
 # non-finite input (inf - inf, inf / inf, 0 * inf) reaches a named StateError.
 
 
-def _matching(op: str, a: np.ndarray, b, name: str) -> np.ndarray:
-    """Coerce `b` to a matrix shaped like the already-coerced `a`; a mismatch names `op`."""
+def _matching(op: str, a: np.ndarray, b, name: str, a_name: str = "") -> np.ndarray:
+    """Coerce `b` to a matrix shaped like `a`; a mismatch names `op`, and the pair given `a_name`."""
     b = as_matrix(b, name)
     if a.shape != b.shape:
-        raise ConfigError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+        pair = f" ({a_name} vs {name})" if a_name else ""
+        raise ConfigError(f"{op} shape mismatch: {a.shape} vs {b.shape}{pair}")
     return b
 
 
@@ -335,18 +336,31 @@ def gate_step(
     written in full. Supplying exactly one of the two buffers means the
     caller's session bookkeeping is broken and raises StateError, as do a
     non-finite input the strategy reads and frames too large for float32
-    to take their cosine. The inputs are validated once,
-    here; the result equals composing temporal_mask, feature_divergence,
+    to take their cosine. Every argument is validated once, here, before the
+    route is chosen; the result equals composing temporal_mask, feature_divergence,
     aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
     candidate = as_matrix(candidate, "candidate")
-    prev_state = _matching("apply_update", candidate, prev_state, "prev_state")
+    prev_state = _matching("apply_update", candidate, prev_state, "prev_state", "candidate")
     if (prev_candidate is None) != (prev_frame is None):
         raise StateError(
             "prev_candidate and prev_frame must both be absent (first frame) "
             "or both be present"
         )
-    n = candidate.shape[0]
+    frame = as_matrix(frame, "frame")
+    if prev_candidate is not None:
+        prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate", "candidate")
+        prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame", "frame")
+    n, k = candidate.shape[0], frame.shape[0]
+    if n < 1 or k < 1:
+        raise ConfigError(
+            f"gate_step requires at least one state token and one frame token, got {n} and {k}"
+        )
+    if not isinstance(trace, AttentionTrace):
+        raise ConfigError(f"trace must be an AttentionTrace, got {type(trace).__name__}")
+    if trace.layers.shape[1:] != (n, k):
+        raise ConfigError(f"gate_step: attention trace is {trace.layers.shape[1]} x {trace.layers.shape[2]}, "
+                          f"expected {n} state tokens (candidate) x {k} frame tokens (frame)")
     # One errstate for the whole step, the uniform commit included: numpy's
     # context manager costs a few microseconds to enter.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -357,23 +371,9 @@ def gate_step(
         if route is None:
             raise ConfigError(f"unknown strategy {strategy!r}")
         temporal, spatial = route
-        if n < 1:
-            raise ConfigError("gate_step requires at least one state token")
-        values = None
-        if temporal:
-            prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate")
-            values = _temporal(candidate, prev_candidate, cfg)
+        values = _temporal(candidate, prev_candidate, cfg) if temporal else None
         if spatial:
-            frame = as_matrix(frame, "frame")
-            prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame")
             attn = aggregate_attention(trace)
-            if attn.shape != (n, frame.shape[0]):
-                raise ConfigError(
-                    f"gate_step: attention trace is {attn.shape[0]} x {attn.shape[1]}, "
-                    f"expected {n} state tokens x {frame.shape[0]} frame tokens"
-                )
-            if frame.shape[0] < 1:
-                raise ConfigError("spatial_mask requires at least one frame token")
             divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
             spatial_values = _spatial(attn, divergence, cfg, "gate_step", trace.layers)
             values = spatial_values if values is None else values * spatial_values

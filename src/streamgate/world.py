@@ -46,9 +46,15 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
+# The largest rate whose float32 cast stays finite.
+_MAX_RATE = float(np.finfo(F32).max)
+
+
 def _check_finite_rate(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+    if not 0 <= value <= _MAX_RATE:  # NaN fails both comparisons
+        raise ConfigError(
+            f"{name} must be finite, >= 0 and <= float32's maximum {_MAX_RATE!r}, got {value}"
+        )
 
 
 class ScheduleKind(enum.Enum):
@@ -432,6 +438,7 @@ def load_stream(path, obs_channels: int) -> list[StreamStep]:
     that is not the observation's, or a visible index outside the truth's
     regions included.
     """
+    obs_channels = check_int("obs_channels", obs_channels, 1)
     steps = []
     # An out-of-range value parses to inf, which the finiteness check names.
     with open(path, "rb") as fh, np.errstate(over="ignore"):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import streamgate
+from streamgate import cli
 from streamgate.cli import fmt_real, main, parse_config
 from streamgate.errors import ConfigError
 
@@ -21,6 +22,13 @@ SMALL = [
     "--frames", "5",
     "--seeds", "0,1",
 ]
+
+
+def small(*flags):
+    """SMALL with each `flag, value` pair of `flags` set: a flag may be given once."""
+    values = dict(zip(SMALL[::2], SMALL[1::2]))
+    values.update(zip(flags[::2], flags[1::2]))
+    return [item for pair in values.items() for item in pair]
 
 
 def run_cli(argv):
@@ -118,6 +126,41 @@ def test_config_file_unknown_key_rejected(tmp_path):
     conf.write_text("taw=2.0\n")
     with pytest.raises(ConfigError, match="taw"):
         parse_config(["run", "--config", str(conf), "--out", "x.csv"])
+
+
+# Every option takes one value per source; only --strategy repeats, as a
+# flag. A repeat in the config file names the key and both lines.
+_DEFAULT = parse_config(["ablate", "--out", "x.csv"])
+_VALUES = {key: cli._fmt_value(getattr(_DEFAULT, opt.field)) for key, opt in cli._OPTIONS.items()}
+
+
+def _flag_argv(key, times):
+    argv = ["ablate", *[item for _ in range(times) for item in (f"--{key}", _VALUES[key])]]
+    return argv if key == "out" else [*argv, "--out", "x.csv"]
+
+
+@pytest.mark.parametrize("key", sorted(k for k, opt in cli._OPTIONS.items() if not opt.repeatable))
+def test_a_repeated_flag_is_rejected_naming_its_key(capsys, key):
+    parse_config(_flag_argv(key, 1))
+    assert run_cli(_flag_argv(key, 2)) == 2
+    assert capsys.readouterr().err == f"error: {key}: given 2 times, at most once allowed\n"
+
+
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+def test_a_key_repeated_in_the_config_file_is_rejected_naming_its_lines(tmp_path, key):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"{key}={_VALUES[key]}\n")
+    parse_config(["ablate", "--config", str(conf), "--out", "x.csv"])
+    conf.write_text(f"{key}={_VALUES[key]}\n# again\n{key}={_VALUES[key]}\n")
+    with pytest.raises(ConfigError, match=rf"^config: key '{key}' repeated \(lines 1 and 3\)$"):
+        parse_config(["ablate", "--config", str(conf), "--out", "x.csv"])
+
+
+def test_a_repeated_config_flag_is_rejected(tmp_path, capsys):
+    conf = tmp_path / "exp.conf"
+    conf.write_text("tau=2.0\n")
+    assert run_cli(["run", "--config", str(conf), "--config", str(conf), "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "error: config: given 2 times, at most once allowed\n"
 
 
 def test_config_file_from_environment(tmp_path, monkeypatch):
@@ -277,7 +320,7 @@ def test_commands_byte_identical_across_reruns(tmp_path, argv):
 # in a fresh directory. A change in any byte means a change in behaviour.
 PINNED = {
     "run": (
-        ["run", *SMALL, "--frames", "12", "--schedule", "revisit", "--period", "3",
+        ["run", *small("--frames", "12"), "--schedule", "revisit", "--period", "3",
          "--drift-rate", "0.05", "--dynamic-fraction", "0.5", "--attn-source", "preabs",
          "--out", "run.csv", "--dump-stream", "trace.txt"],
         {
@@ -290,7 +333,7 @@ PINNED = {
         {"ablate.csv": "2d1108b77fb6037f3a190f797608869ff4cd0a55970dad4defd7b099f49c75cb"},
     ),
     "ablate-jsonl": (
-        ["ablate", *SMALL, "--strategy", "fused,uniform", "--seeds", "3,1,2",
+        ["ablate", *small("--seeds", "3,1,2"), "--strategy", "fused,uniform",
          "--format", "jsonl", "--out", "ablate.jsonl"],
         {"ablate.jsonl": "0691e7e045739aa68c9652d599c85a66f079fb55908813b1ef99d1730308ce47"},
     ),
@@ -401,6 +444,19 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
     assert oct(out.stat().st_mode & 0o777) == oct(mode)
     assert oct(trace.stat().st_mode & 0o777) == oct(mode)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "trace.txt"]
+
+
+# A StateError ends the run with one error line and status 1, no traceback
+# and no output file; a ConfigError keeps status 2.
+def test_a_state_error_is_one_error_line_with_status_1(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    argv = ["run", "--schedule", "full", "--frame-tokens", "4", "--dynamic-fraction", "0.5",
+            "--drift-rate", "1e25", "--frames", "30", "--out", str(out)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: decode_step: non-finite candidate")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not out.exists()
 
 
 def test_oracle_check_passes(capsys):

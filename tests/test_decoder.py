@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from streamgate.decoder import (
     make_weights,
     readout,
 )
-from streamgate.errors import ConfigError
+from streamgate.errors import ConfigError, StateError
 from streamgate.gating import AttnSource
 from streamgate.linalg import matmul, row_softmax, sigmoid
 from streamgate import oracle
@@ -87,6 +88,13 @@ def test_decoder_weights_validation():
         DecoderWeights(query=(eye,), key=(eye, eye), value=(eye,), readout=eye, encoder=eye)
     with pytest.raises(ConfigError):
         DecoderWeights(query=(eye,), key=(eye,), value=(eye,), readout=np.eye(3, dtype=F32), encoder=eye)
+
+
+@pytest.mark.parametrize("bad", [5, None, 2.5])
+@pytest.mark.parametrize("field", ["query", "key", "value"])
+def test_decoder_weights_name_a_field_that_is_not_a_sequence(field, bad):
+    with pytest.raises(ConfigError, match=rf"^{field} must be a sequence of per-layer matrices, got "):
+        dataclasses.replace(make_weights(2, 4), **{field: bad})
 
 
 def test_encode_frame_linearity_and_determinism():
@@ -345,3 +353,25 @@ def test_decode_step_saturated_gate_raises_no_warning(attn_source):
     tokens, traced = _per_layer_decode(frame, state, w, attn_source)
     assert out.candidate.tobytes() == tokens.tobytes()
     assert [m.tobytes() for m in out.trace.layers] == [m.tobytes() for m in traced]
+
+
+# A candidate that is not finite is named by decode_step, whether an input
+# was not finite or finite inputs overflowed float32 (inf - inf in the
+# softmax), and no RuntimeWarning escapes first.
+@pytest.mark.parametrize("attn_source", list(AttnSource))
+@pytest.mark.parametrize("side, value, message", [
+    ("frame", np.nan, "non-finite frame"),
+    ("frame", np.inf, "non-finite frame"),
+    ("state", -np.inf, "non-finite state"),
+    ("frame", 1e20, "non-finite candidate: the finite frame and state overflow float32"),
+    ("state", 1e20, "non-finite candidate: the finite frame and state overflow float32"),
+])
+def test_decode_step_names_a_non_finite_candidate(side, value, message, attn_source):
+    rng = np.random.default_rng(83)
+    arrays = {"frame": rng.standard_normal((3, 8)).astype(F32),
+              "state": rng.standard_normal((4, 8)).astype(F32)}
+    arrays[side][1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=f"^decode_step: {message}$"):
+            decode_step(arrays["frame"], arrays["state"], make_weights(2, 8, 8, seed=4), attn_source)

@@ -1,11 +1,14 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamgate import evaluation
 from streamgate.decoder import decode_step, encode_frame, make_weights, readout
-from streamgate.errors import ConfigError
+from streamgate.errors import ConfigError, StateError
 from streamgate.evaluation import (
     WorldSpec,
     degradation_curve,
@@ -554,3 +557,22 @@ def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch)
     assert [run[0][2] for run in runs] == stream_seeds
     for run in runs:
         assert isinstance(run[0][3], StreamTape) and all(call[3] is run[0][3] for call in run)
+
+
+# Region codes drifting by 1e19 or more per frame overflow the decoder's
+# float32 attention scores within 40 frames, and near float32's maximum the
+# codes themselves overflow. Either way every strategy's session raises a
+# named StateError, under warnings-as-errors, rather than a raw
+# RuntimeWarning from the softmax's inf - inf or the stream's drift.
+@settings(max_examples=30, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), exponent=st.floats(19, 39),
+       noise_sigma=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**16))
+def test_a_session_whose_values_overflow_float32_raises_state_error(strategy, exponent, noise_sigma, seed):
+    drift_rate = min(10.0 ** exponent, float(np.finfo(np.float32).max))
+    scene = generate_scene(4, 8, 0.5, drift_rate, seed=seed)
+    stream = StreamCursor(scene, CoverageSchedule(ScheduleKind.FULL), noise_sigma, seed)
+    weights = make_weights(n_layers=2, channels=8, obs_channels=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match="^decode_step: non-finite "):
+            run_session(stream, weights, GateConfig(), strategy, 40)

@@ -699,11 +699,15 @@ def test_gate_step_names_a_non_finite_observation(strategy):
     frames = [encode_frame(o, w) for o in obs]
     first = decode_step(frames[0], state, w)
     state, _ = gate_step(first.candidate, state, frames[0], first.trace, GateConfig(), strategy)
-    out = decode_step(frames[1], state, w)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        # This decoder names the non-finite frame itself; a caller's own
+        # decoder may hand gate_step an all-NaN candidate instead.
+        with pytest.raises(StateError, match="^decode_step: non-finite frame$"):
+            decode_step(frames[1], state, w)
+        candidate = np.full_like(first.candidate, np.nan)
         with pytest.raises(StateError, match="non-finite") as exc:
-            gate_step(out.candidate, state, frames[1], out.trace, GateConfig(), strategy,
+            gate_step(candidate, state, frames[1], first.trace, GateConfig(), strategy,
                       prev_candidate=first.candidate, prev_frame=frames[0])
     if strategy is Strategy.SPATIAL_ONLY:
         assert "non-finite frame" in str(exc.value)
@@ -982,3 +986,36 @@ def test_gate_step_rejects_any_non_finite_input_it_reads(strategy, shape, layers
         d["candidate"], d["prev_state"], d["frame"], AttentionTrace(d["trace"]), GateConfig(), strategy,
         prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"],
     ))
+
+
+# gate_step checks every argument before it picks a route, so a malformed
+# or mismatched one is named on every strategy's route and on the first
+# frame alike, whether or not the route reads it.
+_MALFORMED = st.sampled_from([[[1.0, 2.0], [3.0]], "garbage", [["a", "b"]], {"a": 1}])
+
+
+@settings(max_examples=120, deadline=None)
+@given(strategy=st.sampled_from(list(Strategy)), first_frame=st.booleans(), shape=_SHAPES,
+       seed=st.integers(0, 2**16), malformed=st.booleans(), data=st.data())
+def test_gate_step_names_any_bad_argument_on_every_route(strategy, first_frame, shape, seed, malformed, data):
+    n, k, c = shape
+    d = _gate_inputs(seed=seed, n=n, k=k, c=c)
+    if first_frame:
+        d["prev_candidate"] = d["prev_frame"] = None
+    buffers = () if first_frame else ("prev_candidate", "prev_frame")
+    arg = data.draw(st.sampled_from(("candidate", "prev_state", "frame", *buffers, "trace")))
+    if arg == "trace" and malformed:
+        d[arg] = data.draw(st.sampled_from([d["trace"].layers, "not a trace", None]))
+        pattern = r"^trace must be an AttentionTrace, got "
+    elif arg == "trace":
+        d[arg] = AttentionTrace(np.ones((2, n + 1, k), dtype=F32))
+        pattern = r"\btrace\b"
+    elif malformed:
+        d[arg] = data.draw(_MALFORMED)
+        pattern = rf"^{arg} must be a rectangular numeric array, got "
+    else:  # one token more than its partner, or than the trace on a first frame
+        d[arg] = np.ones((d[arg].shape[0] + 1, c), dtype=F32)
+        pattern = rf"\b{arg}\b"
+    with pytest.raises(ConfigError, match=pattern):
+        gate_step(d["candidate"], d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy,
+                  prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])

@@ -59,7 +59,8 @@ def test_generate_scene_validation():
         generate_scene(4, 4, drift_rate=-0.1)
 
 
-@pytest.mark.parametrize("drift_rate", [math.nan, math.inf, -math.inf])
+# 1e39 is finite, but its float32 cast is inf.
+@pytest.mark.parametrize("drift_rate", [math.nan, math.inf, -math.inf, 1e39])
 def test_non_finite_drift_rate_rejected_naming_the_field(drift_rate):
     with pytest.raises(ConfigError, match="drift_rate"):
         generate_scene(4, 4, 0.5, drift_rate, seed=1)
@@ -242,7 +243,7 @@ def test_streams_bit_identical_across_runs():
         assert s1.truth_snapshot.tobytes() == s2.truth_snapshot.tobytes()
 
 
-@pytest.mark.parametrize("noise_sigma", [-0.1, math.nan, math.inf])
+@pytest.mark.parametrize("noise_sigma", [-0.1, math.nan, math.inf, 1e39])
 def test_stream_cursor_rejects_bad_noise_sigma_naming_the_field(noise_sigma):
     scene = generate_scene(4, 3, 0.0, 0.0, seed=12)
     with pytest.raises(ConfigError, match="noise_sigma"):
@@ -325,6 +326,13 @@ def _dumped_lines(tmp_path):
     path = tmp_path / "trace.txt"
     dump_stream(path, [cursor.step() for _ in range(3)])
     return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("obs_channels", [2.5, 0, -1, True, "4"])
+def test_load_stream_names_a_bad_obs_channels(tmp_path, obs_channels):
+    path, _ = _dumped_lines(tmp_path)
+    with pytest.raises(ConfigError, match=r"^obs_channels must be an integer >= 1, got "):
+        load_stream(path, obs_channels)
 
 
 def test_load_stream_names_a_short_line(tmp_path):
