@@ -45,7 +45,6 @@ from .world import (
     ScheduleKind,
     StreamCursor,
     StreamStep,
-    StreamTape,
     dump_stream,
     generate_scene,
     load_stream,
@@ -71,7 +70,6 @@ __all__ = [
     "StreamCursor",
     "StreamGateError",
     "StreamStep",
-    "StreamTape",
     "UpdateMask",
     "WorldSpec",
     "aggregate_attention",

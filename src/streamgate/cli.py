@@ -42,7 +42,7 @@ from .evaluation import (
 )
 from .gating import AttnSource, GateConfig, Strategy
 from .oracle import run_oracle_suite
-from .world import CoverageSchedule, ScheduleKind, StreamTape, atomic_write, dump_stream
+from .world import _MAX_RATE, CoverageSchedule, ScheduleKind, _StreamTape, atomic_write, dump_stream
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
@@ -81,7 +81,7 @@ class RunConfig:
     frames: int = 300
     lengths: tuple[int, ...] = (50, 500)
     taus: tuple[float, ...] = (0.5, 1.0, 2.0)
-    strategies: tuple[str, ...] = _STRATEGIES
+    strategies: tuple[str, ...] = ("uniform", "temporal", "spatial", "fused")
     seeds: tuple[int, ...] = tuple(range(20))
     out: str = ""
     fmt: str = "csv"
@@ -124,7 +124,10 @@ def _bounded(parse, bound: str, ok: Callable[[float], bool]):
 _COUNT = _bounded(_parse_int, ">= 1", lambda v: v >= 1)
 _SEED = _bounded(_parse_int, ">= 0", lambda v: v >= 0)
 _POSITIVE = _bounded(_parse_real, "> 0", lambda v: v > 0)
-_NONNEGATIVE = _bounded(_parse_real, ">= 0", lambda v: v >= 0)
+# The bound world checks on a scene's drift rate and a cursor's noise sigma.
+_RATE = _bounded(
+    _parse_real, f">= 0 and <= float32's maximum {_MAX_RATE!r}", lambda v: 0 <= v <= _MAX_RATE
+)
 _FRACTION = _bounded(_parse_real, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
@@ -175,8 +178,8 @@ _OPTIONS: dict[str, _Option] = {
     "scene-regions": _Option("regions", _COUNT, "ground-truth regions R"),
     "obs-channels": _Option("obs_channels", _COUNT, "observation channels"),
     "dynamic-fraction": _Option("dynamic_fraction", _FRACTION, "fraction of regions that drift"),
-    "drift-rate": _Option("drift_rate", _NONNEGATIVE, "per-step drift of dynamic regions"),
-    "noise-sigma": _Option("noise_sigma", _NONNEGATIVE, "observation noise std"),
+    "drift-rate": _Option("drift_rate", _RATE, "per-step drift of dynamic regions"),
+    "noise-sigma": _Option("noise_sigma", _RATE, "observation noise std"),
     "state-tokens": _Option(
         "state_tokens", _COUNT, "state tokens N; must equal scene-regions (default scene-regions)"
     ),
@@ -312,13 +315,12 @@ def _rows(header: list[str], values) -> list[dict]:
 def _run(cfg: RunConfig):
     world, weights, gate_cfg, strategies = _experiment(cfg)
     stream = seeded_stream(world, cfg.seeds[0])
-    # A dump replays the steps the session generated; a run without one keeps no tape.
-    tape = StreamTape(stream) if cfg.dump_stream else None
+    # A dump writes the steps the session recorded; a run without one keeps no tape.
+    tape = _StreamTape(stream) if cfg.dump_stream else None
     session = tape.cursor() if tape else stream
     result = run_session(session, weights, gate_cfg, strategies[0], cfg.frames)
     if tape:
-        replay = tape.cursor()
-        dump_stream(cfg.dump_stream, [replay.step() for _ in range(cfg.frames)])
+        dump_stream(cfg.dump_stream, tape.steps)
     header = ["t", "frame_error", "mask_mean", "mask_min", "mask_max"]
     frames = zip(result.per_frame_error, result.mask_stats)
     rows = _rows(header, ((t, e, *stats) for t, (e, stats) in enumerate(frames, start=1)))

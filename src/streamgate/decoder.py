@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StateError, check_int
+from .errors import ConfigError, StateError, check_int, check_type
 from .gating import AttentionTrace, AttnSource
 from .linalg import F32, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
@@ -198,6 +198,7 @@ def make_weights(
 
 def encode_frame(observation, weights: DecoderWeights) -> np.ndarray:
     """Project a K x C_obs observation to K x C frame tokens."""
+    check_type("weights", weights, DecoderWeights)
     observation = as_matrix(observation, "observation")
     if observation.shape[1] != weights.obs_channels:
         raise ConfigError(
@@ -237,6 +238,8 @@ def decode_step(
     float32's range make the softmax compute inf - inf), raises a
     StateError naming the cause. Frame and state are left unchanged.
     """
+    check_type("weights", weights, DecoderWeights)
+    check_type("attn_source", attn_source, AttnSource)
     frame = as_matrix(frame, "frame")
     state = as_matrix(state, "state")
     c = weights.channels
@@ -317,6 +320,7 @@ def _mix_tokens(state: np.ndarray) -> np.ndarray:
 
 def readout(candidate, weights: DecoderWeights) -> np.ndarray:
     """Linear per-token estimate from the candidate state (N x C)."""
+    check_type("weights", weights, DecoderWeights)
     candidate = as_matrix(candidate, "candidate")
     if candidate.shape[1] != weights.channels:
         raise ConfigError(

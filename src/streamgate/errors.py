@@ -1,4 +1,4 @@
-"""Exception types, and the integer check, shared across the package."""
+"""Exception types, and the integer and type checks, shared across the package."""
 
 from __future__ import annotations
 
@@ -24,3 +24,10 @@ def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_type(name: str, value, cls: type) -> None:
+    """ConfigError naming `name` unless value is a `cls`; a string is not coerced to one."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise ConfigError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import DecoderWeights, decode_step, encode_frame, readout
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_type
 from .gating import GateConfig, Strategy, gate_step
 from .linalg import F32, matmul
-from .world import CoverageSchedule, Scene, StreamCursor, StreamTape, generate_scene
+from .world import CoverageSchedule, Scene, StreamCursor, _StreamTape, generate_scene
 
 _INIT_ROLE = 3
 _SCENE_ROLE = 10
@@ -121,6 +121,8 @@ def experiment_seeds(seed: int) -> tuple[int, int]:
 
 def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
     """One state token per region: encoded region code plus seeded noise."""
+    check_type("scene", scene, Scene)
+    check_type("weights", weights, DecoderWeights)
     channels, expected = scene.region_codes.shape[1], weights.encoder.shape[0]
     if channels != expected:
         raise ConfigError(
@@ -146,9 +148,8 @@ def run_session(
     """Stream `frames` observations of `stream` through one gated session.
 
     `stream` is a StreamCursor at frame 0, and the session's scene is its
-    scene: a fresh cursor generates the stream, and a StreamTape's
-    `cursor()` replays the steps another session has generated, the same
-    bits. A cursor past frame 0 raises a ConfigError.
+    scene. A cursor past frame 0, or a stream, weights, cfg or strategy of
+    the wrong type, raises a ConfigError naming it before frame 1.
 
     `scored` lists the 1-based frames whose error is computed; None scores
     every frame. Repeats collapse and the last frame is always scored. An
@@ -156,6 +157,10 @@ def run_session(
     mask, but skips the readout and the alignment against the truth, so
     the scored frames' errors are the same bits either way.
     """
+    check_type("stream", stream, StreamCursor)
+    check_type("weights", weights, DecoderWeights)
+    check_type("cfg", cfg, GateConfig)
+    check_type("strategy", strategy, Strategy)
     if stream.t != 0:
         raise ConfigError(f"stream must be a cursor at frame 0, got one at frame {stream.t}")
     frames = check_int("frames", frames, 1)
@@ -239,6 +244,7 @@ def _scored_frames(scored, frames: int):
 
 def seeded_stream(world: WorldSpec, seed: int) -> StreamCursor:
     """A fresh cursor on the scene and stream that experiment `seed` derives."""
+    check_type("world", world, WorldSpec)
     scene_seed, stream_seed = experiment_seeds(seed)
     scene = generate_scene(
         world.regions,
@@ -259,32 +265,37 @@ def _session_grid(
     lengths: list[int],
     seeds: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run every (gate config, strategy, seed) session, seed-major on one tape per seed.
+    """Run every (gate config, strategy, seed) session, seed-major.
 
-    The sessions of one seed share its scene and stream, so the grid tapes
-    `seeded_stream(world, seed)` once per seed and runs that seed's
-    sessions one after another through `run_session`, each on its own
-    cursor of the tape; the tape is dropped before the next seed's. A
-    session's first n frames do not depend on how long it runs, so each
-    session runs once, to the longest of `lengths`, and scores only the
-    frames in `lengths`. Returns
-    the error at each length (repeats included) as a (configs, strategies,
+    The sessions of one seed share its scene and stream, so the grid
+    generates `seeded_stream(world, seed)` once per seed and runs that
+    seed's sessions one after another through `run_session`, each on its
+    own cursor replaying the seed's recorded steps; they are dropped
+    before the next seed's. A session's first n frames do not depend on
+    how long it runs, so each session runs once, to the longest of
+    `lengths`, and scores only the frames in `lengths`. Returns the error
+    at each length (repeats included) as a (configs, strategies,
     seeds, len(lengths)) float64 array and each session's mean mask over
     all its frames as a (configs, strategies, seeds) array. An empty or
     repeated strategy or seed list, which would run no session or the
-    same sessions twice, raises a ConfigError naming `op`.
+    same sessions twice, raises a ConfigError naming `op`; an argument of
+    the wrong type raises one naming the argument.
     """
     if not strategies:
         raise ConfigError(f"{op} needs at least 1 strategy")
     if not seeds:
         raise ConfigError(f"{op} needs at least 1 seed")
+    for cfg in cfgs:
+        check_type("cfg", cfg, GateConfig)
+    for strategy in strategies:
+        check_type("strategy", strategy, Strategy)
     for name, values in (("strategy", [s.value for s in strategies]), ("seed", seeds)):
         if len(set(values)) < len(values):
             raise ConfigError(f"{op}: repeated {name} in {list(values)}")
     shape = (len(cfgs), len(strategies), len(seeds))
     errors, mean_masks = np.empty((*shape, len(lengths))), np.empty(shape)
     for k, seed in enumerate(seeds):
-        tape = StreamTape(seeded_stream(world, seed))
+        tape = _StreamTape(seeded_stream(world, seed))
         for c, s in np.ndindex(shape[:2]):
             result = run_session(
                 tape.cursor(), weights, cfgs[c], strategies[s], max(lengths), scored=lengths
@@ -369,6 +380,7 @@ def tau_sweep(
     """Median fused-strategy final error for each temporal threshold."""
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
+    check_type("cfg", cfg, GateConfig)
     cfgs = [replace(cfg, tau=tau) for tau in taus]
     errors, _ = _session_grid("tau_sweep", world, weights, cfgs, [Strategy.FUSED], [frames], seeds)
     return [

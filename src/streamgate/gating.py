@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError, check_int
+from .errors import ConfigError, StateError, check_int, check_type
 from .linalg import (
     F32,
     _as_f32,
@@ -84,8 +85,10 @@ class GateConfig:
     attn_source: AttnSource = AttnSource.POST_SOFTMAX
 
     def __post_init__(self) -> None:
+        check_type("attn_source", self.attn_source, AttnSource)
         for name in ("tau", "eps_mean", "spat_gain", "spat_bias"):
             value = getattr(self, name)
+            check_type(name, value, numbers.Real)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
             if name != "spat_bias" and not value > 0:
@@ -100,6 +103,7 @@ class UpdateMask:
     kind: Strategy
 
     def __post_init__(self) -> None:
+        check_type("kind", self.kind, Strategy)
         object.__setattr__(self, "values", as_vector(self.values, "mask"))
         if self.values.shape[0] < 1:
             raise ConfigError("mask must have at least one entry")
@@ -153,6 +157,7 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite candidate
     or previous candidate raises StateError.
     """
+    check_type("cfg", cfg, GateConfig)
     curr = as_matrix(curr, "curr")
     prev = _matching("temporal_mask", curr, prev, "prev")
     if curr.shape[0] < 1:
@@ -212,6 +217,7 @@ def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
     The reduction over the layer axis adds the layers left to right, then
     the sum is divided by their count.
     """
+    check_type("trace", trace, AttentionTrace)
     layers = trace.layers
     return np.add.reduce(np.abs(layers), axis=0) / F32(layers.shape[0])
 
@@ -223,6 +229,7 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     mask[i] = sigmoid(spat_gain * raw[i] + spat_bias). A non-finite
     attention or divergence entry raises StateError naming that input.
     """
+    check_type("cfg", cfg, GateConfig)
     attn = as_matrix(attn, "attn")
     divergence = as_vector(divergence, "divergence")
     if attn.shape[1] != divergence.shape[0]:
@@ -261,6 +268,8 @@ def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str,
 
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
     """Elementwise product of a temporal and a spatial mask."""
+    check_type("temporal", temporal, UpdateMask)
+    check_type("spatial", spatial, UpdateMask)
     if temporal.kind is not Strategy.TEMPORAL_ONLY:
         raise ConfigError(f"expected a temporal mask, got kind={temporal.kind.value}")
     if spatial.kind is not Strategy.SPATIAL_ONLY:
@@ -280,6 +289,7 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
     float32. A non-finite blended state raises StateError, whatever mask
     produced it.
     """
+    check_type("mask", mask, UpdateMask)
     candidate = as_matrix(candidate, "candidate")
     prev_state = _matching("apply_update", candidate, prev_state, "prev_state")
     m = mask.values
@@ -356,8 +366,9 @@ def gate_step(
         raise ConfigError(
             f"gate_step requires at least one state token and one frame token, got {n} and {k}"
         )
-    if not isinstance(trace, AttentionTrace):
-        raise ConfigError(f"trace must be an AttentionTrace, got {type(trace).__name__}")
+    check_type("trace", trace, AttentionTrace)
+    check_type("cfg", cfg, GateConfig)
+    check_type("strategy", strategy, Strategy)
     if trace.layers.shape[1:] != (n, k):
         raise ConfigError(f"gate_step: attention trace is {trace.layers.shape[1]} x {trace.layers.shape[2]}, "
                           f"expected {n} state tokens (candidate) x {k} frame tokens (frame)")
@@ -367,10 +378,7 @@ def gate_step(
         if prev_candidate is None or strategy is Strategy.UNIFORM:
             mask = uniform_mask(n)
             return _commit(candidate, prev_state, mask.values), mask
-        route = _ROUTES.get(strategy)
-        if route is None:
-            raise ConfigError(f"unknown strategy {strategy!r}")
-        temporal, spatial = route
+        temporal, spatial = _ROUTES[strategy]
         values = _temporal(candidate, prev_candidate, cfg) if temporal else None
         if spatial:
             attn = aggregate_attention(trace)

@@ -295,19 +295,15 @@ def run_oracle_suite(
         )
 
         cand, prev_cand, prev_state, frame, prev_frame, layers, cfg = _gate_inputs(rng)
+        tm = gating.temporal_mask(cand, prev_cand, cfg)
         record(
             "temporal_mask",
-            _rel_err(
-                gating.temporal_mask(cand, prev_cand, cfg).values,
-                o_temporal_mask(cand.tolist(), prev_cand.tolist(), cfg.tau, cfg.eps_mean),
-            ),
+            _rel_err(tm.values, o_temporal_mask(cand.tolist(), prev_cand.tolist(), cfg.tau, cfg.eps_mean)),
         )
+        div = gating.feature_divergence(frame, prev_frame)
         record(
             "feature_divergence",
-            _rel_err(
-                gating.feature_divergence(frame, prev_frame),
-                o_feature_divergence(frame.tolist(), prev_frame.tolist()),
-            ),
+            _rel_err(div, o_feature_divergence(frame.tolist(), prev_frame.tolist())),
         )
         signed_layers = [_mat(rng, n, k) for _ in range(len(layers))]
         record(
@@ -317,25 +313,18 @@ def run_oracle_suite(
                 o_aggregate_attention([m.tolist() for m in signed_layers]),
             ),
         )
-        attn = gating.aggregate_attention(AttentionTrace(tuple(layers)))
-        div = gating.feature_divergence(frame, prev_frame)
-        record(
-            "spatial_mask",
-            _rel_err(
-                gating.spatial_mask(attn, div, cfg).values,
-                o_spatial_mask(attn.tolist(), div.tolist(), cfg.spat_gain, cfg.spat_bias),
-            ),
-        )
-        tm = gating.temporal_mask(cand, prev_cand, cfg)
+        trace = AttentionTrace(tuple(layers))
+        attn = gating.aggregate_attention(trace)
         sm = gating.spatial_mask(attn, div, cfg)
         record(
-            "fuse_masks",
-            _rel_err(
-                gating.fuse_masks(tm, sm).values,
-                o_fuse_masks(tm.values.tolist(), sm.values.tolist()),
-            ),
+            "spatial_mask",
+            _rel_err(sm.values, o_spatial_mask(attn.tolist(), div.tolist(), cfg.spat_gain, cfg.spat_bias)),
         )
         fused = gating.fuse_masks(tm, sm)
+        record(
+            "fuse_masks",
+            _rel_err(fused.values, o_fuse_masks(tm.values.tolist(), sm.values.tolist())),
+        )
         record(
             "apply_update",
             _rel_err(
@@ -353,7 +342,7 @@ def run_oracle_suite(
             cand,
             prev_state,
             frame,
-            AttentionTrace(tuple(layers)),
+            trace,
             cfg,
             Strategy(strategy),
             prev_candidate=prev_cand,

@@ -11,8 +11,7 @@ seed): frame t's drift and noise draws come from
 PCG64(SeedSequence((stream seed, t, role))), so streams are
 bit-reproducible and any frame's draws can be regenerated on their own.
 A cursor hashes those seed sequences for a block of frames at a time,
-with numpy's algorithm vectorized over the block. A StreamTape records one
-stream's steps once for any number of cursors to replay.
+with numpy's algorithm vectorized over the block.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_type
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
@@ -51,6 +51,7 @@ _MAX_RATE = float(np.finfo(F32).max)
 
 
 def _check_finite_rate(name: str, value: float) -> None:
+    check_type(name, value, numbers.Real)
     if not 0 <= value <= _MAX_RATE:  # NaN fails both comparisons
         raise ConfigError(
             f"{name} must be finite, >= 0 and <= float32's maximum {_MAX_RATE!r}, got {value}"
@@ -118,6 +119,7 @@ class CoverageSchedule:
     period: int = 10
 
     def __post_init__(self) -> None:
+        check_type("kind", self.kind, ScheduleKind)
         check_int("window", self.window, 1)
         check_int("period", self.period, 1)
 
@@ -130,7 +132,7 @@ class StreamStep:
     SLIDING_WINDOW schedules; REVISIT observations have one row per region
     in region order. truth_snapshot holds all current (post-drift) codes;
     a scene that cannot drift hands every step of a cursor the same
-    read-only array. A StreamTape's steps are read-only throughout.
+    read-only array.
     """
 
     t: int
@@ -154,6 +156,8 @@ def generate_scene(
     """
     regions = check_int("regions", regions, 1)
     obs_channels = check_int("obs_channels", obs_channels, 1)
+    check_type("dynamic_fraction", dynamic_fraction, numbers.Real)
+    check_type("drift_rate", drift_rate, numbers.Real)
     if not 0.0 <= dynamic_fraction <= 1.0:
         raise ConfigError(
             f"dynamic_fraction must be in [0, 1], got {dynamic_fraction}"
@@ -270,8 +274,7 @@ class StreamCursor:
     Mutable only through step(); distinct cursors over the same inputs
     yield bit-identical sequences. Frame t's draws for a role come from
     PCG64(SeedSequence((seed, t, role))); the seed sequences are hashed
-    _SEED_BLOCK frames at a time, for the roles the scene uses. A cursor
-    made by StreamTape.cursor() replays the tape's steps instead.
+    _SEED_BLOCK frames at a time, for the roles the scene uses.
     """
 
     scene: Scene
@@ -287,9 +290,11 @@ class StreamCursor:
     _words: np.ndarray = field(init=False, repr=False)
     _block_t0: int = field(init=False, repr=False, default=1)
     _t: int = field(init=False, default=0)
-    _tape: StreamTape | None = field(init=False, repr=False, default=None)
+    _tape: _StreamTape | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
+        check_type("scene", self.scene, Scene)
+        check_type("schedule", self.schedule, CoverageSchedule)
         _check_finite_rate("noise_sigma", self.noise_sigma)
         self.seed = check_int("stream seed", self.seed)
         scene = self.scene
@@ -344,24 +349,21 @@ class StreamCursor:
         )
 
 
-class StreamTape:
+class _StreamTape:
     """The steps of one stream, generated once and replayed by any number of cursors.
 
-    The tape takes over `stream`, a fresh generating StreamCursor, the way
-    itertools.tee takes over its iterator: the caller steps it no further.
-    It records the cursor's steps as the tape's cursors first reach them,
-    so sessions that share a scene and a stream generate it once,
-    bit-identical to a fresh cursor. The recorded steps are read-only, and
-    the tape keeps every one until it is dropped.
+    The tape takes over `stream`, a fresh generating StreamCursor from
+    `seeded_stream`, the way itertools.tee takes over its iterator: the
+    caller steps it no further. It records the cursor's steps in `steps`
+    as the tape's cursors first reach them, so sessions that share a scene
+    and a stream generate it once, bit-identical to a fresh cursor. The
+    recorded steps are read-only, and the tape keeps every one until it
+    is dropped.
     """
 
     def __init__(self, stream: StreamCursor) -> None:
-        if stream.t != 0:
-            raise ConfigError(f"stream must be a cursor at frame 0, got one at frame {stream.t}")
-        if stream._tape is not None:  # it shares its source's codes, which a drifting tape advances
-            raise ConfigError("stream must be a generating cursor, got a StreamTape's cursor")
         self._source = stream
-        self._steps: list[StreamStep] = []
+        self.steps: list[StreamStep] = []
 
     def cursor(self) -> StreamCursor:
         """A fresh StreamCursor at frame 0 whose steps are this tape's."""
@@ -376,12 +378,12 @@ class StreamTape:
         Cursors advance one step at a time, so t is at most one past the
         recorded steps.
         """
-        if t > len(self._steps):
+        if t > len(self.steps):
             step = self._source._advance()
             step.observation.flags.writeable = False
             step.truth_snapshot.flags.writeable = False
-            self._steps.append(step)
-        return self._steps[t - 1]
+            self.steps.append(step)
+        return self.steps[t - 1]
 
 
 def atomic_write(path, chunks) -> None:

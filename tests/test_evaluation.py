@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamgate import evaluation
@@ -27,7 +27,7 @@ from streamgate.gating import (
     UpdateMask,
     gate_step,
 )
-from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, StreamTape, generate_scene
+from streamgate.world import CoverageSchedule, ScheduleKind, StreamCursor, _StreamTape, generate_scene
 
 SMALL_WORLD = WorldSpec(
     regions=6,
@@ -101,7 +101,7 @@ def test_run_session_rejects_bad_frames_naming_the_argument(frames):
 
 def test_run_session_rejects_a_stepped_stream_naming_it():
     scene = generate_scene(6, 8, 0.0, 0.0, seed=1)
-    tape = StreamTape(StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1))
+    tape = _StreamTape(StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1))
     args = (small_weights(), GateConfig(), Strategy.FUSED, 3)
     run_session(tape.cursor(), *args)
     for stream in (StreamCursor(scene, SMALL_WORLD.schedule, 0.05, 1), tape.cursor()):
@@ -518,17 +518,42 @@ def test_seeded_stream_equals_a_cursor_built_from_experiment_seeds(world):
             assert a.truth_snapshot.tobytes() == b.truth_snapshot.tobytes()
 
 
-@pytest.mark.parametrize("world", list(_GRID_WORLDS.values()), ids=list(_GRID_WORLDS))
-def test_session_grid_on_tapes_equals_sessions_on_their_own_streams(world):
-    cfgs = [GateConfig(attn_source=source) for source in AttnSource]
-    strategies, lengths, seeds = list(Strategy), [3, 11, 3], [4, 1]
-    errors, masks = evaluation._session_grid(
-        "grid", world, small_weights(), cfgs, strategies, lengths, seeds
+@st.composite
+def _grid_worlds(draw):
+    kind = draw(st.sampled_from(list(ScheduleKind)))
+    return WorldSpec(
+        regions=draw(st.integers(1, 6)),
+        obs_channels=draw(st.integers(1, 8)),
+        dynamic_fraction=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        drift_rate=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        schedule=CoverageSchedule(kind, draw(st.integers(1, 6)), draw(st.integers(1, 4))),
     )
+
+
+# The grid runs a seed's sessions on one generation of its stream; each
+# session must read the bits it would read on a stream of its own.
+@settings(max_examples=30, deadline=None)
+@given(
+    world=_grid_worlds(),
+    sources=st.lists(st.sampled_from(list(AttnSource)), min_size=1, unique=True),
+    strategies=st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True),
+    lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    seeds=st.lists(st.integers(0, 99), min_size=1, max_size=2, unique=True),
+)
+@example(world=_GRID_WORLDS["sliding"], sources=list(AttnSource), strategies=list(Strategy),
+         lengths=[3, 11, 3], seeds=[4, 1])
+@example(world=_GRID_WORLDS["revisit"], sources=list(AttnSource), strategies=list(Strategy),
+         lengths=[3, 11, 3], seeds=[4, 1])
+@example(world=_GRID_WORLDS["full-drift"], sources=list(AttnSource), strategies=list(Strategy),
+         lengths=[3, 11, 3], seeds=[4, 1])
+def test_session_grid_equals_sessions_on_their_own_streams(world, sources, strategies, lengths, seeds):
+    weights = make_weights(n_layers=2, channels=8, obs_channels=world.obs_channels)
+    cfgs = [GateConfig(attn_source=source) for source in sources]
+    errors, masks = evaluation._session_grid("grid", world, weights, cfgs, strategies, lengths, seeds)
     for c, s, k in np.ndindex(masks.shape):
         alone = run_session(
-            seeded_stream(world, seeds[k]), small_weights(), cfgs[c], strategies[s], max(lengths),
-            scored=lengths,
+            seeded_stream(world, seeds[k]), weights, cfgs[c], strategies[s], max(lengths), scored=lengths
         )
         by_length = dict(zip(sorted(set(lengths)), alone.per_frame_error))
         assert errors[c, s, k].tolist() == [by_length[n] for n in lengths]
@@ -536,27 +561,27 @@ def test_session_grid_on_tapes_equals_sessions_on_their_own_streams(world):
 
 
 def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch):
-    calls = []
-    original = evaluation.run_session
+    calls, advanced = [], []
+    original, advance = evaluation.run_session, StreamCursor._advance
 
     def recorded(stream, weights, cfg, strategy, *args, **kwargs):
         assert stream.t == 0
-        calls.append((cfg, strategy, stream.seed, stream._tape))
+        calls.append((cfg, strategy, stream.seed))
         return original(stream, weights, cfg, strategy, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "run_session", recorded)
+    monkeypatch.setattr(StreamCursor, "_advance", lambda self: advanced.append(self.seed) or advance(self))
     cfgs = [GateConfig(tau=0.5), GateConfig(tau=2.0)]
-    strategies, seeds = [Strategy.UNIFORM, Strategy.FUSED], [3, 0, 7]
-    evaluation._session_grid("grid", SMALL_WORLD, small_weights(), cfgs, strategies, [4], seeds)
+    strategies, lengths, seeds = [Strategy.UNIFORM, Strategy.FUSED], [4, 9, 2], [3, 0, 7]
+    evaluation._session_grid("grid", SMALL_WORLD, small_weights(), cfgs, strategies, lengths, seeds)
     stream_seeds = [experiment_seeds(seed)[1] for seed in seeds]
-    # Once per (config, strategy, seed) ...
-    ran = sorted((cfgs.index(c), strategies.index(s), stream_seeds.index(k)) for c, s, k, _ in calls)
+    # Each seed's stream is generated once, to the longest length ...
+    assert sorted(advanced) == sorted(stream_seeds * max(lengths))
+    # ... and each (config, strategy, seed) session runs once ...
+    ran = sorted((cfgs.index(c), strategies.index(s), stream_seeds.index(k)) for c, s, k in calls)
     assert ran == list(np.ndindex(len(cfgs), len(strategies), len(seeds)))
-    # ... with all sessions of one seed consecutive, on that seed's one tape.
-    runs = [list(run) for _, run in itertools.groupby(calls, key=lambda call: call[2])]
-    assert [run[0][2] for run in runs] == stream_seeds
-    for run in runs:
-        assert isinstance(run[0][3], StreamTape) and all(call[3] is run[0][3] for call in run)
+    # ... with all sessions of one seed consecutive, in seed order.
+    assert [k for k, _ in itertools.groupby(call[2] for call in calls)] == stream_seeds
 
 
 # Region codes drifting by 1e19 or more per frame overflow the decoder's

@@ -1,9 +1,9 @@
-"""Each public per-frame operation validates and coerces its own inputs.
+"""Each public operation validates and coerces its own inputs.
 
 The linalg kernels below them take float32 arrays as given, so a public
 operation must give bit-identical results whether it is handed float64
 nested lists or float32 arrays, and must name the argument numpy cannot
-read as an array.
+read as an array, or any other argument of the wrong type.
 """
 
 import dataclasses
@@ -11,20 +11,31 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamgate.decoder import decode_step, encode_frame, make_weights, readout
 from streamgate.errors import ConfigError
+from streamgate.evaluation import (
+    WorldSpec,
+    degradation_curve,
+    initial_state,
+    run_ablation,
+    run_session,
+    seeded_stream,
+    tau_sweep,
+)
 from streamgate.linalg import as_matrix, as_vector
-from streamgate.world import Scene
+from streamgate.world import CoverageSchedule, Scene, StreamCursor, generate_scene
 from streamgate.gating import (
     AttentionTrace,
     GateConfig,
     Strategy,
     UpdateMask,
+    aggregate_attention,
     apply_update,
     feature_divergence,
+    fuse_masks,
     gate_step,
     spatial_mask,
     temporal_mask,
@@ -166,4 +177,85 @@ def _non_numeric(draw):
 def test_ragged_or_non_numeric_input_raises_config_error_naming_the_argument(argument, value):
     name, call = ARGUMENTS[argument]
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a rectangular numeric array"):
+        call(value)
+
+
+# --- non-array arguments of the wrong type ---------------------------------
+
+WORLD = WorldSpec(regions=N, obs_channels=OBS, schedule=CoverageSchedule(window=2))
+SCENE = generate_scene(N, OBS, seed=1)
+TRACE = AttentionTrace((D32["attn"], D32["attn2"]))
+TEMPORAL = temporal_mask(D32["candidate"], D32["prev_candidate"], CFG)
+SPATIAL = spatial_mask(D32["attn"], D32["divergence"], CFG)
+
+
+def _typed_gate(first, trace=TRACE, cfg=CFG, strategy=Strategy.FUSED):
+    prev = {} if first else {"prev_candidate": D32["prev_candidate"], "prev_frame": D32["prev_frame"]}
+    return gate_step(D32["candidate"], D32["prev_state"], D32["frame"], trace, cfg, strategy, **prev)
+
+
+_GATE_ROUTES = {"first": (True, Strategy.FUSED), **{s.value: (False, s) for s in Strategy}}
+
+# Every public non-array argument: the name its ConfigError gives, and a
+# call that passes the value as that argument and valid values as the
+# others. gate_step checks each on every route, the first frame included.
+TYPED = {
+    "GateConfig.attn_source": ("attn_source", lambda x: GateConfig(attn_source=x)),
+    **{f"GateConfig.{name}": (name, lambda x, name=name: GateConfig(**{name: x}))
+       for name in ("tau", "eps_mean", "spat_gain", "spat_bias")},
+    "UpdateMask.kind": ("kind", lambda x: UpdateMask(D32["mask"], x)),
+    "temporal_mask.cfg": ("cfg", lambda x: temporal_mask(D32["candidate"], D32["prev_candidate"], x)),
+    "spatial_mask.cfg": ("cfg", lambda x: spatial_mask(D32["attn"], D32["divergence"], x)),
+    "aggregate_attention.trace": ("trace", aggregate_attention),
+    "fuse_masks.temporal": ("temporal", lambda x: fuse_masks(x, SPATIAL)),
+    "fuse_masks.spatial": ("spatial", lambda x: fuse_masks(TEMPORAL, x)),
+    "apply_update.mask": ("mask", lambda x: apply_update(D32["candidate"], D32["prev_state"], x)),
+    **{f"gate_step.{name}-{route}": (name, lambda x, name=name, route=route: _typed_gate(
+        _GATE_ROUTES[route][0], **{"strategy": _GATE_ROUTES[route][1], name: x}))
+       for name in ("trace", "cfg") for route in _GATE_ROUTES},
+    "gate_step.strategy-first": ("strategy", lambda x: _typed_gate(True, strategy=x)),
+    "gate_step.strategy": ("strategy", lambda x: _typed_gate(False, strategy=x)),
+    "encode_frame.weights": ("weights", lambda x: encode_frame(D32["observation"], x)),
+    "decode_step.weights": ("weights", lambda x: decode_step(D32["frame"], D32["state"], x)),
+    "decode_step.attn_source": ("attn_source", lambda x: decode_step(D32["frame"], D32["state"], WEIGHTS, x)),
+    "readout.weights": ("weights", lambda x: readout(D32["candidate"], x)),
+    "CoverageSchedule.kind": ("kind", lambda x: CoverageSchedule(kind=x)),
+    "Scene.drift_rate": ("drift_rate", lambda x: Scene(SCENE.region_codes, frozenset(), x, 0)),
+    "generate_scene.dynamic_fraction": ("dynamic_fraction", lambda x: generate_scene(N, OBS, x)),
+    "generate_scene.drift_rate": ("drift_rate", lambda x: generate_scene(N, OBS, 0.5, x)),
+    "StreamCursor.scene": ("scene", lambda x: StreamCursor(x, WORLD.schedule, 0.05, 0)),
+    "StreamCursor.schedule": ("schedule", lambda x: StreamCursor(SCENE, x, 0.05, 0)),
+    "StreamCursor.noise_sigma": ("noise_sigma", lambda x: StreamCursor(SCENE, WORLD.schedule, x, 0)),
+    "initial_state.scene": ("scene", lambda x: initial_state(x, WEIGHTS)),
+    "initial_state.weights": ("weights", lambda x: initial_state(SCENE, x)),
+    "seeded_stream.world": ("world", lambda x: seeded_stream(x, 0)),
+    "run_session.stream": ("stream", lambda x: run_session(x, WEIGHTS, CFG, Strategy.FUSED, 2)),
+    "run_session.weights": ("weights", lambda x: run_session(
+        seeded_stream(WORLD, 0), x, CFG, Strategy.FUSED, 2)),
+    "run_session.cfg": ("cfg", lambda x: run_session(seeded_stream(WORLD, 0), WEIGHTS, x, Strategy.FUSED, 2)),
+    "run_session.strategy": ("strategy", lambda x: run_session(seeded_stream(WORLD, 0), WEIGHTS, CFG, x, 2)),
+    "run_ablation.world": ("world", lambda x: run_ablation(x, WEIGHTS, CFG, list(Strategy), 2, [0])),
+    "run_ablation.weights": ("weights", lambda x: run_ablation(WORLD, x, CFG, list(Strategy), 2, [0])),
+    "run_ablation.cfg": ("cfg", lambda x: run_ablation(WORLD, WEIGHTS, x, list(Strategy), 2, [0])),
+    "run_ablation.strategies": ("strategy", lambda x: run_ablation(
+        WORLD, WEIGHTS, CFG, [Strategy.UNIFORM, x], 2, [0])),
+    "degradation_curve.cfg": ("cfg", lambda x: degradation_curve(
+        WORLD, WEIGHTS, x, [Strategy.FUSED], [1, 2], [0])),
+    "tau_sweep.cfg": ("cfg", lambda x: tau_sweep(WORLD, WEIGHTS, x, [1.0], 2, [0])),
+}
+
+# Values of no argument's type: strings that name a member of an enum are
+# not coerced to it.
+WRONG = [None, "preabs", "fused", "full", "bogus", [[1.0]], D32["candidate"], {}, object()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argument=st.sampled_from(sorted(TYPED)), value=st.sampled_from(WRONG))
+@example(argument="GateConfig.attn_source", value="preabs")  # silently read post-softmax attention
+@example(argument="decode_step.attn_source", value="preabs")
+@example(argument="gate_step.strategy-first", value="bogus")  # silently returned a uniform mask
+@example(argument="CoverageSchedule.kind", value="full")  # silently ran a sliding window
+def test_an_argument_of_the_wrong_type_raises_config_error_naming_it(argument, value):
+    name, call = TYPED[argument]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an? [A-Z]"):
         call(value)

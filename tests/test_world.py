@@ -14,8 +14,8 @@ from streamgate.world import (
     Scene,
     ScheduleKind,
     StreamCursor,
-    StreamTape,
     _seed_words,
+    _StreamTape,
     dump_stream,
     generate_scene,
     load_stream,
@@ -454,7 +454,7 @@ def test_tape_cursors_replay_a_fresh_cursor_past_the_recorded_end(kind, window, 
     scene = generate_scene(5, 3, 0.4, drift_rate, seed=31)
     sched = CoverageSchedule(kind=kind, window=window, period=4)
     want = _steps(scene, sched, short + extra, 0.2, seed=32)
-    tape = StreamTape(StreamCursor(scene, sched, 0.2, 32))
+    tape = _StreamTape(StreamCursor(scene, sched, 0.2, 32))
     first, second = tape.cursor(), tape.cursor()
     assert first.t == second.t == 0
     replayed = [first.step() for _ in range(short)]
@@ -466,22 +466,11 @@ def test_tape_cursors_replay_a_fresh_cursor_past_the_recorded_end(kind, window, 
             assert step is replayed[t - 1]
 
 
-def test_stream_tape_takes_only_a_fresh_generating_cursor_naming_stream():
-    # A tape's cursor shares its source's codes, which a drifting tape advances.
-    scene = generate_scene(4, 3, 0.5, 0.1, seed=37)
-    stepped = StreamCursor(scene, CoverageSchedule(), 0.1, 38)
-    stepped.step()
-    tape_cursor = StreamTape(StreamCursor(scene, CoverageSchedule(), 0.1, 38)).cursor()
-    for stream, cause in ((stepped, "a cursor at frame 0"), (tape_cursor, "a generating cursor")):
-        with pytest.raises(ConfigError, match=f"stream must be {cause}"):
-            StreamTape(stream)
-
-
 @pytest.mark.parametrize("drift_rate", [0.0, 0.1])
 def test_tape_steps_are_read_only(drift_rate):
     scene = generate_scene(5, 3, 0.4, drift_rate, seed=33)
     schedule = CoverageSchedule(kind=ScheduleKind.REVISIT, period=2)
-    cursor = StreamTape(StreamCursor(scene, schedule, 0.1, 34)).cursor()
+    cursor = _StreamTape(StreamCursor(scene, schedule, 0.1, 34)).cursor()
     for step in [cursor.step() for _ in range(4)]:
         for array in (step.observation, step.truth_snapshot):
             assert not array.flags.writeable
