@@ -21,7 +21,6 @@ in fixed notation.
 from __future__ import annotations
 
 import argparse
-import functools
 import inspect
 import json
 import math
@@ -226,8 +225,7 @@ def fmt_real(x: float) -> str:
     v = float(x)
     if v == 0.0:
         return "0.000000000"
-    decimals = 9 - 1 - math.floor(math.log10(abs(v)))
-    decimals = min(max(decimals, 0), 40)
+    decimals = max(9 - 1 - math.floor(math.log10(abs(v))), 0)
     return f"{v:.{decimals}f}"
 
 
@@ -417,35 +415,7 @@ COMMANDS: dict[str, _Command] = {
 }
 
 
-class _DefaultsFormatter(argparse.HelpFormatter):
-    """Help formatter that appends the default each option takes in one command."""
-
-    def __init__(self, prog: str, defaults: dict[str, object]) -> None:
-        super().__init__(prog)
-        self._defaults = defaults
-
-    def _get_help_string(self, action: argparse.Action) -> str:
-        default = self._defaults.get(action.dest)
-        if default is None or default == "":
-            return action.help
-        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
-        return f"{action.help} (default {shown})"
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    # Every flag collects its occurrences; parse_config rejects a repeat of
-    # any but a repeatable one.
-    common.add_argument("--config", action="append", default=[], help="flat key=value config file")
-    for key, opt in _OPTIONS.items():
-        common.add_argument(
-            f"--{key}",
-            dest=key,
-            default=argparse.SUPPRESS,
-            action="append",
-            metavar=opt.metavar,
-            help=opt.help,
-        )
     parser = argparse.ArgumentParser(
         prog="streamgate",
         description="Streaming adaptive state-update experiments",
@@ -454,13 +424,18 @@ def _build_parser() -> argparse.ArgumentParser:
     base = {f.name: f.default for f in fields(RunConfig)}
     for name, command in COMMANDS.items():
         defaults = {**base, **command.defaults}
-        shown = {key: defaults[opt.field] for key, opt in _OPTIONS.items()}
-        sub.add_parser(
-            name,
-            parents=[common],
-            help=command.help,
-            formatter_class=functools.partial(_DefaultsFormatter, defaults=shown),
-        )
+        options = sub.add_parser(name, help=command.help)
+        # Every flag collects its occurrences; parse_config rejects a repeat
+        # of any but a repeatable one. Each help shows the command's default.
+        options.add_argument("--config", action="append", default=[],
+                             help="flat key=value config file")
+        for key, opt in _OPTIONS.items():
+            default = defaults[opt.field]
+            if isinstance(default, tuple):
+                default = ",".join(map(str, default))
+            shown = "" if default in (None, "") else f" (default {default})"
+            options.add_argument(f"--{key}", dest=key, default=argparse.SUPPRESS, action="append",
+                                 metavar=opt.metavar, help=opt.help + shown)
     return parser
 
 
@@ -510,6 +485,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"lengths: must be sorted ascending, got {list(cfg.lengths)}")
     if COMMANDS[cfg.command].writes and not cfg.out:
         raise ConfigError("out: an output path is required for this command")
+    if cfg.out and cfg.dump_stream and os.path.realpath(cfg.out) == os.path.realpath(cfg.dump_stream):
+        raise ConfigError(f"dump-stream: names the same file as out, {cfg.dump_stream!r}")
 
 
 def parse_config(argv=None) -> RunConfig:

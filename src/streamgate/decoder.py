@@ -39,12 +39,11 @@ Hand-constructed weights with arbitrary matrices remain fully supported.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StateError, check_int, check_type
+from .errors import ConfigError, StateError, check_int, check_items, check_type
 from .gating import AttentionTrace, AttnSource
 from .linalg import F32, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
@@ -99,9 +98,11 @@ class DecoderWeights:
     key_value: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        query = _layer_matrices("query", self.query)
-        key = _layer_matrices("key", self.key)
-        value = _layer_matrices("value", self.value)
+        query, key, value = (
+            tuple(as_matrix(m, name) for m in check_items(
+                name, getattr(self, name), "a sequence of per-layer matrices"))
+            for name in ("query", "key", "value")
+        )
         if not query:
             raise ConfigError("decoder needs at least one layer")
         if not (len(query) == len(key) == len(value)):
@@ -136,15 +137,6 @@ class DecoderWeights:
     @property
     def obs_channels(self) -> int:
         return self.encoder.shape[0]
-
-
-def _layer_matrices(name: str, layers) -> tuple[np.ndarray, ...]:
-    """One float32 matrix per layer; ConfigError naming `name` unless `layers` is iterable."""
-    if not isinstance(layers, Iterable):
-        raise ConfigError(
-            f"{name} must be a sequence of per-layer matrices, got {type(layers).__name__}"
-        )
-    return tuple(as_matrix(m, name) for m in layers)
 
 
 @dataclass(frozen=True)

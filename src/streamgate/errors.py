@@ -1,4 +1,4 @@
-"""Exception types, and the integer and type checks, shared across the package."""
+"""Exception types, and the integer, type and collection checks, shared across the package."""
 
 from __future__ import annotations
 
@@ -31,3 +31,19 @@ def check_type(name: str, value, cls: type) -> None:
     if not isinstance(value, cls):
         article = "an" if cls.__name__[0] in "AEIOU" else "a"
         raise ConfigError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
+def check_items(name: str, values, what: str, ordered: bool = True):
+    """values; ConfigError naming `name` unless an iterable other than a str or bytes.
+
+    Where `ordered`, the argument's order becomes the output's, and a set
+    is refused too: the hash seed orders a set of enum members.
+    """
+    try:
+        iter(values)
+        iterable = not isinstance(values, (str, bytes))
+    except TypeError:
+        iterable = False
+    if not iterable or (ordered and isinstance(values, (set, frozenset))):
+        raise ConfigError(f"{name} must be {what}, got {type(values).__name__}")
+    return values

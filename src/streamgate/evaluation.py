@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import DecoderWeights, decode_step, encode_frame, readout
-from .errors import ConfigError, check_int, check_type
+from .errors import ConfigError, check_int, check_items, check_type
 from .gating import GateConfig, Strategy, gate_step
 from .linalg import F32, matmul
 from .world import CoverageSchedule, Scene, StreamCursor, _StreamTape, generate_scene
@@ -175,9 +175,6 @@ def run_session(
     masks = np.empty((frames, state.shape[0]), dtype=F32)
     region_errors = np.zeros((len(scored), scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
-    # A scene that cannot drift keeps its codes: its truth is projected once.
-    drifts = scene.drifts
-    truth = None
 
     # A stream whose codes leave float32's range makes an inf frame, which
     # decode_step names in a StateError: the stream step and the encoding
@@ -206,8 +203,7 @@ def run_session(
                 continue
 
             estimate = readout(out.candidate, weights).astype(np.float64)
-            if truth is None or drifts:
-                truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
+            truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
             scale = float(np.add.reduce(estimate * truth, axis=None)) / (
                 float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
             )
@@ -236,9 +232,7 @@ def _scored_frames(scored, frames: int):
     """The distinct frames to score, ascending and ending at `frames`."""
     if scored is None:
         return range(1, frames + 1)
-    if not isinstance(scored, Iterable):
-        raise ConfigError(f"scored must be a collection of frame numbers, got {scored!r}")
-    scored = list(scored)
+    check_items("scored", scored, "a collection of frame numbers", ordered=False)
     return sorted({check_int("scored frame", t, 1, frames) for t in scored} | {frames})
 
 
@@ -278,8 +272,8 @@ def _session_grid(
     seeds, len(lengths)) float64 array and each session's mean mask over
     all its frames as a (configs, strategies, seeds) array. An empty or
     repeated strategy or seed list, which would run no session or the
-    same sessions twice, raises a ConfigError naming `op`; an argument of
-    the wrong type raises one naming the argument.
+    same sessions twice, raises a ConfigError naming `op`; an item of the
+    wrong type raises one naming it.
     """
     if not strategies:
         raise ConfigError(f"{op} needs at least 1 strategy")
@@ -289,6 +283,7 @@ def _session_grid(
         check_type("cfg", cfg, GateConfig)
     for strategy in strategies:
         check_type("strategy", strategy, Strategy)
+    seeds = [check_int("experiment seed", seed) for seed in seeds]
     for name, values in (("strategy", [s.value for s in strategies]), ("seed", seeds)):
         if len(set(values)) < len(values):
             raise ConfigError(f"{op}: repeated {name} in {list(values)}")
@@ -317,6 +312,8 @@ def run_ablation(
     seeds: list[int],
 ) -> AblationResult:
     """One session per (strategy, seed) on shared scenes and streams."""
+    strategies = list(check_items("strategies", strategies, "a sequence of strategies"))
+    seeds = list(check_items("seeds", seeds, "a sequence of experiment seeds"))
     if len(strategies) < 2:
         raise ConfigError("run_ablation needs at least 2 strategies")
     errors, masks = _session_grid("run_ablation", world, weights, [cfg], strategies, [frames], seeds)
@@ -350,10 +347,12 @@ def degradation_curve(
     Each (strategy, seed) session runs once, at the longest length, and
     scores only the frames at the requested lengths.
     """
+    strategies = list(check_items("strategies", strategies, "a sequence of strategies"))
+    lengths = [check_int("lengths entry", n, 1) for n in check_items(
+        "lengths", lengths, "a sequence of stream lengths")]
+    seeds = list(check_items("seeds", seeds, "a sequence of experiment seeds"))
     if len(lengths) < 2:
         raise ConfigError("degradation_curve needs at least 2 lengths")
-    for n in lengths:
-        check_int("lengths entry", n, 1)
     if any(b < a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be sorted ascending, got {lengths}")
     curves, _ = _session_grid(
@@ -365,7 +364,7 @@ def degradation_curve(
     }
     ratios = {s: e[-1] / e[0] if e[0] > 0 else math.inf for s, e in errors.items()}
     return DegradationReport(
-        lengths=list(lengths), errors_by_strategy=errors, growth_ratio=ratios
+        lengths=lengths, errors_by_strategy=errors, growth_ratio=ratios
     )
 
 
@@ -378,6 +377,8 @@ def tau_sweep(
     seeds: list[int],
 ) -> list[tuple[float, float]]:
     """Median fused-strategy final error for each temporal threshold."""
+    taus = list(check_items("taus", taus, "a sequence of temporal thresholds"))
+    seeds = list(check_items("seeds", seeds, "a sequence of experiment seeds"))
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
     check_type("cfg", cfg, GateConfig)

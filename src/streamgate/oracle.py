@@ -16,6 +16,7 @@ import numpy as np
 
 from . import decoder, gating, linalg
 from .decoder import DecoderWeights, decode_step
+from .errors import check_int
 from .gating import AttentionTrace, GateConfig, Strategy
 
 DEFAULT_TOL = 1e-5
@@ -256,9 +257,11 @@ def run_oracle_suite(
     """Check every exported operation against its scalar oracle.
 
     Each operation is exercised on `instances` fresh seeded random small
-    inputs (all dims <= 8, layer count <= 3).
+    inputs (all dims <= 8, layer count <= 3); `instances` >= 1, `seed` >= 0.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xC0FFEE)))
+    instances = check_int("instances", instances, 1)
+    seed = check_int("oracle seed", seed)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     errs: dict[str, float] = {}
 
     def record(name: str, err: float) -> None:

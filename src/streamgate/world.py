@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, check_int, check_type
+from .errors import ConfigError, check_int, check_items, check_type
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
@@ -81,6 +81,9 @@ class Scene:
             raise ConfigError("region_codes must be finite")
         _check_finite_rate("drift_rate", self.drift_rate)
         seed = check_int("scene seed", self.seed)
+        check_items(
+            "dynamic_regions", self.dynamic_regions, "a collection of region indices", ordered=False
+        )
         dynamic = frozenset(
             check_int("dynamic region", i, 0, codes.shape[0] - 1) for i in self.dynamic_regions
         )
@@ -416,12 +419,15 @@ def dump_stream(path, steps) -> None:
     """Write steps as one line each: t;rows;visible;observation;truth.
 
     The write is atomic: if it fails part-way, an existing file at path
-    stays intact and no temp file is left behind.
+    stays intact and no temp file is left behind. `steps` is read as the
+    file is written, so an item that is not a StreamStep is named there.
     """
+    check_items("steps", steps, "an iterable of StreamSteps")
     atomic_write(path, (_stream_line(s) for s in steps))
 
 
 def _stream_line(s: StreamStep) -> str:
+    check_type("steps entry", s, StreamStep)
     fields = (
         str(s.t),
         str(s.observation.shape[0]),

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import streamgate
 from streamgate import cli
@@ -260,6 +262,17 @@ def test_fmt_real_nine_significant_digits():
     assert fmt_real(0.0) == "0.000000000"
     assert fmt_real(-0.5986876601) == "-0.598687660"
     assert fmt_real(1e-5) == "0.0000100000000"
+    # Below 1e-31 and 1e-40, where capped decimals lost digits and then printed zero.
+    assert fmt_real(-2.5e-35) == "-0." + "0" * 34 + "250000000"
+    assert fmt_real(1.401298464324817e-45) == "0." + "0" * 44 + "140129846"  # float32's smallest
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(-1e9, 1e9, exclude_min=True, exclude_max=True).filter(bool))
+@example(1.401298464324817e-45)
+@example(3.3e-32)
+def test_fmt_real_reads_back_within_nine_significant_digits(v):
+    assert abs(float(fmt_real(v)) - v) <= 5e-9 * abs(v)
 
 
 # --- execution --------------------------------------------------------------
@@ -436,6 +449,17 @@ def test_run_can_dump_stream_trace(tmp_path):
     steps = load_stream(trace, obs_channels=8)
     assert len(steps) == 5
     assert steps[0].t == 1 and steps[-1].t == 5
+
+
+@pytest.mark.parametrize("trace", ["same.csv", "./same.csv", "sub/../same.csv", "link.csv"])
+def test_out_and_dump_stream_may_not_name_one_file(tmp_path, monkeypatch, capsys, trace):
+    # The output would overwrite the trace written just before it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.csv").symlink_to("same.csv")
+    assert run_cli(["run", *SMALL, "--out", "same.csv", "--dump-stream", trace]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dump-stream: ") and " out" in err
+    assert os.listdir(tmp_path) == ["link.csv"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from streamgate.linalg import (
     sigmoid_neg_inplace,
 )
 from streamgate import oracle
+from streamgate.errors import ConfigError
 
 
 def f32(x):
@@ -170,6 +172,19 @@ def test_matches_scalar_oracle_on_random_instances():
             rtol=1e-5,
             atol=1e-6,
         )
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"instances": 0}, "instances"),  # an empty report list, which passed without a check
+    ({"instances": -3}, "instances"),
+    ({"instances": "5"}, "instances"),
+    ({"instances": 2.0}, "instances"),
+    ({"seed": -1}, "oracle seed"),
+    ({"seed": 0.5}, "oracle seed"),
+])
+def test_run_oracle_suite_rejects_bad_arguments_naming_them(kwargs, name):
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
+        oracle.run_oracle_suite(**kwargs)
 
 
 # The kernels call ufuncs and ufunc reductions directly; each must stay bit

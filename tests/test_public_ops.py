@@ -3,10 +3,12 @@
 The linalg kernels below them take float32 arrays as given, so a public
 operation must give bit-identical results whether it is handed float64
 nested lists or float32 arrays, and must name the argument numpy cannot
-read as an array, or any other argument of the wrong type.
+read as an array, any other argument of the wrong type, and a collection
+argument that is not a collection.
 """
 
 import dataclasses
+import os
 import re
 
 import numpy as np
@@ -26,7 +28,7 @@ from streamgate.evaluation import (
     tau_sweep,
 )
 from streamgate.linalg import as_matrix, as_vector
-from streamgate.world import CoverageSchedule, Scene, StreamCursor, generate_scene
+from streamgate.world import CoverageSchedule, Scene, StreamCursor, dump_stream, generate_scene
 from streamgate.gating import (
     AttentionTrace,
     GateConfig,
@@ -259,3 +261,84 @@ def test_an_argument_of_the_wrong_type_raises_config_error_naming_it(argument, v
     name, call = TYPED[argument]
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an? [A-Z]"):
         call(value)
+
+
+# --- collection arguments that are not collections -------------------------
+
+STEP = StreamCursor(SCENE, WORLD.schedule, 0.05, 0).step()
+LAYER = tuple(map(tuple, WEIGHTS.query[0].tolist()))
+
+# Every public collection argument: the name its ConfigError gives, a call
+# that passes the value as that argument and valid values as the others,
+# and a set of valid items where the argument's order becomes the
+# output's (None where a set is allowed).
+COLLECTIONS = {
+    **{f"DecoderWeights.{name}": (name, lambda x, name=name: dataclasses.replace(WEIGHTS, **{name: x}),
+                                  {LAYER}) for name in ("query", "key", "value")},
+    "run_session.scored": ("scored", lambda x: run_session(
+        seeded_stream(WORLD, 0), WEIGHTS, CFG, Strategy.FUSED, 2, scored=x), None),
+    "Scene.dynamic_regions": ("dynamic_regions", lambda x: Scene(SCENE.region_codes, x, 0.0, 0), None),
+    "run_ablation.strategies": ("strategies", lambda x: run_ablation(WORLD, WEIGHTS, CFG, x, 2, [0]),
+                                set(Strategy)),
+    "run_ablation.seeds": ("seeds", lambda x: run_ablation(WORLD, WEIGHTS, CFG, list(Strategy), 2, x),
+                           {0, 1}),
+    "degradation_curve.strategies": ("strategies", lambda x: degradation_curve(
+        WORLD, WEIGHTS, CFG, x, [1, 2], [0]), set(Strategy)),
+    "degradation_curve.lengths": ("lengths", lambda x: degradation_curve(
+        WORLD, WEIGHTS, CFG, [Strategy.FUSED], x, [0]), {1, 2}),
+    "degradation_curve.seeds": ("seeds", lambda x: degradation_curve(
+        WORLD, WEIGHTS, CFG, [Strategy.FUSED], [1, 2], x), {0, 1}),
+    "tau_sweep.taus": ("taus", lambda x: tau_sweep(WORLD, WEIGHTS, CFG, x, 2, [0]), {0.5, 1.0}),
+    "tau_sweep.seeds": ("seeds", lambda x: tau_sweep(WORLD, WEIGHTS, CFG, [1.0], 2, x), {0, 1}),
+    "dump_stream.steps": ("steps", lambda x: dump_stream("trace.txt", x), {STEP}),
+}
+
+# Bare values, a 0-d array, and strings and bytes, whose characters would
+# otherwise be read as items.
+NOT_COLLECTIONS = [5, 2.5, Strategy.FUSED, STEP, np.array(3), "fused", "01", "", b"01"]
+
+
+@pytest.mark.parametrize("value", NOT_COLLECTIONS, ids=lambda v: repr(v)[:16])
+@pytest.mark.parametrize("argument", sorted(COLLECTIONS))
+def test_a_collection_argument_that_is_not_one_raises_config_error_naming_it(
+        argument, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name, call, _ = COLLECTIONS[argument]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an? .+, got {type(value).__name__}$"):
+        call(value)
+    assert os.listdir(tmp_path) == []  # refused before any file is opened
+
+
+@pytest.mark.parametrize("argument", sorted(a for a, (_, _, items) in COLLECTIONS.items() if items))
+def test_a_set_where_order_matters_raises_config_error_naming_the_argument(argument, tmp_path, monkeypatch):
+    # A set of enum members iterates in an order set by the hash seed, so
+    # the rows it ordered would differ from one process to the next.
+    monkeypatch.chdir(tmp_path)
+    name, call, items = COLLECTIONS[argument]
+    for value in (items, frozenset(items)):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be .*, got {type(value).__name__}$"):
+            call(value)
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_set_is_read_where_order_does_not_matter():
+    scene = Scene(SCENE.region_codes, {2, 0}, 0.5, 0)
+    assert scene.dynamic_regions == frozenset({0, 2})
+    as_set = run_session(seeded_stream(WORLD, 0), WEIGHTS, CFG, Strategy.FUSED, 4, scored={3, 1})
+    as_list = run_session(seeded_stream(WORLD, 0), WEIGHTS, CFG, Strategy.FUSED, 4, scored=[1, 3])
+    assert as_set.per_frame_error == as_list.per_frame_error
+
+
+@pytest.mark.parametrize("grid", ["run_ablation", "degradation_curve", "tau_sweep"])
+def test_an_unhashable_seed_is_named(grid):
+    with pytest.raises(ConfigError, match=r"^experiment seed must be an integer >= 0, got \[0\]$"):
+        COLLECTIONS[f"{grid}.seeds"][1]([[0]])
+
+
+def test_a_grid_reads_iterators_as_it_reads_lists():
+    assert (run_ablation(WORLD, WEIGHTS, CFG, iter(Strategy), 2, iter([0, 1]))
+            == run_ablation(WORLD, WEIGHTS, CFG, list(Strategy), 2, [0, 1]))
+    assert (degradation_curve(WORLD, WEIGHTS, CFG, iter(Strategy), iter([1, 3]), iter([0]))
+            == degradation_curve(WORLD, WEIGHTS, CFG, list(Strategy), [1, 3], [0]))
+    assert (tau_sweep(WORLD, WEIGHTS, CFG, iter([0.5, 1.0]), 2, iter([0, 1]))
+            == tau_sweep(WORLD, WEIGHTS, CFG, [0.5, 1.0], 2, [0, 1]))
