@@ -485,6 +485,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"lengths: must be sorted ascending, got {list(cfg.lengths)}")
     if COMMANDS[cfg.command].writes and not cfg.out:
         raise ConfigError("out: an output path is required for this command")
+    if cfg.dump_stream and cfg.command != "run":
+        raise ConfigError(f"dump-stream: only run writes a stream trace, not {cfg.command}")
     if cfg.out and cfg.dump_stream and os.path.realpath(cfg.out) == os.path.realpath(cfg.dump_stream):
         raise ConfigError(f"dump-stream: names the same file as out, {cfg.dump_stream!r}")
 

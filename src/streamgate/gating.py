@@ -218,7 +218,10 @@ def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
     the sum is divided by their count.
     """
     check_type("trace", trace, AttentionTrace)
-    layers = trace.layers
+    return _aggregate(trace.layers)
+
+
+def _aggregate(layers: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(layers), axis=0) / F32(layers.shape[0])
 
 
@@ -320,8 +323,9 @@ def uniform_mask(n: int) -> UpdateMask:
     return UpdateMask(np.ones(check_int("n", n, 1), dtype=F32), Strategy.UNIFORM)
 
 
-# Which gates each non-uniform strategy runs: (temporal, spatial).
+# Which gates each strategy runs, (temporal, spatial); a stream's first frame runs neither.
 _ROUTES = {
+    Strategy.UNIFORM: (False, False),
     Strategy.TEMPORAL_ONLY: (True, False),
     Strategy.SPATIAL_ONLY: (False, True),
     Strategy.FUSED: (True, True),
@@ -341,8 +345,8 @@ def gate_step(
 ) -> tuple[np.ndarray, UpdateMask]:
     """One full gated state update; returns (new_state, mask_used).
 
-    On the first frame of a stream both buffers are absent and the uniform
-    mask is used regardless of strategy, so the initial observation is
+    On the first frame of a stream both buffers are absent and the UNIFORM
+    route is taken regardless of strategy, so the initial observation is
     written in full. Supplying exactly one of the two buffers means the
     caller's session bookkeeping is broken and raises StateError, as do a
     non-finite input the strategy reads and frames too large for float32
@@ -372,18 +376,13 @@ def gate_step(
     if trace.layers.shape[1:] != (n, k):
         raise ConfigError(f"gate_step: attention trace is {trace.layers.shape[1]} x {trace.layers.shape[2]}, "
                           f"expected {n} state tokens (candidate) x {k} frame tokens (frame)")
-    # One errstate for the whole step, the uniform commit included: numpy's
-    # context manager costs a few microseconds to enter.
+    route = Strategy.UNIFORM if prev_candidate is None else strategy
+    temporal, spatial = _ROUTES[route]
     with np.errstate(over="ignore", invalid="ignore"):
-        if prev_candidate is None or strategy is Strategy.UNIFORM:
-            mask = uniform_mask(n)
-            return _commit(candidate, prev_state, mask.values), mask
-        temporal, spatial = _ROUTES[strategy]
         values = _temporal(candidate, prev_candidate, cfg) if temporal else None
         if spatial:
-            attn = aggregate_attention(trace)
             divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
-            spatial_values = _spatial(attn, divergence, cfg, "gate_step", trace.layers)
+            spatial_values = _spatial(_aggregate(trace.layers), divergence, cfg, "gate_step", trace.layers)
             values = spatial_values if values is None else values * spatial_values
-        mask = UpdateMask(values, strategy)
+        mask = UpdateMask(np.ones(n, dtype=F32) if values is None else values, route)
         return _commit(candidate, prev_state, mask.values), mask

@@ -462,6 +462,16 @@ def test_out_and_dump_stream_may_not_name_one_file(tmp_path, monkeypatch, capsys
     assert os.listdir(tmp_path) == ["link.csv"]
 
 
+@pytest.mark.parametrize("command", sorted(set(cli.COMMANDS) - {"run"}))
+def test_dump_stream_is_refused_by_every_command_but_run(tmp_path, monkeypatch, capsys, command):
+    # Only run writes a trace; elsewhere the path would be recorded and nothing written.
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *small("--frames", "3", "--seeds", "0"), "--out", "o.csv", "--dump-stream", "t.txt"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: dump-stream: only run writes a stream trace, not {command}\n"
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
 def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
     out = tmp_path / "run.csv"

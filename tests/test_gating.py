@@ -466,30 +466,22 @@ def _gate_inputs(seed=0, n=4, k=3, c=5, layers=2):
     }
 
 
-@pytest.mark.parametrize("strategy", list(Strategy))
-def test_gate_step_cold_start_writes_candidate(strategy):
-    d = _gate_inputs()
+# The gate-less route: every strategy on a stream's first frame, and UNIFORM
+# on any frame, commits an all-ones UNIFORM mask, so the candidate in full.
+@pytest.mark.parametrize(
+    "strategy, first_frame",
+    [(s, True) for s in Strategy] + [(Strategy.UNIFORM, False)],
+)
+def test_gate_step_gate_less_route_writes_candidate(strategy, first_frame):
+    d = _gate_inputs(seed=0 if first_frame else 2)
+    buffers = {} if first_frame else dict(prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
     state, mask = gate_step(
-        d["candidate"], d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy
+        d["candidate"], d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy, **buffers
     )
     assert mask.kind is Strategy.UNIFORM
-    assert state.tobytes() == d["candidate"].tobytes()
-
-
-def test_gate_step_uniform_is_direct_replacement():
-    d = _gate_inputs(seed=2)
-    state, mask = gate_step(
-        d["candidate"],
-        d["prev_state"],
-        d["frame"],
-        d["trace"],
-        GateConfig(),
-        Strategy.UNIFORM,
-        prev_candidate=d["prev_candidate"],
-        prev_frame=d["prev_frame"],
-    )
-    assert state.tobytes() == d["candidate"].tobytes()
-    assert mask.kind is Strategy.UNIFORM
+    assert mask.values.tobytes() == np.ones(4, dtype=F32).tobytes()
+    expected = apply_update(d["candidate"], d["prev_state"], uniform_mask(4))
+    assert state.tobytes() == expected.tobytes() == d["candidate"].tobytes()
 
 
 def test_gate_step_fused_fallback_quarter():
