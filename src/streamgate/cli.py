@@ -439,6 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: a parse leaves nothing behind in the parser, only in its namespace.
+_PARSER = _build_parser()
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -493,7 +497,7 @@ def _validate(cfg: RunConfig) -> None:
 
 def parse_config(argv=None) -> RunConfig:
     """Parse flags plus optional config file into a validated RunConfig."""
-    given = vars(_build_parser().parse_args(argv))
+    given = vars(_PARSER.parse_args(argv))
     command = given.pop("command")
     for key, raw in given.items():
         if len(raw) > 1 and key not in _REPEATABLE:
@@ -507,6 +511,8 @@ def parse_config(argv=None) -> RunConfig:
         for key, raw in values.items():
             option = _OPTIONS[key]
             merged[option.field] = option.parse(key, raw)
+    if command == "run":  # one session: the header records the seed and strategy it ran
+        merged["seeds"], merged["strategies"] = merged["seeds"][:1], merged["strategies"][:1]
 
     cfg = RunConfig(command=command, **merged)
     _validate(cfg)

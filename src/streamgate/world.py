@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, check_int, check_items, check_type
+from .errors import ConfigError, StateError, check_int, check_items, check_type
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
@@ -261,9 +261,9 @@ def _rng(row: np.ndarray) -> np.random.Generator:
 
 
 def _visible_regions(schedule: CoverageSchedule, t: int, regions: int) -> tuple[int, ...]:
-    if schedule.kind is ScheduleKind.FULL:
-        return tuple(range(regions))
-    if schedule.kind is ScheduleKind.REVISIT and t % schedule.period == 0:
+    if schedule.kind is ScheduleKind.FULL or (
+        schedule.kind is ScheduleKind.REVISIT and t % schedule.period == 0
+    ):
         return tuple(range(regions))
     window = min(schedule.window, regions)
     start = (t - 1) % regions
@@ -322,7 +322,7 @@ class StreamCursor:
         return self._advance()
 
     def _advance(self) -> StreamStep:
-        """Generate the next frame."""
+        """Generate the next frame; a StateError names a frame whose values overflow float32."""
         self._t += 1
         t = self._t
         i = t - self._block_t0
@@ -331,19 +331,27 @@ class StreamCursor:
             self._block_t0, i = t, 0
         words = self._words[i]
         regions, channels = self._codes.shape
-        if self._drifts:
-            drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
-            self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
         visible = _visible_regions(self.schedule, t, regions)
-        noise_rng = _rng(words[-1])
-        if self.schedule.kind is ScheduleKind.REVISIT:
-            noise = noise_rng.standard_normal((regions, channels)).astype(F32)
-            observation = self._sigma * noise
-            vis = list(visible)
-            observation[vis] += self._codes[vis]
-        else:
-            noise = noise_rng.standard_normal((len(visible), channels)).astype(F32)
-            observation = self._codes[list(visible)] + self._sigma * noise
+        vis = list(visible)
+        # REVISIT keeps a row per region, and its invisible rows hold noise only.
+        revisit = self.schedule.kind is ScheduleKind.REVISIT
+        noise = _rng(words[-1]).standard_normal((regions if revisit else len(vis), channels))
+        # Values that leave float32's range are named, in view or not; each
+        # check searches the entries only when their sum is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._drifts:
+                drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
+                self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
+                total = np.add.reduce(self._codes, axis=None)
+                if not math.isfinite(total) and not np.isfinite(self._codes).all():
+                    raise StateError(
+                        f"StreamCursor.step: frame {t}: the drifting region codes overflow float32"
+                    )
+            observation = self._sigma * noise.astype(F32)
+            observation[vis if revisit else slice(None)] += self._codes[vis]
+            total = np.add.reduce(observation, axis=None)
+            if not math.isfinite(total) and not np.isfinite(observation).all():
+                raise StateError(f"StreamCursor.step: frame {t}: the observation overflows float32")
         return StreamStep(
             t=t,
             observation=observation,

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import streamgate
 from streamgate import cli
-from streamgate.cli import fmt_real, main, parse_config
+from streamgate.cli import RunConfig, fmt_real, main, parse_config
 from streamgate.errors import ConfigError
 
 SMALL = [
@@ -175,6 +175,20 @@ def test_a_repeated_config_flag_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config: given 2 times, at most once allowed\n"
 
 
+def test_each_parse_of_the_one_parser_is_unaffected_by_the_one_before(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run_cli(["ablate", "--tau", "2.0", "--tau", "2.0", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err == "error: tau: given 2 times, at most once allowed\n"
+    assert parse_config(["ablate", "--tau", "2.0", "--out", "x.csv"]) == RunConfig("ablate", tau=2.0, out="x.csv")
+    conf = tmp_path / "exp.conf"
+    conf.write_text("tau=2.0\n")
+    cfg = parse_config(["run", "--config", str(conf), "--strategy", "uniform", "--out", "x.csv"])
+    assert (cfg.tau, cfg.strategies) == (2.0, ("uniform",))
+    assert parse_config(["run", "--out", "x.csv"]) == RunConfig(
+        "run", strategies=("fused",), seeds=(0,), out="x.csv"
+    )
+
+
 def test_config_file_from_environment(tmp_path, monkeypatch):
     conf = tmp_path / "env.conf"
     conf.write_text("frames=7\n")
@@ -190,6 +204,18 @@ def test_strategy_flag_repeatable_and_comma():
     assert cfg.strategies == ("uniform", "temporal")
     with pytest.raises(SystemExit):
         main(["ablate", "--strategy", "bogus", "--out", "x.csv"])
+
+
+def test_run_header_records_the_one_seed_and_strategy_it_ran(tmp_path):
+    out = tmp_path / "run.csv"
+    argv = ["run", *small("--frames", "3", "--seeds", "1,0"), "--strategy", "uniform,fused",
+            "--out", str(out)]
+    cfg = parse_config(argv)
+    assert (cfg.seeds, cfg.strategies) == ((1,), ("uniform",))
+    assert run_cli(argv) == 0
+    lines = out.read_text().splitlines()
+    assert "# config strategies=uniform" in lines and "# config seeds=1" in lines
+    assert lines[-1].startswith("# summary strategy=uniform frames=3 ")
 
 
 def test_command_defaults():
@@ -347,7 +373,7 @@ PINNED = {
          "--drift-rate", "0.05", "--dynamic-fraction", "0.5", "--attn-source", "preabs",
          "--out", "run.csv", "--dump-stream", "trace.txt"],
         {
-            "run.csv": "b47833463cde5a404d5332377abd0946f93d533f047ef84f39142afd0e94c8a7",
+            "run.csv": "2f3bc7a52c409f64bd122525085f7afbb931faa5089ad8483bde6ab001a1a9bc",
             "trace.txt": "1c022d2a233a2180cdee9272b552bdc5a3ab9d850932f21c0a16fdff56d1cccb",
         },
     ),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamgate.errors import ConfigError
+from streamgate.errors import ConfigError, StateError
 from streamgate.evaluation import experiment_seeds
 from streamgate.world import (
     _SEED_BLOCK,
@@ -22,6 +22,7 @@ from streamgate.world import (
 )
 
 F32 = np.float32
+F32_MAX = float(np.finfo(F32).max)
 
 
 def _steps(scene, schedule, frames, noise_sigma, seed):
@@ -204,9 +205,11 @@ def _textbook_stream(scene, schedule, noise_sigma, seed, frames):
 
 @pytest.mark.parametrize("kind", list(ScheduleKind))
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3])
-def test_stream_cursor_matches_textbook_numpy_seeding_bitwise(kind, seed):
+@pytest.mark.parametrize("dynamic_fraction, drift_rate", [(0.5, 0.1), (0.0, 0.0)],
+                         ids=["drifting", "static"])
+def test_stream_cursor_matches_textbook_numpy_seeding_bitwise(kind, seed, dynamic_fraction, drift_rate):
     frames = 600  # crosses two seed-block edges
-    scene = generate_scene(8, 4, 0.5, 0.1, seed=24)
+    scene = generate_scene(8, 4, dynamic_fraction, drift_rate, seed=24)
     sched = CoverageSchedule(kind=kind, window=3, period=7)
     got = _steps(scene, sched, frames, 0.2, seed)
     want = list(_textbook_stream(scene, sched, 0.2, seed, frames))
@@ -248,6 +251,46 @@ def test_stream_cursor_rejects_bad_noise_sigma_naming_the_field(noise_sigma):
     scene = generate_scene(4, 3, 0.0, 0.0, seed=12)
     with pytest.raises(ConfigError, match="noise_sigma"):
         StreamCursor(scene, CoverageSchedule(), noise_sigma, seed=0)
+
+
+def _first_step_raises(cursor, cause):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=rf"^StreamCursor.step: frame 1: {cause} float32$"):
+            cursor.step()
+
+
+def test_a_drift_rate_near_float32_max_raises_state_error_naming_the_codes():
+    scene = generate_scene(4, 8, 0.5, 3.4e38, seed=0)
+    cursor = StreamCursor(scene, CoverageSchedule(ScheduleKind.FULL), 0.0, 0)
+    _first_step_raises(cursor, "the drifting region codes overflow")
+
+
+def test_region_codes_that_overflow_out_of_view_raise_state_error():
+    codes = generate_scene(8, 8, 0.0, 0.0, seed=3).region_codes
+    sched = CoverageSchedule(ScheduleKind.SLIDING_WINDOW, window=2)
+    # Frame 1 shows regions 0 and 1; only region 7 drifts.
+    still = StreamCursor(Scene(codes, frozenset({7}), 0.0, 0), sched, 0.0, 0).step()
+    assert still.visible_regions == (0, 1)
+    cursor = StreamCursor(Scene(codes, frozenset({7}), F32_MAX, 0), sched, 0.0, 0)
+    _first_step_raises(cursor, "the drifting region codes overflow")
+
+
+@pytest.mark.parametrize("kind", list(ScheduleKind))
+def test_a_noise_sigma_near_float32_max_raises_state_error_naming_the_observation(kind):
+    cursor = StreamCursor(generate_scene(4, 3, 0.0, 0.0, seed=5), CoverageSchedule(kind, window=2),
+                          F32_MAX, 0)
+    _first_step_raises(cursor, "the observation overflows")
+
+
+def test_finite_stream_values_whose_sum_overflows_float32_are_not_refused():
+    codes = np.full((4, 3), 3e38, dtype=F32)
+    cursor = StreamCursor(Scene(codes, frozenset({0}), 1e-30, 0), CoverageSchedule(ScheduleKind.FULL),
+                          0.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = cursor.step()
+    assert step.observation.tobytes() == step.truth_snapshot.tobytes() == codes.tobytes()
 
 
 def test_revisit_schedule_full_coverage_every_period():
