@@ -221,8 +221,10 @@ _REPEATABLE = {key for key, opt in _OPTIONS.items() if opt.repeatable}
 
 
 def fmt_real(x: float) -> str:
-    """Fixed-notation decimal with 9 significant digits."""
+    """Fixed-notation decimal with 9 significant digits; `inf`, `-inf` or `nan` if not finite."""
     v = float(x)
+    if not math.isfinite(v):
+        return repr(v)
     if v == 0.0:
         return "0.000000000"
     decimals = max(9 - 1 - math.floor(math.log10(abs(v))), 0)

@@ -1,7 +1,8 @@
-"""Exception types, and the integer, type and collection checks, shared across the package."""
+"""Exception types, and the integer, real, type and collection checks, shared across the package."""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -24,6 +25,21 @@ def check_int(name: str, value, low: int = 0, high: int | None = None) -> int:
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """value as a float; ConfigError naming `name` unless a finite real, not a bool, in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a Real, got {type(value).__name__}")
+    try:
+        v = float(value)
+    except OverflowError:  # an int beyond float's range is infinite
+        v = math.inf if value > 0 else -math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{name} must be finite, got {v}")
+    if not low <= v <= high:
+        raise ConfigError(f"{name} must be in [{low}, {high}], got {value}")
+    return v
 
 
 def check_type(name: str, value, cls: type) -> None:

@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StateError, check_int, check_type
+from .errors import ConfigError, StateError, check_int, check_real, check_type
 from .linalg import (
     F32,
     _as_f32,
@@ -87,12 +86,10 @@ class GateConfig:
     def __post_init__(self) -> None:
         check_type("attn_source", self.attn_source, AttnSource)
         for name in ("tau", "eps_mean", "spat_gain", "spat_bias"):
-            value = getattr(self, name)
-            check_type(name, value, numbers.Real)
-            if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            value = check_real(name, getattr(self, name))
             if name != "spat_bias" and not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)

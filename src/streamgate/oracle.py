@@ -16,7 +16,7 @@ import numpy as np
 
 from . import decoder, gating, linalg
 from .decoder import DecoderWeights, decode_step
-from .errors import check_int
+from .errors import check_int, check_real
 from .gating import AttentionTrace, GateConfig, Strategy
 
 DEFAULT_TOL = 1e-5
@@ -219,13 +219,14 @@ class OracleReport:
 
 
 def _rel_err(actual, expected) -> float:
-    """Worst |actual - expected| / max(1, |expected|) over all entries."""
+    """Worst |actual - expected| / max(1, |expected|) over all entries; inf where one is NaN."""
     a = np.asarray(actual, dtype=np.float64).ravel()
     e = np.asarray(expected, dtype=np.float64).ravel()
     if a.shape != e.shape:
         return math.inf
     denom = np.maximum(1.0, np.abs(e))
-    return float(np.max(np.abs(a - e) / denom)) if a.size else 0.0
+    err = float(np.max(np.abs(a - e) / denom)) if a.size else 0.0
+    return math.inf if math.isnan(err) else err  # max(0.0, nan) would drop a NaN
 
 
 def _mat(rng, rows, cols, scale=1.0):
@@ -257,10 +258,12 @@ def run_oracle_suite(
     """Check every exported operation against its scalar oracle.
 
     Each operation is exercised on `instances` fresh seeded random small
-    inputs (all dims <= 8, layer count <= 3); `instances` >= 1, `seed` >= 0.
+    inputs (all dims <= 8, layer count <= 3); `instances` >= 1, `seed` >= 0,
+    `tol` >= 0. An operation fails where its worst deviation exceeds `tol`.
     """
     instances = check_int("instances", instances, 1)
     seed = check_int("oracle seed", seed)
+    tol = check_real("tol", tol, 0)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
     errs: dict[str, float] = {}
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import copy
 import enum
 import math
-import numbers
 import os
 import secrets
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .errors import ConfigError, StateError, check_int, check_items, check_type
+from .errors import ConfigError, StateError, check_int, check_items, check_real, check_type
 from .linalg import F32, as_matrix
 
 _DRIFT_ROLE = 1
@@ -48,14 +47,6 @@ _MASK32 = 0xFFFFFFFF
 
 # The largest rate whose float32 cast stays finite.
 _MAX_RATE = float(np.finfo(F32).max)
-
-
-def _check_finite_rate(name: str, value: float) -> None:
-    check_type(name, value, numbers.Real)
-    if not 0 <= value <= _MAX_RATE:  # NaN fails both comparisons
-        raise ConfigError(
-            f"{name} must be finite, >= 0 and <= float32's maximum {_MAX_RATE!r}, got {value}"
-        )
 
 
 class ScheduleKind(enum.Enum):
@@ -79,7 +70,7 @@ class Scene:
             raise ConfigError("scene needs at least one region")
         if not np.isfinite(codes).all():
             raise ConfigError("region_codes must be finite")
-        _check_finite_rate("drift_rate", self.drift_rate)
+        object.__setattr__(self, "drift_rate", check_real("drift_rate", self.drift_rate, 0, _MAX_RATE))
         seed = check_int("scene seed", self.seed)
         check_items(
             "dynamic_regions", self.dynamic_regions, "a collection of region indices", ordered=False
@@ -123,8 +114,8 @@ class CoverageSchedule:
 
     def __post_init__(self) -> None:
         check_type("kind", self.kind, ScheduleKind)
-        check_int("window", self.window, 1)
-        check_int("period", self.period, 1)
+        object.__setattr__(self, "window", check_int("window", self.window, 1))
+        object.__setattr__(self, "period", check_int("period", self.period, 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +150,7 @@ def generate_scene(
     """
     regions = check_int("regions", regions, 1)
     obs_channels = check_int("obs_channels", obs_channels, 1)
-    check_type("dynamic_fraction", dynamic_fraction, numbers.Real)
-    check_type("drift_rate", drift_rate, numbers.Real)
-    if not 0.0 <= dynamic_fraction <= 1.0:
-        raise ConfigError(
-            f"dynamic_fraction must be in [0, 1], got {dynamic_fraction}"
-        )
+    dynamic_fraction = check_real("dynamic_fraction", dynamic_fraction, 0, 1)
     seed = check_int("scene seed", seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     raw = rng.standard_normal((regions, obs_channels))
@@ -175,7 +161,7 @@ def generate_scene(
     return Scene(
         region_codes=codes,
         dynamic_regions=frozenset(int(i) for i in dynamic),
-        drift_rate=float(drift_rate),
+        drift_rate=drift_rate,
         seed=seed,
     )
 
@@ -298,7 +284,7 @@ class StreamCursor:
     def __post_init__(self) -> None:
         check_type("scene", self.scene, Scene)
         check_type("schedule", self.schedule, CoverageSchedule)
-        _check_finite_rate("noise_sigma", self.noise_sigma)
+        self.noise_sigma = check_real("noise_sigma", self.noise_sigma, 0, _MAX_RATE)
         self.seed = check_int("stream seed", self.seed)
         scene = self.scene
         self._codes = scene.region_codes.copy()

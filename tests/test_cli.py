@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import streamgate
-from streamgate import cli
+from streamgate import cli, linalg
 from streamgate.cli import RunConfig, fmt_real, main, parse_config
 from streamgate.errors import ConfigError
 
@@ -531,6 +532,26 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert "oracle-check:" in out
     assert "FAIL" not in out
+
+
+def test_oracle_check_writes_the_failing_row_of_a_kernel_returning_inf(tmp_path, capsys, monkeypatch):
+    kernel = linalg.rowwise_max
+    monkeypatch.setattr(linalg, "rowwise_max", lambda m: np.full_like(kernel(m), np.inf))
+    out = tmp_path / "o.csv"
+    assert run_cli(["oracle-check", "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert "rowwise_max: 1000 instances, max_rel_err=inf FAIL" in printed
+    assert printed.endswith("oracle-check: 15/16 operations pass\n")
+    rows = out.read_text().splitlines()
+    assert "rowwise_max,1000,inf,false" in rows
+    assert "# summary operations=16 failed=1" in rows
+
+
+@pytest.mark.parametrize("x, text", [(np.inf, "inf"), (-np.inf, "-inf"), (np.nan, "nan")])
+def test_a_non_finite_real_is_written_as_inf_or_nan_and_reads_back(x, text):
+    assert fmt_real(x) == text
+    back = json.loads(json.dumps(cli._json_value(float(x))))
+    assert back == x or (math.isnan(back) and math.isnan(x))
 
 
 def test_console_script_entry_point(tmp_path):

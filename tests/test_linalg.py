@@ -15,7 +15,7 @@ from streamgate.linalg import (
     sigmoid,
     sigmoid_neg_inplace,
 )
-from streamgate import oracle
+from streamgate import linalg, oracle
 from streamgate.errors import ConfigError
 
 
@@ -185,6 +185,32 @@ def test_matches_scalar_oracle_on_random_instances():
 def test_run_oracle_suite_rejects_bad_arguments_naming_them(kwargs, name):
     with pytest.raises(ConfigError, match=f"^{name} must be an integer >= "):
         oracle.run_oracle_suite(**kwargs)
+
+
+@pytest.mark.parametrize("tol", ["x", math.nan, -1e-5, True])
+def test_run_oracle_suite_rejects_a_bad_tol_before_running(tol, monkeypatch):
+    monkeypatch.setattr(oracle, "_rel_err", None)  # no instance runs
+    with pytest.raises(ConfigError, match="^tol must be "):
+        oracle.run_oracle_suite(instances=1, tol=tol)
+
+
+@pytest.mark.parametrize("entries", ["all", "one"])
+@pytest.mark.parametrize("op", ["rowwise_max", "sigmoid"])
+def test_the_oracle_suite_fails_a_kernel_that_returns_nan(monkeypatch, op, entries):
+    kernel = getattr(linalg, op)
+
+    def nan_kernel(*args):
+        out = kernel(*args)
+        if entries == "all":
+            out[...] = np.nan
+        else:
+            out.flat[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(linalg, op, nan_kernel)
+    reports = {r.op: r for r in oracle.run_oracle_suite(instances=50)}
+    assert not reports[op].passed and reports[op].max_rel_err == math.inf
+    assert all(r.passed and math.isfinite(r.max_rel_err) for r in reports.values() if r.op != op)
 
 
 # The kernels call ufuncs and ufunc reductions directly; each must stay bit

@@ -247,8 +247,8 @@ TYPED = {
 }
 
 # Values of no argument's type: strings that name a member of an enum are
-# not coerced to it.
-WRONG = [None, "preabs", "fused", "full", "bogus", [[1.0]], D32["candidate"], {}, object()]
+# not coerced to it, and a bool is not read as a number.
+WRONG = [None, "preabs", "fused", "full", "bogus", [[1.0]], D32["candidate"], {}, object(), True]
 
 
 @settings(max_examples=300, deadline=None)
@@ -261,6 +261,47 @@ def test_an_argument_of_the_wrong_type_raises_config_error_naming_it(argument, v
     name, call = TYPED[argument]
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be an? [A-Z]"):
         call(value)
+
+
+# --- real-valued arguments ---------------------------------------------------
+
+REAL = ["GateConfig.tau", "GateConfig.eps_mean", "GateConfig.spat_gain", "GateConfig.spat_bias",
+        "Scene.drift_rate", "generate_scene.dynamic_fraction", "generate_scene.drift_rate",
+        "StreamCursor.noise_sigma"]
+
+
+# float(10**400) raises OverflowError: the check counts such an int as
+# infinite. The property above samples its pairs; this covers each one.
+@pytest.mark.parametrize("value, refusal", [
+    (True, "a Real, got bool"), (10**400, "finite, got inf"), (-10**400, "finite, got -inf"),
+], ids=["True", "+10**400", "-10**400"])
+@pytest.mark.parametrize("argument", REAL)
+def test_a_real_argument_refuses_a_bool_and_an_int_beyond_float_range_naming_it(argument, value, refusal):
+    name, call = TYPED[argument]
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be {refusal}$"):
+        call(value)
+
+
+# A checked field holds what its check returned: a float or an int, not
+# the numpy scalar or the int it was given.
+STORED = {
+    **{f"GateConfig.{name}": (lambda name=name: getattr(GateConfig(**{name: 2}), name), float, 2.0)
+       for name in ("tau", "eps_mean", "spat_gain", "spat_bias")},
+    "Scene.drift_rate": (lambda: Scene(SCENE.region_codes, frozenset(), np.float32(0.5), 0).drift_rate,
+                         float, 0.5),
+    "generate_scene.drift_rate": (lambda: generate_scene(N, OBS, 0.5, 1).drift_rate, float, 1.0),
+    "StreamCursor.noise_sigma": (lambda: StreamCursor(SCENE, WORLD.schedule, np.float32(0.5), 0).noise_sigma,
+                                 float, 0.5),
+    **{f"CoverageSchedule.{name}": (lambda name=name: getattr(CoverageSchedule(**{name: np.int64(3)}), name),
+                                    int, 3) for name in ("window", "period")},
+}
+
+
+@pytest.mark.parametrize("field", sorted(STORED))
+def test_a_checked_field_stores_the_value_its_check_returned(field):
+    read, cls, value = STORED[field]
+    stored = read()
+    assert type(stored) is cls and stored == value
 
 
 # --- collection arguments that are not collections -------------------------
