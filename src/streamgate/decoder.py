@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError, check_int, check_items, check_type
 from .gating import AttentionTrace, AttnSource
-from .linalg import F32, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
+from .linalg import F32, _check_finite, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
 # Fraction of the gap between a token and its retrieved value closed per
 # layer, plus the score level below which a token counts as disengaged and
@@ -267,11 +267,8 @@ def decode_step(
             retrieved -= tokens
             np.multiply(gate, retrieved, out=retrieved)
             tokens += retrieved
-        if not math.isfinite(np.add.reduce(tokens, axis=None)) and not np.isfinite(tokens).all():
-            for name, array in (("frame", frame), ("state", state)):
-                if not np.isfinite(array).all():
-                    raise StateError(f"decode_step: non-finite {name}")
-            raise StateError("decode_step: non-finite candidate: the finite frame and state overflow float32")
+        _check_finite(tokens, "decode_step: non-finite candidate: the finite frame and state overflow float32",
+                      (("frame", frame), ("state", state)), "decode_step: non-finite {}")
     return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
 
 

@@ -24,7 +24,6 @@ reproduces plain full-replacement recurrence.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,7 @@ from .errors import ConfigError, StateError, check_int, check_real, check_type
 from .linalg import (
     F32,
     _as_f32,
+    _check_finite,
     as_matrix,
     as_vector,
     col_broadcast_mul,
@@ -151,8 +151,8 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
 
     delta[i] = |curr_i - prev_i|_2, normalized by its mean over tokens
     (falling back to all-ones when the mean is below cfg.eps_mean), then
-    mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite candidate
-    or previous candidate raises StateError.
+    mask[i] = sigmoid(normalized_delta[i] - tau). A non-finite curr or prev,
+    or a finite pair whose difference overflows float32, raises StateError naming it.
     """
     check_type("cfg", cfg, GateConfig)
     curr = as_matrix(curr, "curr")
@@ -160,15 +160,18 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     if curr.shape[0] < 1:
         raise ConfigError("temporal_mask requires at least one token")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _temporal(curr, prev, cfg)
+        values = _temporal(curr, prev, cfg, "temporal_mask", ("curr", "prev"))
     return UpdateMask(values, Strategy.TEMPORAL_ONLY)
 
 
-def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig) -> np.ndarray:
+def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig, op: str, names) -> np.ndarray:
+    """The temporal gate's values; `names` are the candidates' in op's StateError."""
     delta = rowwise_l2(curr - prev)
-    mu = float(np.add.reduce(delta) / F32(delta.shape[0]))
-    if not math.isfinite(mu):
-        raise StateError("temporal_mask: non-finite candidate or previous candidate")
+    total = np.add.reduce(delta)  # the mean's numerator: a sum that overflows is named too
+    _check_finite(
+        total, f"{op}: the difference of {names[0]} and {names[1]} overflows float32 in the temporal gate",
+        zip(names, (curr, prev)), f"{op}: non-finite {{}} in the temporal gate")
+    mu = float(total / F32(delta.shape[0]))
     if mu >= cfg.eps_mean:
         delta /= F32(mu)
     else:
@@ -193,18 +196,11 @@ def _divergence(curr: np.ndarray, prev: np.ndarray, op: str, names) -> np.ndarra
 
     A non-finite entry makes its row's norm product non-finite, and so do
     finite rows whose squares or norm product overflow float32, where the
-    cosine would read NaN or a wrong 0. One finiteness check of the
-    products' sum guards the divergence; only when it fails are the
-    products, then the frames, searched.
+    cosine would read NaN or a wrong 0; either is named.
     """
     denom = cosine_denominator(curr, prev)
-    if not math.isfinite(np.add.reduce(denom)) and not np.isfinite(denom).all():
-        for name, array in zip(names, (curr, prev)):
-            if not np.isfinite(array).all():
-                raise StateError(f"{op}: non-finite {name} in the spatial gate")
-        raise StateError(
-            f"{op}: the cosine of {names[0]} and {names[1]} overflows float32 in the spatial gate"
-        )
+    _check_finite(denom, f"{op}: the cosine of {names[0]} and {names[1]} overflows float32 in the spatial gate",
+                  zip(names, (curr, prev)), f"{op}: non-finite {{}} in the spatial gate")
     return _ONE - rowwise_cosine(curr, prev, denom)
 
 
@@ -252,15 +248,11 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
 def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, attention) -> np.ndarray:
     """The spatial gate's values from a finite divergence; attn came from `attention`.
 
-    A NaN or infinite attention entry reaches the sum of the pooled
-    activations, so one finiteness check of that sum guards the gate; only
-    when it fails is `attention` searched, and a non-finite entry is named
-    in a StateError. If it is finite, a product overflowed, and the
-    sigmoid saturates as it does for any large argument.
+    A non-finite `attention` entry is named in a StateError; where a product of
+    finite entries overflows, the sigmoid saturates as for any large argument.
     """
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    if not math.isfinite(np.add.reduce(raw)) and not np.isfinite(attention).all():
-        raise StateError(f"{op}: non-finite attention in the spatial gate")
+    _check_finite(raw, None, (("attention", attention),), f"{op}: non-finite {{}} in the spatial gate")
     np.multiply(F32(-cfg.spat_gain), raw, out=raw)
     raw -= F32(cfg.spat_bias)
     return sigmoid_neg_inplace(raw)
@@ -310,8 +302,7 @@ def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.
     lo = np.minimum(candidate, prev_state)
     hi = np.maximum(candidate, prev_state)
     state = np.minimum(np.maximum(raw, lo), hi)
-    if not np.isfinite(state).all():
-        raise StateError("apply_update: non-finite blended state")
+    _check_finite(state, "apply_update: non-finite blended state")
     return state
 
 
@@ -346,8 +337,8 @@ def gate_step(
     route is taken regardless of strategy, so the initial observation is
     written in full. Supplying exactly one of the two buffers means the
     caller's session bookkeeping is broken and raises StateError, as do a
-    non-finite input the strategy reads and frames too large for float32
-    to take their cosine. Every argument is validated once, here, before the
+    non-finite input the strategy reads and a float32 overflow of the candidates'
+    difference or of the frames' cosine. Every argument is validated once, here, before the
     route is chosen; the result equals composing temporal_mask, feature_divergence,
     aggregate_attention, spatial_mask, fuse_masks and apply_update.
     """
@@ -376,7 +367,8 @@ def gate_step(
     route = Strategy.UNIFORM if prev_candidate is None else strategy
     temporal, spatial = _ROUTES[route]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _temporal(candidate, prev_candidate, cfg) if temporal else None
+        values = (_temporal(candidate, prev_candidate, cfg, "gate_step", ("candidate", "prev_candidate"))
+                  if temporal else None)
         if spatial:
             divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
             spatial_values = _spatial(_aggregate(trace.layers), divergence, cfg, "gate_step", trace.layers)

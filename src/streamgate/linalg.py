@@ -4,7 +4,8 @@ The kernels trust their callers: every argument is already a float32
 ndarray of the right rank, and the shapes are compatible. They neither
 coerce nor check; the public operations in `gating`, `decoder` and
 `world` do both, once, through `as_matrix`/`as_vector` (and
-`AttentionTrace`), and raise ConfigError naming the argument there.
+`AttentionTrace`), and raise ConfigError naming the argument there;
+`_check_finite` names a non-finite result's cause in a StateError.
 They call ufuncs and ufunc reductions directly (`np.add.reduce` for
 `.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send products
 of two 2-D operands through `ndarray.dot` rather than `np.matmul`: the
@@ -29,9 +30,11 @@ Identical inputs produce bit-identical outputs across runs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 
 F32 = np.float32
 
@@ -60,6 +63,20 @@ def _as_f32(x, name: str, ndim: int, form: str) -> np.ndarray:
     if a.ndim != ndim:
         raise ConfigError(f"{name} must be {form}, got ndim={a.ndim}")
     return a
+
+
+def _check_finite(result, overflow: str | None, named=(), nonfinite: str = "{}") -> None:
+    """Raise StateError naming why `result` is not finite, if its sum (itself if 0-d) is not.
+
+    The cause is the first non-finite `named` (name, array) input, as `nonfinite.format(name)`,
+    else the float32 `overflow`, unless it is None (the caller saturates) or only the sum overflowed.
+    """
+    if not math.isfinite(np.add.reduce(result, axis=None)):
+        for name, array in named:
+            if not np.isfinite(array).all():
+                raise StateError(nonfinite.format(name))
+        if overflow is not None and not np.isfinite(result).all():
+            raise StateError(overflow)
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:

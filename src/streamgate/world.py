@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, StateError, check_int, check_items, check_real, check_type
-from .linalg import F32, as_matrix
+from .linalg import F32, _check_finite, as_matrix
 
 _DRIFT_ROLE = 1
 _NOISE_ROLE = 2
@@ -308,7 +308,7 @@ class StreamCursor:
         return self._advance()
 
     def _advance(self) -> StreamStep:
-        """Generate the next frame; a StateError names a frame whose values overflow float32."""
+        """Generate the next frame; a StateError names a frame whose values, in view or not, overflow float32."""
         self._t += 1
         t = self._t
         i = t - self._block_t0
@@ -322,22 +322,15 @@ class StreamCursor:
         # REVISIT keeps a row per region, and its invisible rows hold noise only.
         revisit = self.schedule.kind is ScheduleKind.REVISIT
         noise = _rng(words[-1]).standard_normal((regions if revisit else len(vis), channels))
-        # Values that leave float32's range are named, in view or not; each
-        # check searches the entries only when their sum is not finite.
         with np.errstate(over="ignore", invalid="ignore"):
             if self._drifts:
                 drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
                 self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
-                total = np.add.reduce(self._codes, axis=None)
-                if not math.isfinite(total) and not np.isfinite(self._codes).all():
-                    raise StateError(
-                        f"StreamCursor.step: frame {t}: the drifting region codes overflow float32"
-                    )
+                _check_finite(self._codes,
+                              f"StreamCursor.step: frame {t}: the drifting region codes overflow float32")
             observation = self._sigma * noise.astype(F32)
             observation[vis if revisit else slice(None)] += self._codes[vis]
-            total = np.add.reduce(observation, axis=None)
-            if not math.isfinite(total) and not np.isfinite(observation).all():
-                raise StateError(f"StreamCursor.step: frame {t}: the observation overflows float32")
+            _check_finite(observation, f"StreamCursor.step: frame {t}: the observation overflows float32")
         return StreamStep(
             t=t,
             observation=observation,

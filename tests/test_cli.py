@@ -198,6 +198,19 @@ def test_config_file_from_environment(tmp_path, monkeypatch):
     assert cfg.frames == 7
 
 
+# argparse reads a negative number in exponent notation as a flag, so on
+# the command line such a value takes the --key=value form; the config
+# file reads it as written.
+def test_a_negative_exponent_value_takes_the_key_value_form(tmp_path, capsys):
+    assert run_cli(["run", "--spat-bias", "-1e3", "--out", "x.csv"]) == 2
+    assert "argument --spat-bias: expected one argument" in capsys.readouterr().err
+    assert parse_config(["run", "--spat-bias", "-2", "--out", "x.csv"]).spat_bias == -2.0
+    assert parse_config(["run", "--spat-bias=-1e3", "--out", "x.csv"]).spat_bias == -1000.0
+    conf = tmp_path / "exp.conf"
+    conf.write_text("spat-bias=-1e3\n")
+    assert parse_config(["run", "--config", str(conf), "--out", "x.csv"]).spat_bias == -1000.0
+
+
 def test_strategy_flag_repeatable_and_comma():
     cfg = parse_config(["ablate", "--strategy", "uniform", "--strategy", "fused", "--out", "x.csv"])
     assert cfg.strategies == ("uniform", "fused")

@@ -589,9 +589,12 @@ def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch)
 # codes themselves overflow. Either way every strategy's session raises a
 # named StateError, under warnings-as-errors, rather than a raw
 # RuntimeWarning from the softmax's inf - inf or the stream's drift: from
-# decode_step, or from the stream step that overflows, naming its cause.
+# decode_step, from the stream step that overflows, naming its cause, or
+# from a gate whose finite inputs overflow first, naming the overflow.
 @settings(max_examples=30, deadline=None)
 @example(strategy=Strategy.FUSED, exponent=39.0, noise_sigma=0.0, seed=0)  # the codes overflow on frame 1
+@example(strategy=Strategy.SPATIAL_ONLY, exponent=19.0, noise_sigma=0.0, seed=2564)  # the frames' cosine overflows
+@example(strategy=Strategy.TEMPORAL_ONLY, exponent=20.0, noise_sigma=0.0, seed=2564)  # the candidates' difference
 @given(strategy=st.sampled_from(list(Strategy)), exponent=st.floats(19, 39),
        noise_sigma=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**16))
 def test_a_session_whose_values_overflow_float32_raises_state_error(strategy, exponent, noise_sigma, seed):
@@ -602,5 +605,7 @@ def test_a_session_whose_values_overflow_float32_raises_state_error(strategy, ex
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(StateError, match=r"^(decode_step: non-finite |StreamCursor\.step: frame "
-                           r"\d+: (the drifting region codes overflow|the observation overflows) float32$)"):
+                           r"\d+: (the drifting region codes overflow|the observation overflows) float32$"
+                           r"|gate_step: the (difference of candidate and prev_candidate overflows float32 in the "
+                           r"temporal|cosine of frame and prev_frame overflows float32 in the spatial) gate$)"):
             run_session(stream, weights, GateConfig(), strategy, 40)

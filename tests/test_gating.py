@@ -168,8 +168,39 @@ def test_temporal_mask_rejects_non_finite_candidate(sides):
         arrays[side][0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StateError, match="non-finite"):
+        with pytest.raises(StateError, match=f"^temporal_mask: non-finite {sides[0]} in the temporal gate$"):
             temporal_mask(arrays["curr"], arrays["prev"], GateConfig())
+
+
+# Candidate pairs the temporal gate refuses, with the cause it names for a
+# pair whose names are {0} and {1}. A finite pair overflows float32 where
+# its difference does (±3e38), or where the squares of the difference's
+# norm do, which makes the mean delta inf although the difference is finite.
+_CANDIDATE_PAIRS = {
+    "difference-overflows": (np.full((4, 5), 3e38, dtype=F32), np.full((4, 5), -3e38, dtype=F32),
+                             "the difference of {0} and {1} overflows float32"),
+    "mean-delta-overflows": (np.full((4, 5), 1e20, dtype=F32), np.zeros((4, 5), dtype=F32),
+                             "the difference of {0} and {1} overflows float32"),
+    "nan-prev": (np.ones((4, 5), dtype=F32), np.where(np.eye(4, 5) > 0, np.nan, 1).astype(F32),
+                 "non-finite {1}"),
+}
+
+
+@pytest.mark.parametrize("strategy", [None, Strategy.TEMPORAL_ONLY, Strategy.FUSED],
+                         ids=["temporal_mask", "gate_step-temporal", "gate_step-fused"])
+@pytest.mark.parametrize("case", list(_CANDIDATE_PAIRS))
+def test_temporal_gate_names_a_refused_candidate_pair(case, strategy):
+    curr, prev, cause = _CANDIDATE_PAIRS[case]
+    op, names = ("gate_step", ("candidate", "prev_candidate")) if strategy else ("temporal_mask", ("curr", "prev"))
+    d = _gate_inputs(seed=14, n=4, c=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=f"^{op}: {cause.format(*names)} in the temporal gate$"):
+            if strategy is None:
+                temporal_mask(curr, prev, GateConfig())
+            else:
+                gate_step(curr, d["prev_state"], d["frame"], d["trace"], GateConfig(), strategy,
+                          prev_candidate=prev, prev_frame=d["prev_frame"])
 
 
 # --- feature divergence ----------------------------------------------------
@@ -720,7 +751,7 @@ def test_gate_step_names_non_finite_attention():
 _SPATIAL_MESSAGE = "gate_step: non-finite frame in the spatial gate"
 _PREV_FRAME_MESSAGE = "gate_step: non-finite prev_frame in the spatial gate"
 _ATTENTION_MESSAGE = "gate_step: non-finite attention in the spatial gate"
-_TEMPORAL_MESSAGE = "temporal_mask: non-finite candidate or previous candidate"
+_TEMPORAL_MESSAGE = "gate_step: non-finite candidate in the temporal gate"
 _BLEND_MESSAGE = "apply_update: non-finite blended state"
 
 
