@@ -449,7 +449,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from None
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}

@@ -139,7 +139,7 @@ class DecoderWeights:
         return self.encoder.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeOutput:
     """Candidate state plus the per-layer attention trace."""
 

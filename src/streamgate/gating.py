@@ -223,7 +223,8 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
 
     raw[i] = max_k attn[i, k] * divergence[k];
     mask[i] = sigmoid(spat_gain * raw[i] + spat_bias). A non-finite
-    attention or divergence entry raises StateError naming that input.
+    attention or divergence entry raises StateError naming that input, a
+    negative one ConfigError.
     """
     check_type("cfg", cfg, GateConfig)
     attn = as_matrix(attn, "attn")
@@ -240,6 +241,8 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     # Checked here because max-pooling drops a -inf product.
     if not np.isfinite(divergence).all():
         raise StateError("spatial_mask: non-finite divergence in the spatial gate")
+    if np.minimum.reduce(divergence) < 0:
+        raise ConfigError("spatial_mask requires nonnegative divergence")
     with np.errstate(over="ignore", invalid="ignore"):
         values = _spatial(attn, divergence, cfg, "spatial_mask", attn)
     return UpdateMask(values, Strategy.SPATIAL_ONLY)
@@ -311,7 +314,7 @@ def uniform_mask(n: int) -> UpdateMask:
     return UpdateMask(np.ones(check_int("n", n, 1), dtype=F32), Strategy.UNIFORM)
 
 
-# Which gates each strategy runs, (temporal, spatial); a stream's first frame runs neither.
+# Which gates each strategy runs, (temporal, spatial); its mask is their product, all ones for none.
 _ROUTES = {
     Strategy.UNIFORM: (False, False),
     Strategy.TEMPORAL_ONLY: (True, False),
@@ -368,10 +371,9 @@ def gate_step(
     temporal, spatial = _ROUTES[route]
     with np.errstate(over="ignore", invalid="ignore"):
         values = (_temporal(candidate, prev_candidate, cfg, "gate_step", ("candidate", "prev_candidate"))
-                  if temporal else None)
+                  if temporal else np.ones(n, dtype=F32))
         if spatial:
             divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
-            spatial_values = _spatial(_aggregate(trace.layers), divergence, cfg, "gate_step", trace.layers)
-            values = spatial_values if values is None else values * spatial_values
-        mask = UpdateMask(np.ones(n, dtype=F32) if values is None else values, route)
+            values = values * _spatial(_aggregate(trace.layers), divergence, cfg, "gate_step", trace.layers)
+        mask = UpdateMask(values, route)
         return _commit(candidate, prev_state, mask.values), mask

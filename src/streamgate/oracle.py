@@ -136,27 +136,13 @@ def o_gate_step(
     bias: float,
     strategy: str,
 ) -> tuple[Rows, list[float]]:
-    if strategy == "uniform":
-        mask = o_uniform_mask(len(candidate))
-    elif strategy == "temporal":
+    strategy = Strategy(strategy).value  # an unknown name raises ValueError
+    mask = o_uniform_mask(len(candidate))
+    if strategy in ("temporal", "fused"):
         mask = o_temporal_mask(candidate, prev_candidate, tau, eps_mean)
-    elif strategy == "spatial":
-        mask = o_spatial_mask(
-            o_aggregate_attention(layers),
-            o_feature_divergence(frame, prev_frame),
-            gain,
-            bias,
-        )
-    else:
-        mask = o_fuse_masks(
-            o_temporal_mask(candidate, prev_candidate, tau, eps_mean),
-            o_spatial_mask(
-                o_aggregate_attention(layers),
-                o_feature_divergence(frame, prev_frame),
-                gain,
-                bias,
-            ),
-        )
+    if strategy in ("spatial", "fused"):
+        attn = o_aggregate_attention(layers)
+        mask = o_fuse_masks(mask, o_spatial_mask(attn, o_feature_divergence(frame, prev_frame), gain, bias))
     return o_apply_update(candidate, prev_state, mask), mask
 
 

@@ -141,6 +141,18 @@ def test_config_file_unknown_key_rejected(tmp_path):
         parse_config(["run", "--config", str(conf), "--out", "x.csv"])
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_an_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, case):
+    conf = tmp_path / "exp.conf"
+    if case == "directory":
+        conf.mkdir()
+    elif case == "not-utf8":
+        conf.write_bytes(b"tau=2.0\n# \xff\n")
+    assert run_cli(["run", "--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot read {str(conf)!r}: ") and err.count("\n") == 1
+
+
 # Every option takes one value per source; only --strategy repeats, as a
 # flag. A repeat in the config file names the key and both lines.
 _DEFAULT = parse_config(["ablate", "--out", "x.csv"])

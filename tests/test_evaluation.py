@@ -405,6 +405,7 @@ def test_array_holders_compare_and_hash_by_identity():
         lambda: UpdateMask(np.ones(3), Strategy.FUSED),
         lambda: AttentionTrace(np.ones((2, 3, 4), dtype=np.float32)),
         lambda: small_session(Strategy.FUSED, frames=2),
+        lambda: decode_step(np.ones((2, 4)), np.ones((3, 4)), make_weights(1, 4)),
     ]
     for make in makers:
         a, b = make(), make()

@@ -353,6 +353,13 @@ def test_spatial_mask_validation():
         spatial_mask(np.array([[-0.1, 0.2]]), np.zeros(2), GateConfig())
     with pytest.raises(ConfigError, match="at least one frame token"):
         spatial_mask(np.zeros((2, 0)), np.zeros(0), GateConfig())
+    # feature_divergence yields [0, 2]; a negative divergence is refused, so a
+    # +inf attention entry cannot hide in a -inf product that max-pooling drops.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for attn, divergence in [([[np.inf, 0.5]], [-1.0, 1.0]), ([[0.5, 0.5]], [0.3, -1e-3])]:
+            with pytest.raises(ConfigError, match="^spatial_mask requires nonnegative divergence$"):
+                spatial_mask(attn, divergence, GateConfig())
 
 
 # --- fusion --------------------------------------------------------------------

@@ -174,6 +174,24 @@ def test_matches_scalar_oracle_on_random_instances():
         )
 
 
+def test_o_gate_step_mask_is_the_product_of_the_gates_its_strategy_runs():
+    rng = np.random.default_rng(5)
+    cand, prev_cand, prev_state = (rng.standard_normal((3, 4)).tolist() for _ in range(3))
+    frame, prev_frame = (rng.standard_normal((2, 4)).tolist() for _ in range(2))
+    layers = [np.abs(rng.standard_normal((3, 2))).tolist()]
+    args = (cand, prev_cand, prev_state, frame, prev_frame, layers, 1.0, 1e-6, 4.0, -2.0)
+    temporal = oracle.o_temporal_mask(cand, prev_cand, 1.0, 1e-6)
+    divergence = oracle.o_feature_divergence(frame, prev_frame)
+    spatial = oracle.o_spatial_mask(oracle.o_aggregate_attention(layers), divergence, 4.0, -2.0)
+    expected = {"uniform": [1.0] * 3, "temporal": temporal, "spatial": spatial,
+                "fused": oracle.o_fuse_masks(temporal, spatial)}
+    for strategy, mask in expected.items():
+        assert oracle.o_gate_step(*args, strategy)[1] == mask
+    # An unknown name is refused, not read as fused.
+    with pytest.raises(ValueError, match="'fusd' is not a valid Strategy"):
+        oracle.o_gate_step(*args, "fusd")
+
+
 @pytest.mark.parametrize("kwargs, name", [
     ({"instances": 0}, "instances"),  # an empty report list, which passed without a check
     ({"instances": -3}, "instances"),
