@@ -40,8 +40,9 @@ from .evaluation import (
     tau_sweep,
 )
 from .gating import AttnSource, GateConfig, Strategy
+from .linalg import F32_MAX
 from .oracle import run_oracle_suite
-from .world import _MAX_RATE, CoverageSchedule, ScheduleKind, _StreamTape, atomic_write, dump_stream
+from .world import CoverageSchedule, ScheduleKind, _StreamTape, atomic_write, dump_stream
 
 ENV_CONFIG = "STREAMGATE_CONFIG"
 
@@ -122,11 +123,11 @@ def _bounded(parse, bound: str, ok: Callable[[float], bool]):
 
 _COUNT = _bounded(_parse_int, ">= 1", lambda v: v >= 1)
 _SEED = _bounded(_parse_int, ">= 0", lambda v: v >= 0)
-_POSITIVE = _bounded(_parse_real, "> 0", lambda v: v > 0)
-# The bound world checks on a scene's drift rate and a cursor's noise sigma.
-_RATE = _bounded(
-    _parse_real, f">= 0 and <= float32's maximum {_MAX_RATE!r}", lambda v: 0 <= v <= _MAX_RATE
-)
+# The bounds GateConfig checks on the gate knobs, and world on a scene's
+# drift rate and a cursor's noise sigma.
+_POSITIVE = _bounded(_parse_real, f"> 0 and <= float32's maximum {F32_MAX!r}", lambda v: 0 < v <= F32_MAX)
+_REAL32 = _bounded(_parse_real, f"of magnitude <= float32's maximum {F32_MAX!r}", lambda v: abs(v) <= F32_MAX)
+_RATE = _bounded(_parse_real, f">= 0 and <= float32's maximum {F32_MAX!r}", lambda v: 0 <= v <= F32_MAX)
 _FRACTION = _bounded(_parse_real, "in [0, 1]", lambda v: 0 <= v <= 1)
 
 
@@ -189,7 +190,7 @@ _OPTIONS: dict[str, _Option] = {
     "tau": _Option("tau", _POSITIVE, "temporal gate threshold"),
     "eps-mean": _Option("eps_mean", _POSITIVE, "mean-delta guard of the temporal gate"),
     "spat-gain": _Option("spat_gain", _POSITIVE, "spatial gate gain"),
-    "spat-bias": _Option("spat_bias", _parse_real, "spatial gate bias"),
+    "spat-bias": _Option("spat_bias", _REAL32, "spatial gate bias"),
     "attn-source": _Option(
         "attn_source", _choice(_ATTN_SOURCES), "attention the spatial gate reads",
         _metavar(_ATTN_SOURCES),

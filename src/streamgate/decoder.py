@@ -240,10 +240,6 @@ def decode_step(
             f"frame/state channel mismatch: frame {frame.shape}, state "
             f"{state.shape}, weights expect {c} channels"
         )
-    if frame.shape[0] < 1:
-        raise ConfigError("decode_step requires at least one frame token")
-    if state.shape[0] < 1:
-        raise ConfigError("decode_step requires at least one state token")
     scale = F32(1.0 / math.sqrt(c))
     n_layers = len(weights.query)
     traced = np.empty((n_layers, state.shape[0], frame.shape[0]), dtype=F32)

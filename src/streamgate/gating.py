@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigError, StateError, check_int, check_real, check_type
 from .linalg import (
     F32,
+    F32_MAX,
     _as_f32,
     _check_finite,
     as_matrix,
@@ -74,7 +75,8 @@ class GateConfig:
     normalizing division when all deltas vanish. spat_gain / spat_bias
     rescale the pooled spatial activation before its sigmoid (defaults
     implement the plain form, which confines the spatial gate to
-    [0.5, 1) on nonnegative input).
+    [0.5, 1) on nonnegative input). The gates use all four as float32, so
+    each must lie within float32's range.
     """
 
     tau: float = 1.0
@@ -86,7 +88,7 @@ class GateConfig:
     def __post_init__(self) -> None:
         check_type("attn_source", self.attn_source, AttnSource)
         for name in ("tau", "eps_mean", "spat_gain", "spat_bias"):
-            value = check_real(name, getattr(self, name))
+            value = check_real(name, getattr(self, name), -F32_MAX, F32_MAX)
             if name != "spat_bias" and not value > 0:
                 raise ConfigError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, name, value)
@@ -102,8 +104,6 @@ class UpdateMask:
     def __post_init__(self) -> None:
         check_type("kind", self.kind, Strategy)
         object.__setattr__(self, "values", as_vector(self.values, "mask"))
-        if self.values.shape[0] < 1:
-            raise ConfigError("mask must have at least one entry")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -121,10 +121,7 @@ class AttentionTrace:
     layers: np.ndarray
 
     def __post_init__(self) -> None:
-        layers = _as_f32(self.layers, "attention trace", 3, "an (L, N, K) array")
-        if layers.shape[0] < 1:
-            raise ConfigError("attention trace must contain at least one layer")
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", _as_f32(self.layers, "attention trace", 3, "an (L, N, K) array"))
 
 
 # The public gate components below validate their arguments and call one
@@ -157,8 +154,6 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     check_type("cfg", cfg, GateConfig)
     curr = as_matrix(curr, "curr")
     prev = _matching("temporal_mask", curr, prev, "prev")
-    if curr.shape[0] < 1:
-        raise ConfigError("temporal_mask requires at least one token")
     with np.errstate(over="ignore", invalid="ignore"):
         values = _temporal(curr, prev, cfg, "temporal_mask", ("curr", "prev"))
     return UpdateMask(values, Strategy.TEMPORAL_ONLY)
@@ -234,9 +229,7 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
             f"spatial_mask dimension mismatch: attention is {attn.shape}, "
             f"divergence has {divergence.shape[0]} entries"
         )
-    if attn.shape[1] < 1:
-        raise ConfigError("spatial_mask requires at least one frame token")
-    if attn.size and np.minimum.reduce(attn, axis=None) < 0:
+    if np.minimum.reduce(attn, axis=None) < 0:
         raise ConfigError("spatial_mask requires nonnegative attention")
     # Checked here because max-pooling drops a -inf product.
     if not np.isfinite(divergence).all():
@@ -357,10 +350,6 @@ def gate_step(
         prev_candidate = _matching("temporal_mask", candidate, prev_candidate, "prev_candidate", "candidate")
         prev_frame = _matching("feature_divergence", frame, prev_frame, "prev_frame", "frame")
     n, k = candidate.shape[0], frame.shape[0]
-    if n < 1 or k < 1:
-        raise ConfigError(
-            f"gate_step requires at least one state token and one frame token, got {n} and {k}"
-        )
     check_type("trace", trace, AttentionTrace)
     check_type("cfg", cfg, GateConfig)
     check_type("strategy", strategy, Strategy)

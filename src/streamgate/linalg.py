@@ -38,6 +38,10 @@ from .errors import ConfigError, StateError
 
 F32 = np.float32
 
+# The largest finite float32, as a float: the bound on every real argument
+# that is cast to float32, so that its cast stays finite.
+F32_MAX = float(np.finfo(F32).max)
+
 # Guard added to the norm product in cosine similarity so zero rows are safe.
 EPS_COS = 1e-8
 
@@ -52,9 +56,10 @@ _EPS_COS32 = F32(EPS_COS)
 
 
 def _as_f32(x, name: str, ndim: int, form: str) -> np.ndarray:
-    """x as a float32 array of rank ndim (`form` in the message), else ConfigError naming `name`.
+    """x as a non-empty float32 array of rank ndim (`form` in the message), else ConfigError naming `name`.
 
-    That includes ragged or non-numeric input, which numpy refuses.
+    That includes ragged or non-numeric input, which numpy refuses, and
+    any zero-length axis.
     """
     try:
         a = np.asarray(x, dtype=F32)
@@ -62,6 +67,8 @@ def _as_f32(x, name: str, ndim: int, form: str) -> np.ndarray:
         raise ConfigError(f"{name} must be a rectangular numeric array, got {type(x).__name__}: {exc}") from None
     if a.ndim != ndim:
         raise ConfigError(f"{name} must be {form}, got ndim={a.ndim}")
+    if not a.size:
+        raise ConfigError(f"{name} must not be empty, got shape {a.shape}")
     return a
 
 

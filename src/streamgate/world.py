@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, StateError, check_int, check_items, check_real, check_type
-from .linalg import F32, _check_finite, as_matrix
+from .linalg import F32, F32_MAX, _check_finite, as_matrix
 
 _DRIFT_ROLE = 1
 _NOISE_ROLE = 2
@@ -43,10 +43,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-
-
-# The largest rate whose float32 cast stays finite.
-_MAX_RATE = float(np.finfo(F32).max)
 
 
 class ScheduleKind(enum.Enum):
@@ -66,11 +62,9 @@ class Scene:
 
     def __post_init__(self) -> None:
         codes = as_matrix(self.region_codes, "region_codes")
-        if codes.shape[0] < 1:
-            raise ConfigError("scene needs at least one region")
         if not np.isfinite(codes).all():
             raise ConfigError("region_codes must be finite")
-        object.__setattr__(self, "drift_rate", check_real("drift_rate", self.drift_rate, 0, _MAX_RATE))
+        object.__setattr__(self, "drift_rate", check_real("drift_rate", self.drift_rate, 0, F32_MAX))
         seed = check_int("scene seed", self.seed)
         check_items(
             "dynamic_regions", self.dynamic_regions, "a collection of region indices", ordered=False
@@ -284,7 +278,7 @@ class StreamCursor:
     def __post_init__(self) -> None:
         check_type("scene", self.scene, Scene)
         check_type("schedule", self.schedule, CoverageSchedule)
-        self.noise_sigma = check_real("noise_sigma", self.noise_sigma, 0, _MAX_RATE)
+        self.noise_sigma = check_real("noise_sigma", self.noise_sigma, 0, F32_MAX)
         self.seed = check_int("stream seed", self.seed)
         scene = self.scene
         self._codes = scene.region_codes.copy()

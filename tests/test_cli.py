@@ -120,6 +120,46 @@ def test_a_rate_outside_float32_range_is_rejected_naming_its_key(capsys, key, ra
     assert capsys.readouterr().err == f"error: {key}: must be {bound}, got {float(raw)}\n"
 
 
+_F32_MAX = repr(np.finfo(np.float32).max.item())
+_GATE_BOUND = f"> 0 and <= float32's maximum {_F32_MAX}"
+
+
+# Each named refusal of bad input, given as (argv, config file text or
+# None, message): status 2 and exactly one `error:` line.
+@pytest.mark.parametrize("argv, config, message", [
+    (["run", "--tau", "abc"], None, "tau: expected a number, got 'abc'"),
+    (["run", "--tau", "nan"], None, "tau: must be finite, got 'nan'"),
+    (["ablate", "--seeds", ","], None, "seeds: expected a comma-separated list"),
+    (["run"], "tau 2.0\n", "config: line 1 is not key=value: 'tau 2.0'"),
+    (["run", "--schedule", "sliding", "--frame-tokens", "20"], None,
+     "frame-tokens: window cannot exceed scene-regions, got 20 > 16"),
+    (["ablate", "--strategy", "fused"], None, "strategy: ablate needs at least 2 strategies"),
+    (["degrade", "--lengths", "50"], None, "lengths: need at least 2 entries, got [50]"),
+    (["run", "--tau", "1e39"], None, f"tau: must be {_GATE_BOUND}, got 1e+39"),
+    (["run", "--eps-mean", "1e39"], None, f"eps-mean: must be {_GATE_BOUND}, got 1e+39"),
+    (["run", "--spat-gain", "1e39"], None, f"spat-gain: must be {_GATE_BOUND}, got 1e+39"),
+    (["sweep-tau", "--taus", "1,1e39"], None, f"taus: must be {_GATE_BOUND}, got 1e+39"),
+    (["run", "--spat-bias=-1e39"], None,
+     f"spat-bias: must be of magnitude <= float32's maximum {_F32_MAX}, got -1e+39"),
+    (["run"], "spat-bias=1e39\n", f"spat-bias: must be of magnitude <= float32's maximum {_F32_MAX}, got 1e+39"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_named_error_exits_2_with_one_error_line(tmp_path, capsys, argv, config, message):
+    argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    if config is not None:
+        conf = tmp_path / "exp.conf"
+        conf.write_text(config)
+        argv += ["--config", str(conf)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_out_path_under_a_regular_file_exits_1_with_one_io_error_line(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert run_cli(["run", *SMALL, "--out", str(tmp_path / "file" / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1
+
+
 def test_sweep_tau_rejects_nonpositive(capsys):
     assert run_cli(["sweep-tau", "--taus", "1.0,0", "--out", "x.csv"]) == 2
     assert "taus" in capsys.readouterr().err

@@ -78,6 +78,9 @@ def test_make_weights_encoder_preserves_norms():
     np.testing.assert_allclose(
         np.linalg.norm(x @ w.encoder, axis=1), np.linalg.norm(x, axis=1), rtol=1e-4
     )
+    # More observation channels than feature channels: a tall encoder with orthonormal columns.
+    tall = make_weights(2, channels=8, obs_channels=32, seed=1).encoder.astype(np.float64)
+    np.testing.assert_allclose(tall.T @ tall, np.eye(8), atol=1e-6)
 
 
 def test_decoder_weights_validation():
@@ -88,6 +91,10 @@ def test_decoder_weights_validation():
         DecoderWeights(query=(eye,), key=(eye, eye), value=(eye,), readout=eye, encoder=eye)
     with pytest.raises(ConfigError):
         DecoderWeights(query=(eye,), key=(eye,), value=(eye,), readout=np.eye(3, dtype=F32), encoder=eye)
+    with pytest.raises(ConfigError, match=r"^projection must be 2x2, got \(2, 3\)$"):
+        DecoderWeights(query=(eye,), key=(np.ones((2, 3), dtype=F32),), value=(eye,), readout=eye, encoder=eye)
+    with pytest.raises(ConfigError, match="^encoder must have 2 output channels, got 3$"):
+        DecoderWeights(query=(eye,), key=(eye,), value=(eye,), readout=eye, encoder=np.ones((2, 3), dtype=F32))
 
 
 @pytest.mark.parametrize("bad", [5, None, 2.5])
@@ -172,12 +179,12 @@ def test_decode_step_channel_mismatch():
 
 def test_decode_step_requires_a_frame_token():
     w = make_weights(2, 8, 8, seed=6)
-    with pytest.raises(ConfigError, match="at least one frame token"):
+    with pytest.raises(ConfigError, match=r"^frame must not be empty, got shape \(0, 8\)$"):
         decode_step(np.zeros((0, 8), dtype=F32), np.zeros((4, 8), dtype=F32), w)
 
 
 def test_decode_step_requires_a_state_token():
-    with pytest.raises(ConfigError, match="at least one state token"):
+    with pytest.raises(ConfigError, match=r"^state must not be empty, got shape \(0, 8\)$"):
         decode_step(np.ones((3, 8)), np.zeros((0, 8)), make_weights(2, 8, 8))
 
 

@@ -186,6 +186,8 @@ def test_degradation_curve_validation():
         degradation_curve(SMALL_WORLD, w, GateConfig(), [Strategy.FUSED], [10], [0])
     with pytest.raises(ConfigError):
         degradation_curve(SMALL_WORLD, w, GateConfig(), [Strategy.FUSED], [30, 10], [0])
+    with pytest.raises(ConfigError, match="^degradation_curve needs at least 1 strategy$"):
+        degradation_curve(SMALL_WORLD, w, GateConfig(), [], [2, 3], [0])
 
 
 def test_ablation_and_degradation_reject_repeated_strategies():
@@ -301,6 +303,8 @@ def test_tau_sweep_validation_and_determinism():
     w = small_weights()
     with pytest.raises(ConfigError):
         tau_sweep(SMALL_WORLD, w, GateConfig(), [1.0, -1.0], 5, [0])
+    with pytest.raises(ConfigError, match="^tau_sweep needs at least 1 tau value$"):
+        tau_sweep(SMALL_WORLD, w, GateConfig(), [], 5, [0])
     rows = tau_sweep(SMALL_WORLD, w, GateConfig(), [1.0, 1.0], 6, [0, 1])
     assert rows[0][1] == rows[1][1]
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -49,6 +50,18 @@ def test_gate_config_rejects_non_finite_reals_naming_the_field(name, value):
         GateConfig(**{name: value})
 
 
+# The gates cast each knob to float32 (or compare a float32 mean with it), so
+# one beyond float32's range would read inf there; float32's maximum is kept.
+@pytest.mark.parametrize("name, value", [
+    ("tau", 1e39), ("eps_mean", 1e39), ("spat_gain", 1e39), ("spat_bias", 1e39), ("spat_bias", -1e39),
+])
+def test_gate_config_rejects_a_knob_beyond_float32_range_naming_it(name, value):
+    top = np.finfo(F32).max.item()
+    assert getattr(GateConfig(**{name: top}), name) == top
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{name} must be in [{-top}, {top}], got {value}')}$"):
+        GateConfig(**{name: value})
+
+
 def test_attention_trace_rejects_empty_and_ragged():
     with pytest.raises(ConfigError):
         AttentionTrace(())
@@ -59,7 +72,7 @@ def test_attention_trace_rejects_empty_and_ragged():
 @pytest.mark.parametrize("layers, cause", [
     ((), r"\(L, N, K\) array, got ndim=1"),
     ([], r"\(L, N, K\) array, got ndim=1"),
-    (np.zeros((0, 2, 3), dtype=F32), "at least one layer"),
+    (np.zeros((0, 2, 3), dtype=F32), "attention trace must not be empty"),
     ((np.zeros((2, 3), dtype=F32), np.zeros((2, 4), dtype=F32)), "must be a rectangular numeric array, got tuple"),
     ((np.zeros((2, 3), dtype=F32), np.zeros((3, 3), dtype=F32)), "must be a rectangular numeric array, got tuple"),
     (np.zeros((2, 3), dtype=F32), r"\(L, N, K\) array, got ndim=2"),
@@ -156,7 +169,7 @@ def test_temporal_mask_shape_mismatch():
 
 def test_temporal_mask_requires_a_token():
     empty = np.zeros((0, 4), dtype=F32)
-    with pytest.raises(ConfigError, match="at least one token"):
+    with pytest.raises(ConfigError, match=r"^curr must not be empty, got shape \(0, 4\)$"):
         temporal_mask(empty, empty, GateConfig())
 
 
@@ -351,7 +364,7 @@ def test_spatial_mask_validation():
         spatial_mask(np.zeros((2, 3)), np.zeros(4), GateConfig())
     with pytest.raises(ConfigError):
         spatial_mask(np.array([[-0.1, 0.2]]), np.zeros(2), GateConfig())
-    with pytest.raises(ConfigError, match="at least one frame token"):
+    with pytest.raises(ConfigError, match=r"^attn must not be empty, got shape \(2, 0\)$"):
         spatial_mask(np.zeros((2, 0)), np.zeros(0), GateConfig())
     # feature_divergence yields [0, 2]; a negative divergence is refused, so a
     # +inf attention entry cannot hide in a -inf product that max-pooling drops.
@@ -888,15 +901,15 @@ def test_gate_step_rejects_a_trace_of_the_wrong_shape(strategy, n, k):
 def test_gate_step_requires_a_state_token(strategy):
     empty = np.zeros((0, 5), dtype=F32)
     frame = np.ones((3, 5), dtype=F32)
-    trace = AttentionTrace(np.zeros((1, 0, 3), dtype=F32))
-    with pytest.raises(ConfigError, match="at least one state token"):
+    trace = AttentionTrace(np.zeros((1, 1, 3), dtype=F32))
+    with pytest.raises(ConfigError, match=r"^candidate must not be empty, got shape \(0, 5\)$"):
         gate_step(empty, empty, frame, trace, GateConfig(), strategy,
                   prev_candidate=empty, prev_frame=frame)
 
 
 # The gate cores compute their sigmoid arguments into arrays they own and
 # overwrite those in place; no caller's array may change, and a saturated
-# sigmoid must stay silent under pyproject's error::RuntimeWarning filter.
+# sigmoid must stay silent under pyproject's filter, which makes every warning an error.
 
 
 def _snapshot(arrays):

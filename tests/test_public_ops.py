@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamgate.decoder import decode_step, encode_frame, make_weights, readout
+from streamgate.decoder import DecoderWeights, decode_step, encode_frame, make_weights, readout
 from streamgate.errors import ConfigError
 from streamgate.evaluation import (
     WorldSpec,
@@ -180,6 +180,34 @@ def test_ragged_or_non_numeric_input_raises_config_error_naming_the_argument(arg
     name, call = ARGUMENTS[argument]
     with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be a rectangular numeric array"):
         call(value)
+
+
+# --- empty input --------------------------------------------------------------
+
+# The rank of each array argument that is not a matrix.
+_RANKS = {"as_vector": 1, "spatial_mask.divergence": 1, "UpdateMask.values": 1, "AttentionTrace.layers": 3}
+
+
+def _zero_channel_decode(x):
+    """decode_step with a decoder whose every projection is `x`; a 0 x 0 `x` has no channels."""
+    weights = DecoderWeights((x,), (x,), (x,), x, np.zeros((OBS, 0), dtype=np.float32))
+    return decode_step(np.zeros((K, 0), dtype=np.float32), np.zeros((N, 0), dtype=np.float32), weights)
+
+
+def _empty_cases():
+    """Each array argument with each of its axes, in turn, of length zero."""
+    for argument in sorted(ARGUMENTS):
+        shape = (2, 3, 4)[:_RANKS.get(argument, 2)]
+        for axis in range(len(shape)):
+            empty = shape[:axis] + (0,) + shape[axis + 1:]
+            yield pytest.param(*ARGUMENTS[argument], empty, id=f"{argument}-{empty}")
+    yield pytest.param("query", _zero_channel_decode, (0, 0), id="decode_step.zero-channel-weights")
+
+
+@pytest.mark.parametrize("name, call, shape", list(_empty_cases()))
+def test_an_empty_array_argument_raises_config_error_naming_it(name, call, shape):
+    with pytest.raises(ConfigError, match=f"^{re.escape(name)} must not be empty, got shape {re.escape(str(shape))}$"):
+        call(np.zeros(shape, dtype=np.float32))
 
 
 # --- non-array arguments of the wrong type ---------------------------------
