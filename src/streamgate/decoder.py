@@ -75,7 +75,6 @@ _RESIDUAL_RATE32 = F32(RESIDUAL_RATE)
 _GATE_BIAS32 = F32(GATE_BIAS)
 _GATE_GAIN32 = F32(GATE_GAIN)
 _MIX_RATE32 = F32(MIX_RATE)
-_ONE = F32(1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +188,12 @@ def make_weights(
 
 
 def encode_frame(observation, weights: DecoderWeights) -> np.ndarray:
-    """Project a K x C_obs observation to K x C frame tokens."""
+    """Project a K x C_obs observation to K x C frame tokens.
+
+    A non-finite observation or encoder, or a frame made non-finite by a
+    float32 overflow of the finite product, raises a StateError naming the
+    cause, with no RuntimeWarning first.
+    """
     check_type("weights", weights, DecoderWeights)
     observation = as_matrix(observation, "observation")
     if observation.shape[1] != weights.obs_channels:
@@ -197,7 +201,9 @@ def encode_frame(observation, weights: DecoderWeights) -> np.ndarray:
             f"observation has {observation.shape[1]} channels, encoder "
             f"expects {weights.obs_channels}"
         )
-    return matmul(observation, weights.encoder)
+    return _project(observation, weights.encoder,
+                    "encode_frame: non-finite frame: the finite observation and encoder overflow float32",
+                    ("observation", "weights.encoder"), "encode_frame: non-finite {}")
 
 
 def decode_step(
@@ -217,14 +223,22 @@ def decode_step(
     every layer's Wk and Wv by one matmul, every layer's transposed keys
     are read from one swapaxes view of it, and each layer reduces its
     score rows once, to an (N, 1) column of maxima that the softmax, the
-    gate and the residual scale broadcast directly. The gate's sigmoid
+    gate and the residual scale broadcast directly. The maxima are
+    np.fmax's, the faster reduction: they are np.maximum's but for the sign
+    of a zero, which neither exp nor GATE_BIAS - rowmax reads, and where a
+    row holds a NaN, whose softmax row, and so the candidate, is NaN either
+    way. The gate's sigmoid
     argument is computed already negated, GATE_GAIN * (GATE_BIAS -
     rowmax(scores)), which is exact. The trace is one (L, N, K) array of
     attention probabilities, which the softmax writes into directly, or of
     the raw scaled scores when attn_source is PRE_SOFTMAX_ABS. The layers
     scale, gate and update arrays they own in place, with the same
-    operations in the same order as the formulas above. The step runs under
-    one np.errstate(over="ignore", invalid="ignore"): the gate's exp
+    operations in the same order as the formulas above. The body is the
+    private `_decode`, which reduces along the last axes and treats any
+    leading axes of frame and state as a batch of sessions; decode_step
+    takes one session's 2-D arrays. The step runs under one
+    np.errstate(over="ignore", invalid="ignore"), which `_decode` enters as
+    its decorator, so that numpy builds it once, not on every call: the gate's exp
     saturates without a warning, and a candidate made non-finite by a
     non-finite frame or state, or by a float32 overflow (scores beyond
     float32's range make the softmax compute inf - inf), raises a
@@ -240,32 +254,44 @@ def decode_step(
             f"frame/state channel mismatch: frame {frame.shape}, state "
             f"{state.shape}, weights expect {c} channels"
         )
-    scale = F32(1.0 / math.sqrt(c))
+    candidate, traced = _decode(frame, state, weights, attn_source is AttnSource.PRE_SOFTMAX_ABS)
+    return DecodeOutput(candidate=candidate, trace=AttentionTrace(traced))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _decode(frame: np.ndarray, state: np.ndarray, weights: DecoderWeights,
+            pre_softmax: bool) -> tuple[np.ndarray, np.ndarray]:
+    """decode_step's (candidate, trace), under its own errstate.
+
+    Any leading axes of frame and state are a batch of sessions. The layer
+    axis leads the key/value projections and the trace, (L, ..., N, K), so
+    that each layer is one integer index into them, as in one session's.
+    """
     n_layers = len(weights.query)
-    traced = np.empty((n_layers, state.shape[0], frame.shape[0]), dtype=F32)
-    pre_softmax = attn_source is AttnSource.PRE_SOFTMAX_ABS
-    with np.errstate(over="ignore", invalid="ignore"):
-        tokens = _mix_tokens(state)
-        kv = matmul(frame, weights.key_value)
-        keys_t = kv[:n_layers].swapaxes(1, 2)
-        for layer, wq in enumerate(weights.query):
-            scores = matmul(matmul(tokens, wq), keys_t[layer])
-            scores *= scale
-            score_max = np.maximum.reduce(scores, axis=1, keepdims=True)
-            if pre_softmax:
-                traced[layer] = scores
-            attn = row_softmax(scores, score_max, out=scores if pre_softmax else traced[layer])
-            np.subtract(_GATE_BIAS32, score_max, out=score_max)
-            np.multiply(_GATE_GAIN32, score_max, out=score_max)
-            gate = sigmoid_neg_inplace(score_max)
-            np.multiply(_RESIDUAL_RATE32, gate, out=gate)
-            retrieved = matmul(attn, kv[n_layers + layer])
-            retrieved -= tokens
-            np.multiply(gate, retrieved, out=retrieved)
-            tokens += retrieved
-        _check_finite(tokens, "decode_step: non-finite candidate: the finite frame and state overflow float32",
-                      (("frame", frame), ("state", state)), "decode_step: non-finite {}")
-    return DecodeOutput(candidate=tokens, trace=AttentionTrace(traced))
+    scale = F32(1.0 / math.sqrt(weights.channels))
+    traced = np.empty((n_layers,) + state.shape[:-1] + frame.shape[-2:-1], dtype=F32)
+    tokens = _mix_tokens(state)
+    key_value = weights.key_value
+    kv = matmul(frame, key_value.reshape(key_value.shape[:1] + (1,) * (frame.ndim - 2) + key_value.shape[1:]))
+    keys_t = kv[:n_layers].swapaxes(-1, -2)
+    for layer, wq in enumerate(weights.query):
+        scores = matmul(matmul(tokens, wq), keys_t[layer])
+        scores *= scale
+        score_max = np.fmax.reduce(scores, axis=-1, keepdims=True)
+        if pre_softmax:
+            traced[layer] = scores
+        attn = row_softmax(scores, score_max, out=scores if pre_softmax else traced[layer])
+        np.subtract(_GATE_BIAS32, score_max, out=score_max)
+        score_max *= _GATE_GAIN32
+        gate = sigmoid_neg_inplace(score_max)
+        gate *= _RESIDUAL_RATE32
+        retrieved = matmul(attn, kv[n_layers + layer])
+        retrieved -= tokens
+        retrieved *= gate
+        tokens += retrieved
+    _check_finite(tokens, "decode_step: non-finite candidate: the finite frame and state overflow float32",
+                  (("frame", frame), ("state", state)), "decode_step: non-finite {}")
+    return tokens, traced
 
 
 def _semi_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -282,29 +308,34 @@ def _mix_tokens(state: np.ndarray) -> np.ndarray:
 
     The temporaries are updated in place, with the operations of
     mixed = state + MIX_RATE * (mean / |mean| * |state_i| - state) and
-    mixed * (|state_i| / |mixed_i|) on the same operands.
+    mixed * (|state_i| / |mixed_i|) on the same operands. A state whose
+    token mean has zero norm comes back as a copy; any leading axes are a
+    batch of states, each selected on its own, with no 0 / 0 computed.
     """
-    mean = np.add.reduce(state, axis=0)
-    mean /= F32(state.shape[0])
-    mean_norm = np.sqrt(np.add.reduce(mean * mean))
-    if mean_norm == 0:
-        return state.copy()
-    mean /= mean_norm
-    orig = np.add.reduce(state * state, axis=1, keepdims=True)
+    mean = np.add.reduce(state, axis=-2, keepdims=True)
+    mean /= F32(state.shape[-2])
+    mean_norm = np.sqrt(np.add.reduce(mean * mean, axis=-1, keepdims=True))
+    moves = mean_norm != 0
+    np.divide(mean, mean_norm, out=mean, where=moves)
+    orig = np.add.reduce(state * state, axis=-1, keepdims=True)
     np.sqrt(orig, out=orig)
     mixed = mean * orig
     mixed -= state
-    np.multiply(_MIX_RATE32, mixed, out=mixed)
+    mixed *= _MIX_RATE32
     mixed += state
-    new = np.add.reduce(mixed * mixed, axis=1, keepdims=True)
+    new = np.add.reduce(mixed * mixed, axis=-1, keepdims=True)
     np.sqrt(new, out=new)
-    orig /= np.where(new > 0, new, _ONE)
-    mixed *= orig
-    return mixed
+    np.divide(orig, new, out=orig, where=new > 0)
+    return np.multiply(mixed, orig, out=state.copy(), where=moves)
 
 
 def readout(candidate, weights: DecoderWeights) -> np.ndarray:
-    """Linear per-token estimate from the candidate state (N x C)."""
+    """Linear per-token estimate from the candidate state (N x C).
+
+    A non-finite candidate or readout matrix, or an estimate made non-finite
+    by a float32 overflow of the finite product, raises a StateError naming
+    the cause, with no RuntimeWarning first.
+    """
     check_type("weights", weights, DecoderWeights)
     candidate = as_matrix(candidate, "candidate")
     if candidate.shape[1] != weights.channels:
@@ -312,4 +343,14 @@ def readout(candidate, weights: DecoderWeights) -> np.ndarray:
             f"candidate has {candidate.shape[1]} channels, readout expects "
             f"{weights.channels}"
         )
-    return matmul(candidate, weights.readout)
+    return _project(candidate, weights.readout,
+                    "readout: non-finite estimate: the finite candidate and readout overflow float32",
+                    ("candidate", "weights.readout"), "readout: non-finite {}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _project(x: np.ndarray, matrix: np.ndarray, overflow: str, names: tuple[str, str], nonfinite: str) -> np.ndarray:
+    """x @ matrix under its own errstate, checked as `_check_finite` checks, x and matrix given `names`."""
+    product = matmul(x, matrix)
+    _check_finite(product, overflow, ((names[0], x), (names[1], matrix)), nonfinite)
+    return product

@@ -176,10 +176,9 @@ def run_session(
     region_errors = np.zeros((len(scored), scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
 
-    # The stream step names its own overflow in a StateError. A finite
-    # observation whose encoding leaves float32's range makes an inf frame,
-    # which decode_step names: the encoding stays silent under this one
-    # errstate, as the decode and the gates do under theirs.
+    # The stream step and the per-frame calls name their own overflows in a
+    # StateError; the scoring's float32 projection of the truth runs under
+    # this one errstate.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(frames):
             step = stream.step()

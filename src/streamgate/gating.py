@@ -132,6 +132,13 @@ class AttentionTrace:
 # np.errstate(over="ignore", invalid="ignore"), one per public call and one
 # per gate_step: a saturating sigmoid stays silent, and the NaN of a
 # non-finite input (inf - inf, inf / inf, 0 * inf) reaches a named StateError.
+# The cores reduce along their inputs' last axes and treat any leading axes as
+# a batch of sessions, so one body serves one session's 2-D arrays and a stack
+# of B: tau, spat_gain and spat_bias are float32 values that broadcast over the
+# batch (a scalar, or a (B, 1) column), eps_mean is compared in float64, and
+# the temporal gate's eps_mean fallback is a per-session select that divides
+# only the sessions it keeps. A trace keeps its layer axis first, (L, ..., N, K),
+# as decoder._decode returns it, so _aggregate reduces axis 0.
 
 
 def _matching(op: str, a: np.ndarray, b, name: str, a_name: str = "") -> np.ndarray:
@@ -155,23 +162,23 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     curr = as_matrix(curr, "curr")
     prev = _matching("temporal_mask", curr, prev, "prev")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _temporal(curr, prev, cfg, "temporal_mask", ("curr", "prev"))
+        values = _temporal(curr, prev, F32(cfg.tau), cfg.eps_mean, "temporal_mask", ("curr", "prev"))
     return UpdateMask(values, Strategy.TEMPORAL_ONLY)
 
 
-def _temporal(curr: np.ndarray, prev: np.ndarray, cfg: GateConfig, op: str, names) -> np.ndarray:
+def _temporal(curr: np.ndarray, prev: np.ndarray, tau, eps_mean: float, op: str, names) -> np.ndarray:
     """The temporal gate's values; `names` are the candidates' in op's StateError."""
     delta = rowwise_l2(curr - prev)
-    total = np.add.reduce(delta)  # the mean's numerator: a sum that overflows is named too
+    total = np.add.reduce(delta, axis=-1, keepdims=True)  # the mean's numerator: a sum that overflows is named too
     _check_finite(
         total, f"{op}: the difference of {names[0]} and {names[1]} overflows float32 in the temporal gate",
-        zip(names, (curr, prev)), f"{op}: non-finite {{}} in the temporal gate")
-    mu = float(total / F32(delta.shape[0]))
-    if mu >= cfg.eps_mean:
-        delta /= F32(mu)
-    else:
-        delta = np.ones_like(delta)
-    return sigmoid_neg_inplace(np.subtract(F32(cfg.tau), delta, out=delta))
+        ((names[0], curr), (names[1], prev)), f"{op}: non-finite {{}} in the temporal gate")
+    mu = total / F32(delta.shape[-1])
+    normalized = np.empty_like(delta)
+    normalized.fill(_ONE)
+    # Compared in float64, as eps_mean is: float32(eps_mean) may lie below eps_mean.
+    np.divide(delta, mu, out=normalized, where=mu >= np.float64(eps_mean))
+    return sigmoid_neg_inplace(np.subtract(tau, normalized, out=normalized))
 
 
 def feature_divergence(curr, prev) -> np.ndarray:
@@ -195,7 +202,7 @@ def _divergence(curr: np.ndarray, prev: np.ndarray, op: str, names) -> np.ndarra
     """
     denom = cosine_denominator(curr, prev)
     _check_finite(denom, f"{op}: the cosine of {names[0]} and {names[1]} overflows float32 in the spatial gate",
-                  zip(names, (curr, prev)), f"{op}: non-finite {{}} in the spatial gate")
+                  ((names[0], curr), (names[1], prev)), f"{op}: non-finite {{}} in the spatial gate")
     return _ONE - rowwise_cosine(curr, prev, denom)
 
 
@@ -237,11 +244,11 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     if np.minimum.reduce(divergence) < 0:
         raise ConfigError("spatial_mask requires nonnegative divergence")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _spatial(attn, divergence, cfg, "spatial_mask", attn)
+        values = _spatial(attn, divergence, F32(cfg.spat_gain), F32(cfg.spat_bias), "spatial_mask", attn)
     return UpdateMask(values, Strategy.SPATIAL_ONLY)
 
 
-def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str, attention) -> np.ndarray:
+def _spatial(attn: np.ndarray, divergence: np.ndarray, spat_gain, spat_bias, op: str, attention) -> np.ndarray:
     """The spatial gate's values from a finite divergence; attn came from `attention`.
 
     A non-finite `attention` entry is named in a StateError; where a product of
@@ -249,8 +256,8 @@ def _spatial(attn: np.ndarray, divergence: np.ndarray, cfg: GateConfig, op: str,
     """
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
     _check_finite(raw, None, (("attention", attention),), f"{op}: non-finite {{}} in the spatial gate")
-    np.multiply(F32(-cfg.spat_gain), raw, out=raw)
-    raw -= F32(cfg.spat_bias)
+    raw *= -spat_gain
+    raw -= spat_bias
     return sigmoid_neg_inplace(raw)
 
 
@@ -293,7 +300,7 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
 
 
 def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.ndarray:
-    w = m[:, np.newaxis]
+    w = m[..., np.newaxis]
     raw = w * candidate + (_ONE - w) * prev_state
     lo = np.minimum(candidate, prev_state)
     hi = np.maximum(candidate, prev_state)
@@ -359,10 +366,12 @@ def gate_step(
     route = Strategy.UNIFORM if prev_candidate is None else strategy
     temporal, spatial = _ROUTES[route]
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (_temporal(candidate, prev_candidate, cfg, "gate_step", ("candidate", "prev_candidate"))
+        values = (_temporal(candidate, prev_candidate, F32(cfg.tau), cfg.eps_mean, "gate_step",
+                            ("candidate", "prev_candidate"))
                   if temporal else np.ones(n, dtype=F32))
         if spatial:
             divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
-            values = values * _spatial(_aggregate(trace.layers), divergence, cfg, "gate_step", trace.layers)
+            values *= _spatial(_aggregate(trace.layers), divergence, F32(cfg.spat_gain), F32(cfg.spat_bias),
+                               "gate_step", trace.layers)
         mask = UpdateMask(values, route)
         return _commit(candidate, prev_state, mask.values), mask

@@ -1,10 +1,15 @@
 """Dense float32 array kernels used by every other module.
 
 The kernels trust their callers: every argument is already a float32
-ndarray of the right rank, and the shapes are compatible. They neither
-coerce nor check; the public operations in `gating`, `decoder` and
-`world` do both, once, through `as_matrix`/`as_vector` (and
-`AttentionTrace`), and raise ConfigError naming the argument there;
+ndarray of at least the right rank, and the shapes are compatible. The row
+kernels reduce along the last axis (`axis=-1`) and broadcast over the
+others, so any leading axes are a batch: a stack of B matrices gives the
+bits of B calls on its 2-D slices, and the private cores of `decoder` and
+`gating` above them serve one session or a stack of sessions with one
+body. The kernels neither coerce nor check; the public operations in
+`gating`, `decoder` and `world` do both, once, through
+`as_matrix`/`as_vector` (and `AttentionTrace`), and raise ConfigError
+naming the argument there;
 `_check_finite` names a non-finite result's cause in a StateError.
 They call ufuncs and ufunc reductions directly (`np.add.reduce` for
 `.sum`, `np.minimum(np.maximum(...))` for `np.clip`), and send products
@@ -13,7 +18,7 @@ results are bit-identical, and the per-frame loop skips numpy's
 Python-level wrappers and the slower dispatch. A stacked operand on
 either side keeps `np.matmul`, because `dot` of a stack by a matrix is
 not bit-identical to it. For the same reason `row_softmax` takes its row
-maxima as an (N, 1) column, as `np.maximum.reduce(m, axis=1,
+maxima as an (..., N, 1) column, as `np.maximum.reduce(m, axis=-1,
 keepdims=True)` returns them, and can write into an `out=` array;
 `sigmoid_neg_inplace` overwrites an array its caller owns with the
 sigmoid of its negation, under the caller's `np.errstate`, so a caller
@@ -22,7 +27,8 @@ that computes its argument already negated skips the negation; the public
 formula has one definition. IEEE negation and the subtraction
 `b - a == -(a - b)` are exact, so a negated argument gives the same bits,
 and each in-place form applies the same operations to the same operands
-in the same order as its out-of-place form.
+in the same order as its out-of-place form, up to the order of a sum's or
+a product's two operands, which IEEE arithmetic does not see.
 Given finite inputs whose products stay within float32 range, every
 kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
@@ -77,8 +83,12 @@ def _check_finite(result, overflow: str | None, named=(), nonfinite: str = "{}")
 
     The cause is the first non-finite `named` (name, array) input, as `nonfinite.format(name)`,
     else the float32 `overflow`, unless it is None (the caller saturates) or only the sum overflowed.
+    The result's dot with itself is tested first, in about half the time of the sum: it is finite
+    only if every entry is finite and below sqrt(F32_MAX) in magnitude, and then so is the sum, so
+    the sum is taken only when the dot is not finite. The caller's np.errstate silences the dot.
     """
-    if not math.isfinite(np.add.reduce(result, axis=None)):
+    flat = result.ravel()
+    if not math.isfinite(flat.dot(flat)) and not math.isfinite(np.add.reduce(result, axis=None)):
         for name, array in named:
             if not np.isfinite(array).all():
                 raise StateError(nonfinite.format(name))
@@ -111,22 +121,25 @@ def row_softmax(
 ) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction.
 
-    row_max, if given, must be the (N, 1) column of row maxima,
-    `np.maximum.reduce(m, axis=1, keepdims=True)`: a caller that needs the
+    row_max, if given, must be the (..., N, 1) column of row maxima,
+    `np.maximum.reduce(m, axis=-1, keepdims=True)`, or `np.fmax.reduce`'s,
+    which give the same softmax: they differ only in the sign of a zero,
+    which exp hides, and in a row holding a NaN, which comes out all NaN
+    either way. A caller that needs the
     row maxima anyway passes them in instead of reducing the rows twice. out,
     if given, is a float32 array shaped like m (m itself included) that
     receives the result; otherwise a new array does.
     """
     if row_max is None:
-        row_max = np.maximum.reduce(m, axis=1, keepdims=True)
+        row_max = np.maximum.reduce(m, axis=-1, keepdims=True)
     e = np.subtract(m, row_max, out=out)
     np.exp(e, out=e)
-    return np.divide(e, np.add.reduce(e, axis=1, keepdims=True), out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def rowwise_l2(m: np.ndarray) -> np.ndarray:
     """Per-row Euclidean norm: out[i] = sqrt(sum_j m[i,j]^2)."""
-    return np.sqrt(np.add.reduce(m * m, axis=1))
+    return np.sqrt(np.add.reduce(m * m, axis=-1))
 
 
 def cosine_denominator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,7 +160,7 @@ def rowwise_cosine(a: np.ndarray, b: np.ndarray, denom: np.ndarray | None = None
     """
     if denom is None:
         denom = cosine_denominator(a, b)
-    dots = np.add.reduce(a * b, axis=1)
+    dots = np.add.reduce(a * b, axis=-1)
     return np.minimum(np.maximum(dots / denom, _NEG_ONE), _ONE)
 
 
@@ -166,17 +179,17 @@ def sigmoid_neg_inplace(u: np.ndarray) -> np.ndarray:
     smallest float32 above 0.
     """
     np.exp(u, out=u)
-    np.add(_ONE, u, out=u)
+    u += _ONE
     np.divide(_ONE, u, out=u)
     np.maximum(u, _SIG_LO, out=u)
     return np.minimum(u, _SIG_HI, out=u)
 
 
 def col_broadcast_mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Scale each column j of m by v[j]; v has one entry per column."""
-    return m * v[np.newaxis, :]
+    """Scale each column j of m by v[j]; v has one entry per column, behind the leading axes m has."""
+    return m * v[..., np.newaxis, :]
 
 
 def rowwise_max(m: np.ndarray) -> np.ndarray:
     """Per-row maximum of a matrix with at least one column."""
-    return np.maximum.reduce(m, axis=1)
+    return np.maximum.reduce(m, axis=-1)

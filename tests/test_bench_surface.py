@@ -7,13 +7,14 @@ perfbench/run.py does, in a subprocess, so such a break fails here.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from streamgate import CoverageSchedule, GateConfig, ScheduleKind, Strategy, make_weights
+from streamgate import CoverageSchedule, GateConfig, ScheduleKind, Strategy, StreamCursor, cli, evaluation, make_weights
 from streamgate.evaluation import WorldSpec, degradation_curve, run_ablation, tau_sweep
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -21,6 +22,7 @@ WORKER = os.path.join(ROOT, "perfbench", "worker.py")
 sys.path.insert(0, os.path.dirname(WORKER))
 
 import worker  # noqa: E402
+from tracing import Tracer  # noqa: E402
 
 
 def _worker(tmp_path, *args):
@@ -78,3 +80,38 @@ def test_grid_probe_samples_every_frame_but_the_first_of_each_session():
     with worker.FrameClock(worker.HostGauge()) as clock:
         run_ablation(drifting_revisit, weights, cfg, strategies, frames, seeds)
     assert len(clock.samples) == len(strategies) * len(seeds) * (frames - 1)
+
+
+def test_traced_grid_spans_every_frame_of_every_session():
+    # The traced grid run wraps run_session, StreamCursor.step and the
+    # per-frame calls by name, as GridWorkload.traced does, and divides each
+    # session's time by its world.step spans.
+    tracer = Tracer()
+    layers = worker.TracedLayers(tracer)
+    session = tracer.wrap("session", evaluation.run_session)
+
+    def run_session(*args, **kwargs):
+        tracer.begin_session()
+        return session(*args, **kwargs)
+
+    strategies, seeds, frames = [Strategy.UNIFORM, Strategy.FUSED], [0, 1], 5
+    with worker.patched(
+        (evaluation, "run_session", run_session),
+        (StreamCursor, "step", layers.step),
+        (evaluation, "encode_frame", layers.encode),
+        (evaluation, "decode_step", layers.decode),
+        (evaluation, "gate_step", layers.gate),
+        (evaluation, "readout", layers.readout),
+        (cli, "write_csv", tracer.wrap("cli.write", cli.write_csv)),
+    ):
+        run_ablation(WorldSpec(), make_weights(n_layers=2), GateConfig(), strategies, frames, seeds)
+    sessions = [i for i, span in enumerate(tracer.spans) if span[0] == "session"]
+    assert len(sessions) == len(strategies) * len(seeds)
+    for name in ("world.step", "decoder.encode", "decoder.decode", "gating.gate"):
+        for i in sessions:
+            held = [span for span in tracer.spans if span[0] == name and span[3] == i]
+            assert [span[5] for span in held] == list(range(frames)), name
+    assert all(span[3] in sessions for span in tracer.spans if span[0] != "session")
+    per_frame, self_per_frame = tracer.session_split_us("session", "world.step")
+    assert len(per_frame) == len(self_per_frame) == len(sessions)
+    assert all(math.isfinite(x) and x > 0 for x in per_frame + self_per_frame)

@@ -611,6 +611,7 @@ def test_a_session_whose_values_overflow_float32_raises_state_error(strategy, ex
         warnings.simplefilter("error")
         with pytest.raises(StateError, match=r"^(decode_step: non-finite |StreamCursor\.step: frame "
                            r"\d+: (the drifting region codes overflow|the observation overflows) float32$"
+                           r"|encode_frame: non-finite frame: the finite observation and encoder overflow float32$"
                            r"|gate_step: the (difference of candidate and prev_candidate overflows float32 in the "
                            r"temporal|cosine of frame and prev_frame overflows float32 in the spatial) gate$)"):
             run_session(stream, weights, GateConfig(), strategy, 40)

@@ -109,6 +109,21 @@ def test_temporal_mask_zero_delta_fallback():
     assert mask.kind is Strategy.TEMPORAL_ONLY
 
 
+def test_temporal_mask_compares_its_mean_with_eps_mean_in_float64():
+    # Deltas [2m, 2m, 0, 0] average to exactly m in float32. float32(1e-8)
+    # lies below 1e-8, so a mean of float32(1e-8) takes the all-ones
+    # fallback (mask 0.5 at tau 1), which a float32 comparison would miss;
+    # the next float32 above lies above 1e-8 and normalizes to [2, 2, 0, 0].
+    at_eps = F32(1e-8)
+    assert float(at_eps) < 1e-8
+    for mean, want in [(at_eps, [0.5] * 4), (np.nextafter(at_eps, F32(1)), sigmoid(np.array([1, 1, -1, -1], F32)))]:
+        curr = np.zeros((4, 3), dtype=F32)
+        curr[:2, 0] = F32(2) * mean
+        assert np.add.reduce(np.sqrt(np.add.reduce(curr * curr, axis=1))) / F32(4) == mean
+        mask = temporal_mask(curr, np.zeros_like(curr), GateConfig(eps_mean=1e-8))
+        assert mask.values.tobytes() == np.asarray(want, dtype=F32).tobytes()
+
+
 def test_temporal_mask_hand_computed():
     # per-token delta norms [1, 3]; mean 2; normalized [0.5, 1.5]; tau=1
     curr = np.array([[1.0, 0.0], [0.0, 3.0]], dtype=F32)
@@ -738,12 +753,15 @@ def test_gate_step_names_a_non_finite_observation(strategy):
     rng = np.random.default_rng(3)
     state = rng.standard_normal((4, 8)).astype(F32)
     obs = [rng.standard_normal((3, 8)).astype(F32) for _ in range(2)]
-    obs[1][1, 2] = np.nan
     frames = [encode_frame(o, w) for o in obs]
+    obs[1][1, 2] = np.nan
+    frames[1][1] = np.nan  # its encoding, as a caller's own encoder may hand it over
     first = decode_step(frames[0], state, w)
     state, _ = gate_step(first.candidate, state, frames[0], first.trace, GateConfig(), strategy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(StateError, match="^encode_frame: non-finite observation$"):
+            encode_frame(obs[1], w)
         # This decoder names the non-finite frame itself; a caller's own
         # decoder may hand gate_step an all-NaN candidate instead.
         with pytest.raises(StateError, match="^decode_step: non-finite frame$"):

@@ -10,6 +10,7 @@ argument that is not a collection.
 import dataclasses
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamgate.decoder import DecoderWeights, decode_step, encode_frame, make_weights, readout
-from streamgate.errors import ConfigError
+from streamgate.errors import ConfigError, StateError
 from streamgate.evaluation import (
     WorldSpec,
     degradation_curve,
@@ -102,6 +103,40 @@ def test_public_op_bit_identical_on_float64_lists_and_float32_arrays(op):
     from_arrays = OPS[op]({k: v.astype(np.float32) for k, v in DATA.items()})
     assert all(out.dtype == np.float32 for out in from_lists + from_arrays)
     assert [out.tobytes() for out in from_lists] == [out.tobytes() for out in from_arrays]
+
+
+# --- non-finite input and float32 overflow outside a session -------------
+
+# Weights 16 times the generated ones, so that finite 1e38 inputs overflow.
+LOUD = dataclasses.replace(WEIGHTS, encoder=16 * WEIGHTS.encoder, readout=16 * WEIGHTS.readout)
+
+
+@pytest.mark.parametrize("op, argument, value, message", [
+    ("encode_frame", "observation", np.nan, "non-finite observation"),
+    ("encode_frame", "observation", -np.inf, "non-finite observation"),
+    ("encode_frame", "weights.encoder", np.inf, "non-finite weights.encoder"),
+    ("encode_frame", "observation", 1e38,
+     "non-finite frame: the finite observation and encoder overflow float32"),
+    ("readout", "candidate", np.nan, "non-finite candidate"),
+    ("readout", "candidate", np.inf, "non-finite candidate"),
+    ("readout", "weights.readout", -np.inf, "non-finite weights.readout"),
+    ("readout", "candidate", 1e38, "non-finite estimate: the finite candidate and readout overflow float32"),
+])
+def test_encode_frame_and_readout_name_a_non_finite_result_without_a_warning(op, argument, value, message):
+    fn, name = {"encode_frame": (encode_frame, "observation"), "readout": (readout, "candidate")}[op]
+    x = DATA[name].astype(np.float32)
+    if argument == name:
+        x[1] = value
+        weights = LOUD if np.isfinite(value) else WEIGHTS
+    else:
+        field = argument.split(".")[1]
+        matrix = getattr(WEIGHTS, field).copy()
+        matrix[0, 0] = value
+        weights = dataclasses.replace(WEIGHTS, **{field: matrix})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=f"^{op}: {re.escape(message)}$"):
+            fn(x, weights)
 
 
 # --- ragged and non-numeric input -----------------------------------------
