@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError, check_int, check_items, check_type
 from .gating import AttentionTrace, AttnSource
-from .linalg import F32, _check_finite, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
+from .linalg import F32, _check_finite, _quiet, as_matrix, matmul, row_softmax, sigmoid_neg_inplace
 
 # Fraction of the gap between a token and its retrieved value closed per
 # layer, plus the score level below which a token counts as disengaged and
@@ -187,6 +187,7 @@ def make_weights(
     )
 
 
+@_quiet
 def encode_frame(observation, weights: DecoderWeights) -> np.ndarray:
     """Project a K x C_obs observation to K x C frame tokens.
 
@@ -206,6 +207,7 @@ def encode_frame(observation, weights: DecoderWeights) -> np.ndarray:
                     ("observation", "weights.encoder"), "encode_frame: non-finite {}")
 
 
+@_quiet
 def decode_step(
     frame,
     state,
@@ -236,13 +238,11 @@ def decode_step(
     operations in the same order as the formulas above. The body is the
     private `_decode`, which reduces along the last axes and treats any
     leading axes of frame and state as a batch of sessions; decode_step
-    takes one session's 2-D arrays. The step runs under one
-    np.errstate(over="ignore", invalid="ignore"), which `_decode` enters as
-    its decorator, so that numpy builds it once, not on every call: the gate's exp
-    saturates without a warning, and a candidate made non-finite by a
-    non-finite frame or state, or by a float32 overflow (scores beyond
-    float32's range make the softmax compute inf - inf), raises a
-    StateError naming the cause. Frame and state are left unchanged.
+    takes one session's 2-D arrays. The gate's exp saturates without a
+    warning, and a candidate made non-finite by a non-finite frame or state,
+    or by a float32 overflow (scores beyond float32's range make the softmax
+    compute inf - inf), raises a StateError naming the cause. Frame and
+    state are left unchanged.
     """
     check_type("weights", weights, DecoderWeights)
     check_type("attn_source", attn_source, AttnSource)
@@ -258,10 +258,9 @@ def decode_step(
     return DecodeOutput(candidate=candidate, trace=AttentionTrace(traced))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _decode(frame: np.ndarray, state: np.ndarray, weights: DecoderWeights,
             pre_softmax: bool) -> tuple[np.ndarray, np.ndarray]:
-    """decode_step's (candidate, trace), under its own errstate.
+    """decode_step's (candidate, trace).
 
     Any leading axes of frame and state are a batch of sessions. The layer
     axis leads the key/value projections and the trace, (L, ..., N, K), so
@@ -329,6 +328,7 @@ def _mix_tokens(state: np.ndarray) -> np.ndarray:
     return np.multiply(mixed, orig, out=state.copy(), where=moves)
 
 
+@_quiet
 def readout(candidate, weights: DecoderWeights) -> np.ndarray:
     """Linear per-token estimate from the candidate state (N x C).
 
@@ -348,9 +348,8 @@ def readout(candidate, weights: DecoderWeights) -> np.ndarray:
                     ("candidate", "weights.readout"), "readout: non-finite {}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _project(x: np.ndarray, matrix: np.ndarray, overflow: str, names: tuple[str, str], nonfinite: str) -> np.ndarray:
-    """x @ matrix under its own errstate, checked as `_check_finite` checks, x and matrix given `names`."""
+    """x @ matrix, checked as `_check_finite` checks, x and matrix given `names`."""
     product = matmul(x, matrix)
     _check_finite(product, overflow, ((names[0], x), (names[1], matrix)), nonfinite)
     return product

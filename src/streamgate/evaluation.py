@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decoder import DecoderWeights, decode_step, encode_frame, readout
-from .errors import ConfigError, check_int, check_items, check_type
+from .errors import ConfigError, StateError, check_int, check_items, check_type
 from .gating import GateConfig, Strategy, gate_step
-from .linalg import F32, matmul
+from .linalg import F32, _check_finite, _quiet, matmul
 from .world import CoverageSchedule, Scene, StreamCursor, _StreamTape, generate_scene
 
 _INIT_ROLE = 3
@@ -119,8 +119,13 @@ def experiment_seeds(seed: int) -> tuple[int, int]:
     return _child_seed(seed, _SCENE_ROLE), _child_seed(seed, _STREAM_ROLE)
 
 
+@_quiet
 def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
-    """One state token per region: encoded region code plus seeded noise."""
+    """One state token per region: encoded region code plus seeded noise.
+
+    A non-finite encoder, or a state made non-finite by a float32 overflow
+    of the finite codes' projection, raises a StateError naming the cause.
+    """
     check_type("scene", scene, Scene)
     check_type("weights", weights, DecoderWeights)
     channels, expected = scene.region_codes.shape[1], weights.encoder.shape[0]
@@ -133,9 +138,13 @@ def initial_state(scene: Scene, weights: DecoderWeights) -> np.ndarray:
         np.random.SeedSequence((int(scene.seed), 0, _INIT_ROLE))
     )
     noise = rng.standard_normal(prior.shape).astype(F32)
-    return F32(INIT_PRIOR_SCALE) * prior + F32(INIT_NOISE_SCALE) * noise
+    state = F32(INIT_PRIOR_SCALE) * prior + F32(INIT_NOISE_SCALE) * noise
+    _check_finite(state, "initial_state: the scene's region codes and the encoder overflow float32",
+                  (("weights.encoder", weights.encoder),), "initial_state: non-finite {}")
+    return state
 
 
+@_quiet
 def run_session(
     stream: StreamCursor,
     weights: DecoderWeights,
@@ -168,47 +177,33 @@ def run_session(
     score = set(scored)
     scene = stream.scene
     state = initial_state(scene, weights)
-    prev_candidate = None
-    prev_frame = None
+    prev_candidate = prev_frame = None
 
     per_frame_error: list[float] = []
     masks = np.empty((frames, state.shape[0]), dtype=F32)
     region_errors = np.zeros((len(scored), scene.regions), dtype=np.float64)
     visible: list[tuple[int, ...]] = []
 
-    # The stream step and the per-frame calls name their own overflows in a
-    # StateError; the scoring's float32 projection of the truth runs under
-    # this one errstate.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(frames):
-            step = stream.step()
-            frame = encode_frame(step.observation, weights)
-            out = decode_step(frame, state, weights, cfg.attn_source)
-            state, mask = gate_step(
-                out.candidate,
-                state,
-                frame,
-                out.trace,
-                cfg,
-                strategy,
-                prev_candidate=prev_candidate,
-                prev_frame=prev_frame,
-            )
-            prev_candidate = out.candidate
-            prev_frame = frame
-            masks[i] = mask.values
-            visible.append(step.visible_regions)
-            if i + 1 not in score:
-                continue
+    for i in range(frames):
+        step = stream.step()
+        frame = encode_frame(step.observation, weights)
+        out = decode_step(frame, state, weights, cfg.attn_source)
+        state, mask = gate_step(out.candidate, state, frame, out.trace, cfg, strategy,
+                                prev_candidate=prev_candidate, prev_frame=prev_frame)
+        prev_candidate, prev_frame = out.candidate, frame
+        masks[i] = mask.values
+        visible.append(step.visible_regions)
+        if i + 1 not in score:
+            continue
 
-            estimate = readout(out.candidate, weights).astype(np.float64)
-            truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
-            scale = float(np.add.reduce(estimate * truth, axis=None)) / (
-                float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
-            )
-            errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
-            region_errors[len(per_frame_error)] = errs
-            per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
+        estimate = readout(out.candidate, weights).astype(np.float64)
+        truth = matmul(step.truth_snapshot, weights.encoder).astype(np.float64)
+        scale = float(np.add.reduce(estimate * truth, axis=None)) / (
+            float(np.add.reduce(estimate * estimate, axis=None)) + 1e-12
+        )
+        errs = np.sqrt(np.add.reduce((scale * estimate - truth) ** 2, axis=1))
+        region_errors[len(per_frame_error)] = errs
+        per_frame_error.append(float(np.add.reduce(errs) / errs.shape[0]))
 
     mask_stats = list(zip(
         (np.add.reduce(masks, axis=1) / F32(masks.shape[1])).tolist(),

@@ -34,6 +34,7 @@ from .linalg import (
     F32_MAX,
     _as_f32,
     _check_finite,
+    _quiet,
     as_matrix,
     as_vector,
     col_broadcast_mul,
@@ -128,17 +129,14 @@ class AttentionTrace:
 # private core per formula; gate_step validates its own arguments once and
 # calls the same cores, which trust their inputs. The cores compute their
 # sigmoid arguments already negated, into arrays they own, and apply
-# sigmoid_neg_inplace to them. They run under their caller's
-# np.errstate(over="ignore", invalid="ignore"), one per public call and one
-# per gate_step: a saturating sigmoid stays silent, and the NaN of a
-# non-finite input (inf - inf, inf / inf, 0 * inf) reaches a named StateError.
-# The cores reduce along their inputs' last axes and treat any leading axes as
-# a batch of sessions, so one body serves one session's 2-D arrays and a stack
-# of B: tau, spat_gain and spat_bias are float32 values that broadcast over the
-# batch (a scalar, or a (B, 1) column), eps_mean is compared in float64, and
-# the temporal gate's eps_mean fallback is a per-session select that divides
-# only the sessions it keeps. A trace keeps its layer axis first, (L, ..., N, K),
-# as decoder._decode returns it, so _aggregate reduces axis 0.
+# sigmoid_neg_inplace to them. The cores reduce along their inputs' last axes
+# and treat any leading axes as a batch of sessions, so one body serves one
+# session's 2-D arrays and a stack of B: tau, spat_gain and spat_bias are
+# float32 values that broadcast over the batch (a scalar, or a (B, 1) column),
+# eps_mean is compared in float64, and the temporal gate's eps_mean fallback
+# is a per-session select that divides only the sessions it keeps. A trace
+# keeps its layer axis first, (L, ..., N, K), as decoder._decode returns it,
+# so _aggregate reduces axis 0.
 
 
 def _matching(op: str, a: np.ndarray, b, name: str, a_name: str = "") -> np.ndarray:
@@ -150,6 +148,7 @@ def _matching(op: str, a: np.ndarray, b, name: str, a_name: str = "") -> np.ndar
     return b
 
 
+@_quiet
 def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     """Gate from mean-normalized per-token candidate deltas.
 
@@ -161,8 +160,7 @@ def temporal_mask(curr, prev, cfg: GateConfig) -> UpdateMask:
     check_type("cfg", cfg, GateConfig)
     curr = as_matrix(curr, "curr")
     prev = _matching("temporal_mask", curr, prev, "prev")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _temporal(curr, prev, F32(cfg.tau), cfg.eps_mean, "temporal_mask", ("curr", "prev"))
+    values = _temporal(curr, prev, F32(cfg.tau), cfg.eps_mean, "temporal_mask", ("curr", "prev"))
     return UpdateMask(values, Strategy.TEMPORAL_ONLY)
 
 
@@ -181,6 +179,7 @@ def _temporal(curr: np.ndarray, prev: np.ndarray, tau, eps_mean: float, op: str,
     return sigmoid_neg_inplace(np.subtract(tau, normalized, out=normalized))
 
 
+@_quiet
 def feature_divergence(curr, prev) -> np.ndarray:
     """Per-frame-token dissimilarity: 1 - cosine of consecutive frames.
 
@@ -189,8 +188,7 @@ def feature_divergence(curr, prev) -> np.ndarray:
     """
     curr = as_matrix(curr, "curr")
     prev = _matching("feature_divergence", curr, prev, "prev")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _divergence(curr, prev, "feature_divergence", ("curr", "prev"))
+    return _divergence(curr, prev, "feature_divergence", ("curr", "prev"))
 
 
 def _divergence(curr: np.ndarray, prev: np.ndarray, op: str, names) -> np.ndarray:
@@ -206,11 +204,13 @@ def _divergence(curr: np.ndarray, prev: np.ndarray, op: str, names) -> np.ndarra
     return _ONE - rowwise_cosine(curr, prev, denom)
 
 
+@_quiet
 def aggregate_attention(trace: AttentionTrace) -> np.ndarray:
     """Elementwise mean of absolute per-layer attention matrices.
 
     The reduction over the layer axis adds the layers left to right, then
-    the sum is divided by their count.
+    the sum is divided by their count. A non-finite entry, or a finite sum
+    past float32, comes out inf or NaN; spatial_mask and gate_step name it.
     """
     check_type("trace", trace, AttentionTrace)
     return _aggregate(trace.layers)
@@ -220,6 +220,7 @@ def _aggregate(layers: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.abs(layers), axis=0) / F32(layers.shape[0])
 
 
+@_quiet
 def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
     """Gate from attention-weighted divergence, max-pooled over frame tokens.
 
@@ -243,19 +244,19 @@ def spatial_mask(attn, divergence, cfg: GateConfig) -> UpdateMask:
         raise StateError("spatial_mask: non-finite divergence in the spatial gate")
     if np.minimum.reduce(divergence) < 0:
         raise ConfigError("spatial_mask requires nonnegative divergence")
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _spatial(attn, divergence, F32(cfg.spat_gain), F32(cfg.spat_bias), "spatial_mask", attn)
+    values = _spatial(attn, divergence, F32(cfg.spat_gain), F32(cfg.spat_bias), "spatial_mask")
     return UpdateMask(values, Strategy.SPATIAL_ONLY)
 
 
-def _spatial(attn: np.ndarray, divergence: np.ndarray, spat_gain, spat_bias, op: str, attention) -> np.ndarray:
-    """The spatial gate's values from a finite divergence; attn came from `attention`.
+def _spatial(attn: np.ndarray, divergence: np.ndarray, spat_gain, spat_bias, op: str) -> np.ndarray:
+    """The spatial gate's values from a finite, nonnegative divergence.
 
-    A non-finite `attention` entry is named in a StateError; where a product of
-    finite entries overflows, the sigmoid saturates as for any large argument.
+    A non-finite `attn` entry, a layer mean past float32 included, is named
+    in a StateError; where a product of finite entries overflows, the
+    sigmoid saturates as for any large argument.
     """
     raw = rowwise_max(col_broadcast_mul(attn, divergence))
-    _check_finite(raw, None, (("attention", attention),), f"{op}: non-finite {{}} in the spatial gate")
+    _check_finite(raw, None, (("attention", attn),), f"{op}: non-finite {{}} in the spatial gate")
     raw *= -spat_gain
     raw -= spat_bias
     return sigmoid_neg_inplace(raw)
@@ -276,6 +277,7 @@ def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
     return UpdateMask(temporal.values * spatial.values, Strategy.FUSED)
 
 
+@_quiet
 def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
     """Commit the candidate per token: mask*candidate + (1-mask)*previous.
 
@@ -295,8 +297,7 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
         )
     if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
         raise ConfigError("apply_update mask values must lie in [0, 1]")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _commit(candidate, prev_state, m)
+    return _commit(candidate, prev_state, m)
 
 
 def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -323,6 +324,7 @@ _ROUTES = {
 }
 
 
+@_quiet
 def gate_step(
     candidate,
     prev_state,
@@ -365,13 +367,11 @@ def gate_step(
                           f"expected {n} state tokens (candidate) x {k} frame tokens (frame)")
     route = Strategy.UNIFORM if prev_candidate is None else strategy
     temporal, spatial = _ROUTES[route]
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (_temporal(candidate, prev_candidate, F32(cfg.tau), cfg.eps_mean, "gate_step",
-                            ("candidate", "prev_candidate"))
-                  if temporal else np.ones(n, dtype=F32))
-        if spatial:
-            divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
-            values *= _spatial(_aggregate(trace.layers), divergence, F32(cfg.spat_gain), F32(cfg.spat_bias),
-                               "gate_step", trace.layers)
-        mask = UpdateMask(values, route)
-        return _commit(candidate, prev_state, mask.values), mask
+    values = (_temporal(candidate, prev_candidate, F32(cfg.tau), cfg.eps_mean, "gate_step",
+                        ("candidate", "prev_candidate"))
+              if temporal else np.ones(n, dtype=F32))
+    if spatial:
+        divergence = _divergence(frame, prev_frame, "gate_step", ("frame", "prev_frame"))
+        values *= _spatial(_aggregate(trace.layers), divergence, F32(cfg.spat_gain), F32(cfg.spat_bias), "gate_step")
+    mask = UpdateMask(values, route)
+    return _commit(candidate, prev_state, mask.values), mask

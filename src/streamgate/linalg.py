@@ -21,14 +21,13 @@ not bit-identical to it. For the same reason `row_softmax` takes its row
 maxima as an (..., N, 1) column, as `np.maximum.reduce(m, axis=-1,
 keepdims=True)` returns them, and can write into an `out=` array;
 `sigmoid_neg_inplace` overwrites an array its caller owns with the
-sigmoid of its negation, under the caller's `np.errstate`, so a caller
-that computes its argument already negated skips the negation; the public
-`sigmoid` negates into a new array and calls it under an errstate, so the
-formula has one definition. IEEE negation and the subtraction
-`b - a == -(a - b)` are exact, so a negated argument gives the same bits,
-and each in-place form applies the same operations to the same operands
-in the same order as its out-of-place form, up to the order of a sum's or
-a product's two operands, which IEEE arithmetic does not see.
+sigmoid of its negation, so a caller that computes its argument already
+negated skips the negation; the public `sigmoid` negates into a new array
+and calls it, so the formula has one definition. IEEE negation and the
+subtraction `b - a == -(a - b)` are exact, so a negated argument gives the
+same bits, and each in-place form applies the same operations to the same
+operands in the same order as its out-of-place form, up to the order of a
+sum's or a product's two operands, which IEEE arithmetic does not see.
 Given finite inputs whose products stay within float32 range, every
 kernel returns finite float32 values.
 Identical inputs produce bit-identical outputs across runs.
@@ -60,6 +59,17 @@ _ONE = F32(1.0)
 _NEG_ONE = F32(-1.0)
 _EPS_COS32 = F32(EPS_COS)
 
+# The package's one floating-point policy. Every public operation that
+# computes on arrays carries `@_quiet`, and nothing else enters an errstate:
+# private cores and the kernels below run under their public caller's. A
+# saturating exp or a float32 overflow stays silent, and the NaN of a
+# non-finite input (inf - inf, inf / inf, 0 * inf) flows on: to the
+# operation's `_check_finite`, which names its cause in a StateError, or out,
+# from a transparent one such as `sigmoid`. numpy sets a fresh context per
+# decorated call, so the one instance decorates every operation and nests,
+# as run_session calling encode_frame does.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
 
 def _as_f32(x, name: str, ndim: int, form: str) -> np.ndarray:
     """x as a non-empty float32 array of rank ndim (`form` in the message), else ConfigError naming `name`.
@@ -85,7 +95,7 @@ def _check_finite(result, overflow: str | None, named=(), nonfinite: str = "{}")
     else the float32 `overflow`, unless it is None (the caller saturates) or only the sum overflowed.
     The result's dot with itself is tested first, in about half the time of the sum: it is finite
     only if every entry is finite and below sqrt(F32_MAX) in magnitude, and then so is the sum, so
-    the sum is taken only when the dot is not finite. The caller's np.errstate silences the dot.
+    the sum is taken only when the dot is not finite.
     """
     flat = result.ravel()
     if not math.isfinite(flat.dot(flat)) and not math.isfinite(np.add.reduce(result, axis=None)):
@@ -164,19 +174,17 @@ def rowwise_cosine(a: np.ndarray, b: np.ndarray, denom: np.ndarray | None = None
     return np.minimum(np.maximum(dots / denom, _NEG_ONE), _ONE)
 
 
+@_quiet
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, strictly inside (0, 1); v is unchanged."""
-    # A fresh errstate per call: numpy refuses to re-enter a shared one.
-    with np.errstate(over="ignore"):
-        return sigmoid_neg_inplace(np.negative(v))
+    return sigmoid_neg_inplace(np.negative(v))
 
 
 def sigmoid_neg_inplace(u: np.ndarray) -> np.ndarray:
     """Overwrite u with sigmoid(-u) = 1 / (1 + exp(u)) and return it.
 
-    exp(u) overflows for u above about 88.72; the caller runs this under
-    `np.errstate(over="ignore")`, where the overflow saturates to the
-    smallest float32 above 0.
+    exp(u) overflows for u above about 88.72, and the result saturates to
+    the smallest float32 above 0.
     """
     np.exp(u, out=u)
     u += _ONE

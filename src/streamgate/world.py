@@ -27,7 +27,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, StateError, check_int, check_items, check_real, check_type
-from .linalg import F32, F32_MAX, _check_finite, as_matrix
+from .linalg import F32, F32_MAX, _check_finite, _quiet, as_matrix
 
 _DRIFT_ROLE = 1
 _NOISE_ROLE = 2
@@ -295,6 +295,7 @@ class StreamCursor:
     def t(self) -> int:
         return self._t
 
+    @_quiet
     def step(self) -> StreamStep:
         if self._tape is not None:
             self._t += 1
@@ -316,15 +317,13 @@ class StreamCursor:
         # REVISIT keeps a row per region, and its invisible rows hold noise only.
         revisit = self.schedule.kind is ScheduleKind.REVISIT
         noise = _rng(words[-1]).standard_normal((regions if revisit else len(vis), channels))
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._drifts:
-                drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
-                self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
-                _check_finite(self._codes,
-                              f"StreamCursor.step: frame {t}: the drifting region codes overflow float32")
-            observation = self._sigma * noise.astype(F32)
-            observation[vis if revisit else slice(None)] += self._codes[vis]
-            _check_finite(observation, f"StreamCursor.step: frame {t}: the observation overflows float32")
+        if self._drifts:
+            drift = _rng(words[0]).standard_normal((len(self._dynamic), channels))
+            self._codes[self._dynamic] += self._drift_rate * drift.astype(F32)
+            _check_finite(self._codes, f"StreamCursor.step: frame {t}: the drifting region codes overflow float32")
+        observation = self._sigma * noise.astype(F32)
+        observation[vis if revisit else slice(None)] += self._codes[vis]
+        _check_finite(observation, f"StreamCursor.step: frame {t}: the observation overflows float32")
         return StreamStep(
             t=t,
             observation=observation,
@@ -419,6 +418,7 @@ def _stream_line(s: StreamStep) -> str:
     return ";".join(fields) + "\n"
 
 
+@_quiet
 def load_stream(path, obs_channels: int) -> list[StreamStep]:
     """Read back a trace written by dump_stream (float32-exact).
 
@@ -430,7 +430,7 @@ def load_stream(path, obs_channels: int) -> list[StreamStep]:
     obs_channels = check_int("obs_channels", obs_channels, 1)
     steps = []
     # An out-of-range value parses to inf, which the finiteness check names.
-    with open(path, "rb") as fh, np.errstate(over="ignore"):
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("ascii").strip()

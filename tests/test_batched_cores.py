@@ -7,10 +7,9 @@ session of a stack below has a kind, so that each per-session select is
 taken both ways within one stack: a token mean of zero norm (the state is
 left as it is), candidates that do not move, that move less than eps_mean
 on average, or whose mean move is exactly float32(eps_mean) (the temporal
-gate falls back to all ones), and plain random sessions. The cores but
-_decode, which enters its own errstate, are called outside any np.errstate,
-so a select that divided 0 by 0 would fail under the suite's
-warnings-as-errors.
+gate falls back to all ones), and plain random sessions. The cores are
+called outside any np.errstate, so a select that divided 0 by 0 would fail
+under the suite's warnings-as-errors.
 """
 
 import numpy as np
@@ -122,8 +121,8 @@ def test_batched_cores_equal_per_session_calls_bit_for_bit(b, seed):
     layers = np.stack([s["layers"] for s in sessions], axis=1)
     _same(gating._aggregate(layers), [gating._aggregate(s["layers"]) for s in sessions])
     _same(gating._spatial(stack["attn"], stack["divergence"], column["spat_gain"], column["spat_bias"],
-                          "op", stack["attn"]),
-          [gating._spatial(s["attn"], s["divergence"], s["spat_gain"], s["spat_bias"], "op", s["attn"])
+                          "op"),
+          [gating._spatial(s["attn"], s["divergence"], s["spat_gain"], s["spat_bias"], "op")
            for s in sessions])
     _same(gating._commit(stack["curr"], stack["prev"], stack["mask"]),
           [gating._commit(s["curr"], s["prev"], s["mask"]) for s in sessions])

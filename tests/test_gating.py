@@ -844,6 +844,27 @@ def test_gate_step_names_an_overflowing_cosine(case, strategy):
                       prev_candidate=d["prev_candidate"], prev_frame=prev_frame)
 
 
+# The mean of four finite 3e38 layers passes float32, so the attention the
+# spatial gate reads holds inf. That is named as non-finite attention, where
+# frame token 0's divergence is exactly 0 (its row repeats prev_frame's, a
+# row whose cosine with itself is exactly 1, and 0 * inf is NaN) and where
+# every divergence is above 0 (the product is inf).
+@pytest.mark.parametrize("strategy", [Strategy.SPATIAL_ONLY, Strategy.FUSED])
+@pytest.mark.parametrize("zero_divergence", [True, False], ids=["zero-divergence", "positive-divergence"])
+def test_gate_step_names_a_layer_mean_past_float32(strategy, zero_divergence):
+    d = _gate_inputs(seed=16, layers=4)
+    layers = d["trace"].layers.copy()
+    layers[:, :, 0] = 3e38
+    if zero_divergence:
+        d["frame"][0] = d["prev_frame"][0] = [2, 0, 0, 0, 0]
+    assert (feature_divergence(d["frame"], d["prev_frame"]) == 0).tolist() == [zero_divergence, False, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StateError, match=f"^{_ATTENTION_MESSAGE}$"):
+            gate_step(d["candidate"], d["prev_state"], d["frame"], AttentionTrace(layers), GateConfig(), strategy,
+                      prev_candidate=d["prev_candidate"], prev_frame=d["prev_frame"])
+
+
 @pytest.mark.parametrize(
     "attn, divergence, message",
     [

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamgate.decoder import DecoderWeights, decode_step, encode_frame, make_weights, readout
-from streamgate.errors import ConfigError, StateError
+from streamgate.errors import ConfigError, StateError, StreamGateError
 from streamgate.evaluation import (
     WorldSpec,
     degradation_curve,
@@ -28,8 +28,16 @@ from streamgate.evaluation import (
     seeded_stream,
     tau_sweep,
 )
-from streamgate.linalg import as_matrix, as_vector
-from streamgate.world import CoverageSchedule, Scene, StreamCursor, dump_stream, generate_scene
+from streamgate.linalg import F32_MAX, as_matrix, as_vector, sigmoid
+from streamgate.world import (
+    CoverageSchedule,
+    ScheduleKind,
+    Scene,
+    StreamCursor,
+    dump_stream,
+    generate_scene,
+    load_stream,
+)
 from streamgate.gating import (
     AttentionTrace,
     GateConfig,
@@ -137,6 +145,139 @@ def test_encode_frame_and_readout_name_a_non_finite_result_without_a_warning(op,
         warnings.simplefilter("error")
         with pytest.raises(StateError, match=f"^{op}: {re.escape(message)}$"):
             fn(x, weights)
+
+
+# --- every public operation under warnings-as-errors -----------------------
+
+def _with(name, value, row=0):
+    """DATA[name] as float32, with one row set to `value`."""
+    x = DATA[name].astype(np.float32)
+    x[row] = value
+    return x
+
+
+def _trace_file(tmp_path, value):
+    """A one-step dump_stream file whose first observation entry is `value`."""
+    path = tmp_path / "trace.txt"
+    rest = ",".join(["0.5"] * (OBS - 1))
+    path.write_text(f"1;1;0;{value},{rest};{rest},0.5\n")
+    return path
+
+
+def _scene(value):
+    return Scene(np.full((N, OBS), value, dtype=np.float32), frozenset(range(N)), F32_MAX, 0)
+
+
+def _boundary_gate(trace_value):
+    """A fused gate_step whose trace column 0 is `trace_value` and whose frame row 0 repeats prev_frame's."""
+    layers = np.stack((DATA["attn"], DATA["attn2"])).astype(np.float32)
+    layers[:, :, 0] = trace_value
+    frame = _with("frame", DATA["prev_frame"][0])
+    return gate_step(DATA["candidate"], DATA["prev_state"], frame, AttentionTrace(layers), CFG, Strategy.FUSED,
+                     prev_candidate=DATA["prev_candidate"], prev_frame=DATA["prev_frame"])
+
+
+def _session(scene, weights):
+    return run_session(StreamCursor(scene, CoverageSchedule(ScheduleKind.FULL), 0.0, 0), weights, CFG,
+                       Strategy.FUSED, 2)
+
+
+_NAN_ENCODER = WEIGHTS.encoder.copy()
+_NAN_ENCODER[0, 0] = np.nan
+NAN_WEIGHTS = dataclasses.replace(WEIGHTS, encoder=_NAN_ENCODER)
+_MASK = UpdateMask(DATA["mask"], Strategy.FUSED)
+_INITIAL = r"^initial_state: the scene's region codes and the encoder overflow float32$"
+
+# Every public operation that computes on arrays, called with an input that
+# overflows float32 and with one that holds a NaN: (call, the StreamGateError
+# it raises and a pattern of its message), or (call, None, None) where the
+# operation returns its inf or NaN. Each call takes a directory for files.
+BOUNDARY = {
+    "encode_frame": (
+        (lambda tmp: encode_frame(_with("observation", 1e38), LOUD), StateError,
+         r"^encode_frame: non-finite frame: the finite observation and encoder overflow float32$"),
+        (lambda tmp: encode_frame(_with("observation", np.nan), WEIGHTS), StateError,
+         r"^encode_frame: non-finite observation$"),
+    ),
+    "decode_step": (
+        (lambda tmp: decode_step(DATA["frame"], _with("state", 1e38), WEIGHTS), StateError,
+         r"^decode_step: non-finite candidate: the finite frame and state overflow float32$"),
+        (lambda tmp: decode_step(_with("frame", np.nan), DATA["state"], WEIGHTS), StateError,
+         r"^decode_step: non-finite frame$"),
+    ),
+    "readout": (
+        (lambda tmp: readout(_with("candidate", 1e38), LOUD), StateError,
+         r"^readout: non-finite estimate: the finite candidate and readout overflow float32$"),
+        (lambda tmp: readout(_with("candidate", np.nan), WEIGHTS), StateError, r"^readout: non-finite candidate$"),
+    ),
+    "temporal_mask": (
+        (lambda tmp: temporal_mask(_with("candidate", 3e38), _with("prev_candidate", -3e38), CFG), StateError,
+         r"^temporal_mask: the difference of curr and prev overflows float32 in the temporal gate$"),
+        (lambda tmp: temporal_mask(_with("candidate", np.nan), DATA["prev_candidate"], CFG), StateError,
+         r"^temporal_mask: non-finite curr in the temporal gate$"),
+    ),
+    "feature_divergence": (
+        (lambda tmp: feature_divergence(_with("frame", 3e38), DATA["prev_frame"]), StateError,
+         r"^feature_divergence: the cosine of curr and prev overflows float32 in the spatial gate$"),
+        (lambda tmp: feature_divergence(DATA["frame"], _with("prev_frame", np.nan)), StateError,
+         r"^feature_divergence: non-finite prev in the spatial gate$"),
+    ),
+    "aggregate_attention": (
+        (lambda tmp: aggregate_attention(AttentionTrace(np.full((3, N, K), 3e38))), None, None),
+        (lambda tmp: aggregate_attention(AttentionTrace((_with("attn", np.nan), DATA["attn2"]))), None, None),
+    ),
+    "spatial_mask": (
+        (lambda tmp: spatial_mask(np.full((N, K), 3e38), DATA["divergence"], CFG), None, None),
+        (lambda tmp: spatial_mask(_with("attn", np.nan), DATA["divergence"], CFG), StateError,
+         r"^spatial_mask: non-finite attention in the spatial gate$"),
+    ),
+    "apply_update": (
+        (lambda tmp: apply_update(np.full((N, C), F32_MAX), np.full((N, C), F32_MAX), _MASK), None, None),
+        (lambda tmp: apply_update(_with("candidate", np.nan), DATA["prev_state"], _MASK), StateError,
+         r"^apply_update: non-finite blended state$"),
+    ),
+    "gate_step": (
+        (lambda tmp: _boundary_gate(3e38), StateError, r"^gate_step: non-finite attention in the spatial gate$"),
+        (lambda tmp: _boundary_gate(np.nan), StateError, r"^gate_step: non-finite attention in the spatial gate$"),
+    ),
+    "StreamCursor.step": (
+        (lambda tmp: StreamCursor(_scene(3e38), CoverageSchedule(ScheduleKind.FULL), 0.0, 0).step(), StateError,
+         r"^StreamCursor\.step: frame 1: the drifting region codes overflow float32$"),
+        (lambda tmp: StreamCursor(_scene(np.nan), CoverageSchedule(), 0.0, 0).step(), ConfigError,
+         r"^region_codes must be finite$"),
+    ),
+    "load_stream": (
+        (lambda tmp: load_stream(_trace_file(tmp, "1e39"), OBS), ConfigError,
+         r": line 1: malformed step \(non-finite value\)$"),
+        (lambda tmp: load_stream(_trace_file(tmp, "nan"), OBS), ConfigError,
+         r": line 1: malformed step \(non-finite value\)$"),
+    ),
+    "initial_state": (
+        (lambda tmp: initial_state(_scene(1e38), LOUD), StateError, _INITIAL),
+        (lambda tmp: initial_state(_scene(1.0), NAN_WEIGHTS), StateError, r"^initial_state: non-finite weights\.encoder$"),
+    ),
+    "run_session": (
+        (lambda tmp: _session(_scene(1e38), LOUD), StateError, _INITIAL),
+        (lambda tmp: _session(_scene(1.0), NAN_WEIGHTS), StateError, r"^initial_state: non-finite weights\.encoder$"),
+    ),
+    "sigmoid": (
+        (lambda tmp: sigmoid(np.full(N, -1e38, dtype=np.float32)), None, None),
+        (lambda tmp: sigmoid(_with("mask", np.nan)), None, None),
+    ),
+}
+
+
+@pytest.mark.parametrize("op, case", [(op, case) for op in BOUNDARY for case in ("overflow", "nan")])
+def test_every_public_operation_names_a_float_fault_or_returns_without_a_warning(op, case, tmp_path):
+    call, error, pattern = BOUNDARY[op][case == "nan"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            call(tmp_path)
+        else:
+            with pytest.raises(StreamGateError, match=pattern) as raised:
+                call(tmp_path)
+            assert type(raised.value) is error
 
 
 # --- ragged and non-numeric input -----------------------------------------
