@@ -97,7 +97,12 @@ class GateConfig:
 
 @dataclass(frozen=True, eq=False)
 class UpdateMask:
-    """Per-token gate in [0, 1] plus the strategy whose route produced it."""
+    """Per-token gate in [0, 1] plus the strategy whose route produced it.
+
+    Construction coerces the values to a float32 vector but does not check
+    their range: the gates' masks lie in [0, 1] by construction, and
+    fuse_masks and apply_update check a caller's mask where they read it.
+    """
 
     values: np.ndarray
     kind: Strategy
@@ -105,9 +110,6 @@ class UpdateMask:
     def __post_init__(self) -> None:
         check_type("kind", self.kind, Strategy)
         object.__setattr__(self, "values", as_vector(self.values, "mask"))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,19 +264,25 @@ def _spatial(attn: np.ndarray, divergence: np.ndarray, spat_gain, spat_bias, op:
     return sigmoid_neg_inplace(raw)
 
 
+def _mask_values(op: str, name: str, mask, n: int | None = None, kind: Strategy | None = None) -> np.ndarray:
+    """mask.values; ConfigError naming `op` unless an UpdateMask (of `kind`, `n` entries, where given) in [0, 1]."""
+    check_type(name, mask, UpdateMask)
+    if kind is not None and mask.kind is not kind:
+        raise ConfigError(f"{op} expected a {kind.value} mask, got kind={mask.kind.value}")
+    m = mask.values
+    if n is not None and m.shape[0] != n:
+        raise ConfigError(f"{op} {name} has {m.shape[0]} entries, expected {n}")
+    if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
+        raise ConfigError(f"{op} mask values must lie in [0, 1]")
+    return m
+
+
+@_quiet
 def fuse_masks(temporal: UpdateMask, spatial: UpdateMask) -> UpdateMask:
-    """Elementwise product of a temporal and a spatial mask."""
-    check_type("temporal", temporal, UpdateMask)
-    check_type("spatial", spatial, UpdateMask)
-    if temporal.kind is not Strategy.TEMPORAL_ONLY:
-        raise ConfigError(f"expected a temporal mask, got kind={temporal.kind.value}")
-    if spatial.kind is not Strategy.SPATIAL_ONLY:
-        raise ConfigError(f"expected a spatial mask, got kind={spatial.kind.value}")
-    if len(temporal) != len(spatial):
-        raise ConfigError(
-            f"fuse_masks length mismatch: {len(temporal)} vs {len(spatial)}"
-        )
-    return UpdateMask(temporal.values * spatial.values, Strategy.FUSED)
+    """Elementwise product of a temporal and a spatial mask of one length, each in [0, 1]."""
+    t = _mask_values("fuse_masks", "temporal", temporal, kind=Strategy.TEMPORAL_ONLY)
+    s = _mask_values("fuse_masks", "spatial", spatial, t.shape[0], Strategy.SPATIAL_ONLY)
+    return UpdateMask(t * s, Strategy.FUSED)
 
 
 @_quiet
@@ -283,21 +291,12 @@ def apply_update(candidate, prev_state, mask: UpdateMask) -> np.ndarray:
 
     Each output coordinate is clamped to the closed interval spanned by the
     two inputs, so the convex-combination postcondition holds exactly in
-    float32. A non-finite blended state raises StateError, whatever mask
-    produced it.
+    float32. A mask needs one entry per token, each in [0, 1]. A non-finite
+    blended state raises StateError, whatever mask produced it.
     """
-    check_type("mask", mask, UpdateMask)
     candidate = as_matrix(candidate, "candidate")
     prev_state = _matching("apply_update", candidate, prev_state, "prev_state")
-    m = mask.values
-    if m.shape[0] != candidate.shape[0]:
-        raise ConfigError(
-            f"apply_update mask length {m.shape[0]} != token count "
-            f"{candidate.shape[0]}"
-        )
-    if not (np.minimum.reduce(m) >= 0 and np.maximum.reduce(m) <= 1):  # a NaN entry fails this too
-        raise ConfigError("apply_update mask values must lie in [0, 1]")
-    return _commit(candidate, prev_state, m)
+    return _commit(candidate, prev_state, _mask_values("apply_update", "mask", mask, candidate.shape[0]))
 
 
 def _commit(candidate: np.ndarray, prev_state: np.ndarray, m: np.ndarray) -> np.ndarray:

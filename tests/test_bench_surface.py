@@ -25,7 +25,12 @@ import worker  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 
+def _refuse(constant):
+    raise ValueError(f"the worker printed {constant}, which is not strict JSON")
+
+
 def _worker(tmp_path, *args):
+    """The worker's stdout records, parsed as strict JSON: a NaN or an infinity fails."""
     env = {
         **os.environ,
         "PYTHONPATH": os.path.join(ROOT, "src"),
@@ -39,7 +44,7 @@ def _worker(tmp_path, *args):
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return [json.loads(line) for line in result.stdout.splitlines() if line.strip()]
+    return [json.loads(line, parse_constant=_refuse) for line in result.stdout.splitlines() if line.strip()]
 
 
 def test_stream_worker_runs_one_checked_session(tmp_path):
@@ -50,6 +55,17 @@ def test_stream_worker_runs_one_checked_session(tmp_path):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["ops"] == 1 and result["attempted"] == 1200
+
+
+def test_traced_stream_worker_ends_in_a_strict_finite_result(tmp_path):
+    # A per-layer median over no spans would print NaN, and the result line would not be strict JSON.
+    result = _worker(tmp_path, "--workload", "stream-drift", "--seed", "0", "--seconds", "0.1", "--trace", "1")[-1]
+    assert result["event"] == "result"
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [metric["name"] for metric in json.load(fh)["per_layer"]]
+    assert {name: result["metrics"][name] for name in names if not math.isfinite(result["metrics"][name])} == {}
 
 
 @pytest.mark.parametrize("workload", ["ablate-grid", "degrade-long"])

@@ -418,10 +418,19 @@ def test_fuse_masks_dominance():
 def test_fuse_masks_kind_and_length_mismatch():
     tm = ones_mask(2, Strategy.TEMPORAL_ONLY)
     sm = ones_mask(2, Strategy.SPATIAL_ONLY)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^fuse_masks expected a temporal mask, got kind=spatial$"):
         fuse_masks(sm, sm)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^fuse_masks spatial has 3 entries, expected 2$"):
         fuse_masks(tm, ones_mask(3, Strategy.SPATIAL_ONLY))
+    # A mask entry outside [0, 1], or a NaN, on either side is no blend weight.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (1.8, -0.1, np.nan):
+            values = np.array([bad, 0.5], dtype=F32)
+            for pair in ((UpdateMask(values, Strategy.TEMPORAL_ONLY), sm),
+                         (tm, UpdateMask(values, Strategy.SPATIAL_ONLY))):
+                with pytest.raises(ConfigError, match=r"^fuse_masks mask values must lie in \[0, 1\]$"):
+                    fuse_masks(*pair)
 
 
 # --- state update ----------------------------------------------------------------

@@ -8,6 +8,7 @@ argument that is not a collection.
 """
 
 import dataclasses
+import inspect
 import os
 import re
 import warnings
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from streamgate import decoder, evaluation, gating, linalg, world
 from streamgate.decoder import DecoderWeights, decode_step, encode_frame, make_weights, readout
 from streamgate.errors import ConfigError, StateError, StreamGateError
 from streamgate.evaluation import (
@@ -186,6 +188,7 @@ _NAN_ENCODER = WEIGHTS.encoder.copy()
 _NAN_ENCODER[0, 0] = np.nan
 NAN_WEIGHTS = dataclasses.replace(WEIGHTS, encoder=_NAN_ENCODER)
 _MASK = UpdateMask(DATA["mask"], Strategy.FUSED)
+_FUSE = r"^fuse_masks mask values must lie in \[0, 1\]$"
 _INITIAL = r"^initial_state: the scene's region codes and the encoder overflow float32$"
 
 # Every public operation that computes on arrays, called with an input that
@@ -230,6 +233,12 @@ BOUNDARY = {
         (lambda tmp: spatial_mask(np.full((N, K), 3e38), DATA["divergence"], CFG), None, None),
         (lambda tmp: spatial_mask(_with("attn", np.nan), DATA["divergence"], CFG), StateError,
          r"^spatial_mask: non-finite attention in the spatial gate$"),
+    ),
+    "fuse_masks": (
+        (lambda tmp: fuse_masks(UpdateMask(np.full(N, 3e38), Strategy.TEMPORAL_ONLY),
+                                UpdateMask(np.full(N, 3e38), Strategy.SPATIAL_ONLY)), ConfigError, _FUSE),
+        (lambda tmp: fuse_masks(UpdateMask(_with("mask", np.nan), Strategy.TEMPORAL_ONLY),
+                                UpdateMask(DATA["mask"], Strategy.SPATIAL_ONLY)), ConfigError, _FUSE),
     ),
     "apply_update": (
         (lambda tmp: apply_update(np.full((N, C), F32_MAX), np.full((N, C), F32_MAX), _MASK), None, None),
@@ -278,6 +287,24 @@ def test_every_public_operation_names_a_float_fault_or_returns_without_a_warning
             with pytest.raises(StreamGateError, match=pattern) as raised:
                 call(tmp_path)
             assert type(raised.value) is error
+
+
+def _quiet_operations():
+    """The name of every function, or method of a class, that these modules define under linalg._quiet."""
+    for module in (decoder, gating, world, evaluation, linalg):
+        for name, value in vars(module).items():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if inspect.isclass(value) else [("", value)]
+            for attr, f in members:
+                # numpy's errstate decorator leaves __wrapped__ on its wrapper, and the errstate in its closure.
+                closure = getattr(f, "__closure__", None) or ()
+                if hasattr(f, "__wrapped__") and any(c.cell_contents is linalg._quiet for c in closure):
+                    yield f"{name}.{attr}" if attr else name
+
+
+def test_the_float_fault_table_holds_every_operation_under_the_shared_errstate():
+    assert set(_quiet_operations()) == set(BOUNDARY)
 
 
 # --- ragged and non-numeric input -----------------------------------------
