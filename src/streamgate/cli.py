@@ -66,7 +66,6 @@ class RunConfig:
     dynamic_fraction: float = _WORLD.dynamic_fraction
     drift_rate: float = _WORLD.drift_rate
     noise_sigma: float = _WORLD.noise_sigma
-    state_tokens: int | None = None  # None: one state token per region
     frame_tokens: int = _WORLD.schedule.window
     channels: int = _MODEL["channels"].default
     layers: int = _MODEL["n_layers"].default
@@ -86,10 +85,6 @@ class RunConfig:
     out: str = ""
     fmt: str = "csv"
     dump_stream: str = ""
-
-    def __post_init__(self) -> None:
-        if self.state_tokens is None:
-            self.state_tokens = self.regions
 
 
 def _parse_int(key: str, raw: str) -> int:
@@ -180,9 +175,6 @@ _OPTIONS: dict[str, _Option] = {
     "dynamic-fraction": _Option("dynamic_fraction", _FRACTION, "fraction of regions that drift"),
     "drift-rate": _Option("drift_rate", _RATE, "per-step drift of dynamic regions"),
     "noise-sigma": _Option("noise_sigma", _RATE, "observation noise std"),
-    "state-tokens": _Option(
-        "state_tokens", _COUNT, "state tokens N; must equal scene-regions (default scene-regions)"
-    ),
     "frame-tokens": _Option("frame_tokens", _COUNT, "frame tokens K = sliding-window width"),
     "channels": _Option("channels", _COUNT, "feature channels C"),
     "layers": _Option("layers", _COUNT, "decoder layers L"),
@@ -413,7 +405,9 @@ COMMANDS: dict[str, _Command] = {
     "degrade": _Command(
         "error growth vs stream length", _degrade, defaults={"strategies": ("uniform", "fused")}
     ),
-    "sweep-tau": _Command("temporal threshold sweep", _sweep_tau),
+    "sweep-tau": _Command(
+        "temporal threshold sweep", _sweep_tau, defaults={"strategies": ("fused",)}
+    ),
     "oracle-check": _Command("brute-force equivalence suite", _oracle_check, writes=False),
 }
 
@@ -473,11 +467,6 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _validate(cfg: RunConfig) -> None:
     """Rules that tie options together; each key's own bound is in its parser."""
-    if cfg.state_tokens != cfg.regions:
-        raise ConfigError(
-            "state-tokens: must equal scene-regions (one state token per "
-            f"region), got {cfg.state_tokens} vs {cfg.regions}"
-        )
     if cfg.schedule != "full" and cfg.frame_tokens > cfg.regions:
         raise ConfigError(
             f"frame-tokens: window cannot exceed scene-regions, got "
@@ -485,6 +474,8 @@ def _validate(cfg: RunConfig) -> None:
         )
     if cfg.command == "ablate" and len(cfg.strategies) < 2:
         raise ConfigError("strategy: ablate needs at least 2 strategies")
+    if cfg.command == "sweep-tau" and cfg.strategies != ("fused",):
+        raise ConfigError(f"strategy: sweep-tau runs only fused, not {','.join(cfg.strategies)}")
     if cfg.command == "degrade":
         if len(cfg.lengths) < 2:
             raise ConfigError(f"lengths: need at least 2 entries, got {list(cfg.lengths)}")

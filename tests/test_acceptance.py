@@ -220,7 +220,7 @@ def test_criterion_6_cold_start_and_degenerate_inputs():
 
 def test_criterion_7_cli_determinism_and_schema(tmp_path):
     small = [
-        "--scene-regions", "6", "--state-tokens", "6", "--frame-tokens", "2",
+        "--scene-regions", "6", "--frame-tokens", "2",
         "--obs-channels", "8", "--channels", "8", "--layers", "2",
         "--frames", "8", "--seeds", "0,1",
     ]

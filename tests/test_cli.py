@@ -18,7 +18,6 @@ from streamgate.errors import ConfigError
 
 SMALL = [
     "--scene-regions", "4",
-    "--state-tokens", "4",
     "--frame-tokens", "2",
     "--obs-channels", "8",
     "--channels", "8",
@@ -49,9 +48,12 @@ def test_no_arguments_is_usage_error(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_unknown_flag_rejected(capsys):
-    assert run_cli(["ablate", "--no-such-flag", "1"]) == 2
-    assert "no-such-flag" in capsys.readouterr().err
+# The state holds one token per region, so no option sets its token count.
+@pytest.mark.parametrize("flag", ["no-such-flag", "state-tokens"])
+def test_unknown_flag_rejected(capsys, flag):
+    assert run_cli(["ablate", f"--{flag}", "1", "--out", "x.csv"]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: --{flag} 1" in err
 
 
 def test_tau_zero_rejected_naming_key(capsys):
@@ -73,19 +75,6 @@ def test_non_numeric_value_rejected_naming_key(capsys):
 def test_out_required_for_writing_commands(capsys):
     assert run_cli(["ablate"]) == 2
     assert "out" in capsys.readouterr().err
-
-
-def test_state_tokens_must_equal_regions(capsys):
-    assert run_cli(["run", "--scene-regions", "8", "--state-tokens", "4", "--out", "x.csv"]) == 2
-    err = capsys.readouterr().err
-    assert "state-tokens" in err
-
-
-def test_state_tokens_default_to_regions(tmp_path):
-    out = tmp_path / "run.csv"
-    i = SMALL.index("--state-tokens")
-    assert run_cli(["run", *SMALL[:i], *SMALL[i + 2:], "--out", str(out)]) == 0
-    assert "# config state_tokens=4" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize("strategy", [["fused", "--strategy", "fused"], ["uniform,fused,uniform"]])
@@ -134,6 +123,9 @@ _GATE_BOUND = f"> 0 and <= float32's maximum {_F32_MAX}"
     (["run", "--schedule", "sliding", "--frame-tokens", "20"], None,
      "frame-tokens: window cannot exceed scene-regions, got 20 > 16"),
     (["ablate", "--strategy", "fused"], None, "strategy: ablate needs at least 2 strategies"),
+    (["sweep-tau", "--strategy", "uniform"], None, "strategy: sweep-tau runs only fused, not uniform"),
+    (["sweep-tau", "--strategy", "fused,temporal"], None,
+     "strategy: sweep-tau runs only fused, not fused,temporal"),
     (["degrade", "--lengths", "50"], None, "lengths: need at least 2 entries, got [50]"),
     (["run", "--tau", "1e39"], None, f"tau: must be {_GATE_BOUND}, got 1e+39"),
     (["run", "--eps-mean", "1e39"], None, f"eps-mean: must be {_GATE_BOUND}, got 1e+39"),
@@ -174,10 +166,11 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.tau == 1.5 and cfg.noise_sigma == 0.1
 
 
-def test_config_file_unknown_key_rejected(tmp_path):
+@pytest.mark.parametrize("key", ["taw", "state-tokens"])
+def test_config_file_unknown_key_rejected(tmp_path, key):
     conf = tmp_path / "exp.conf"
-    conf.write_text("taw=2.0\n")
-    with pytest.raises(ConfigError, match="taw"):
+    conf.write_text(f"{key}=2\n")
+    with pytest.raises(ConfigError, match=rf"^config: unknown key '{key}' \(line 1\)$"):
         parse_config(["run", "--config", str(conf), "--out", "x.csv"])
 
 
@@ -284,6 +277,37 @@ def test_run_header_records_the_one_seed_and_strategy_it_ran(tmp_path):
     assert lines[-1].startswith("# summary strategy=uniform frames=3 ")
 
 
+# Each writing command, run on a non-default strategy or seed choice where it
+# takes one. Its header's strategies are those its rows and summary name, and
+# its seeds those of the streams it ran (ablate's rows name them too).
+HEADER_RUNS = {
+    "run": ["--strategy", "uniform,fused", "--seeds", "1,0"],
+    "ablate": ["--strategy", "fused,uniform", "--seeds", "2,0"],
+    "degrade": ["--lengths", "2,3", "--seeds", "1,2"],
+    "sweep-tau": ["--taus", "0.5,1.0", "--seeds", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HEADER_RUNS))
+def test_header_names_exactly_the_strategies_and_seeds_the_output_holds(tmp_path, monkeypatch, command):
+    from streamgate import evaluation
+
+    streamed = []
+    stream = evaluation.seeded_stream
+    spy = lambda world, seed: streamed.append(seed) or stream(world, seed)
+    monkeypatch.setattr(evaluation, "seeded_stream", spy)
+    monkeypatch.setattr(cli, "seeded_stream", spy)
+    out = tmp_path / "o.jsonl"
+    argv = [command, *small("--frames", "3", "--format", "jsonl", *HEADER_RUNS[command])]
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    config, *records = [json.loads(line) for line in out.read_text().splitlines()]
+    held = lambda values: ",".join(map(str, dict.fromkeys(values)))
+    assert config["strategies"] == held(r["strategy"] for r in records if "strategy" in r)
+    assert config["seeds"] == held(streamed)
+    if command == "ablate":
+        assert config["seeds"] == held(r["seed"] for r in records if "seed" in r)
+
+
 def test_command_defaults():
     cfg = parse_config(["run", "--out", "x.csv"])
     assert cfg.strategies == ("fused",)
@@ -294,6 +318,8 @@ def test_command_defaults():
     cfg = parse_config(["degrade", "--out", "x.csv"])
     assert cfg.strategies == ("uniform", "fused")
     assert cfg.lengths == (50, 500)
+    cfg = parse_config(["sweep-tau", "--out", "x.csv"])
+    assert cfg.strategies == ("fused",)
 
 
 HELP_DEFAULTS = {
@@ -302,7 +328,6 @@ HELP_DEFAULTS = {
     "dynamic-fraction": "0.0",
     "drift-rate": "0.0",
     "noise-sigma": "0.05",
-    "state-tokens": "scene-regions",
     "frame-tokens": "4",
     "channels": "32",
     "layers": "4",
@@ -327,7 +352,7 @@ COMMAND_HELP_DEFAULTS = {
     "run": {"strategy": "fused", "seeds": "0"},
     "ablate": {},
     "degrade": {"strategy": "uniform,fused"},
-    "sweep-tau": {},
+    "sweep-tau": {"strategy": "fused"},
     "oracle-check": {},
 }
 
@@ -391,7 +416,7 @@ def test_run_config_keys_in_order(tmp_path):
     keys = [l[len("# config "):].split("=")[0] for l in lines if l.startswith("# config ")]
     assert keys == [
         "command", "regions", "obs_channels", "dynamic_fraction", "drift_rate",
-        "noise_sigma", "state_tokens", "frame_tokens", "channels", "layers",
+        "noise_sigma", "frame_tokens", "channels", "layers",
         "model_seed", "tau", "eps_mean", "spat_gain", "spat_bias", "attn_source",
         "schedule", "period", "frames", "lengths", "taus", "strategies", "seeds",
         "out", "fmt", "dump_stream",
@@ -429,9 +454,9 @@ def test_commands_byte_identical_across_reruns(tmp_path, argv):
     assert out.read_bytes() == first
 
 
-# SHA-256 of the output files of small configs, recorded from the code
-# before the experiments became reductions over one session grid. The files
-# embed their own (relative) paths in the config header, so each command runs
+# SHA-256 of the output files of small configs. Their rows and summaries were
+# recorded from the code before the experiments became reductions over one
+# session grid. The files embed their own (relative) paths in the config header, so each command runs
 # in a fresh directory. A change in any byte means a change in behaviour.
 PINNED = {
     "run": (
@@ -439,26 +464,26 @@ PINNED = {
          "--drift-rate", "0.05", "--dynamic-fraction", "0.5", "--attn-source", "preabs",
          "--out", "run.csv", "--dump-stream", "trace.txt"],
         {
-            "run.csv": "2f3bc7a52c409f64bd122525085f7afbb931faa5089ad8483bde6ab001a1a9bc",
+            "run.csv": "f15acc23a971c4c96ecaab15bbf203f67d7c9a5b67e06d016a05b0308456c198",
             "trace.txt": "1c022d2a233a2180cdee9272b552bdc5a3ab9d850932f21c0a16fdff56d1cccb",
         },
     ),
     "ablate-csv": (
         ["ablate", *SMALL, "--out", "ablate.csv"],
-        {"ablate.csv": "2d1108b77fb6037f3a190f797608869ff4cd0a55970dad4defd7b099f49c75cb"},
+        {"ablate.csv": "e571233f5e3c0283d581e1abbfc3fe89afec4888199d1fcded47c020b72fceb2"},
     ),
     "ablate-jsonl": (
         ["ablate", *small("--seeds", "3,1,2"), "--strategy", "fused,uniform",
          "--format", "jsonl", "--out", "ablate.jsonl"],
-        {"ablate.jsonl": "0691e7e045739aa68c9652d599c85a66f079fb55908813b1ef99d1730308ce47"},
+        {"ablate.jsonl": "6a05e81ddd2e3309c2288b3a599d7f1f6cdece75690004966ffe62e557f55ee5"},
     ),
     "degrade-repeated-length": (
         ["degrade", *SMALL, "--lengths", "3,3,6", "--out", "degrade.csv"],
-        {"degrade.csv": "d2160b36d1e0597670b9672a9cfcdcac91a3d5951c55b59ff0772d0b2ca7af7d"},
+        {"degrade.csv": "adf00abec1ae8cdb74bd45770be513dea861d5b860270072efe7ba9bb691f226"},
     ),
     "sweep-tau-repeated-tau": (
         ["sweep-tau", *SMALL, "--taus", "0.5,0.5,2.0", "--out", "tau.csv"],
-        {"tau.csv": "172458ed6c05c026cf09c9f9de00dff973258ad9c2fce6148f0e34e5ebfb141a"},
+        {"tau.csv": "256e6969e3f3a41b8faaf3c3611bb655ee5ab5f1f85750854d2eb61f3ebe6f88"},
     ),
 }
 
