@@ -248,12 +248,11 @@ def _session_grid(
     op: str,
     world: WorldSpec,
     weights: DecoderWeights,
-    cfgs: list[GateConfig],
-    strategies: list[Strategy],
+    sessions: list[tuple[GateConfig, Strategy]],
     lengths: list[int],
     seeds: list[int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run every (gate config, strategy, seed) session, seed-major.
+    """Run each distinct (gate config, strategy) session once per seed, seed-major.
 
     The sessions of one seed share its scene and stream, so the grid
     generates `seeded_stream(world, seed)` once per seed and runs that
@@ -262,37 +261,35 @@ def _session_grid(
     before the next seed's. A session's first n frames do not depend on
     how long it runs, so each session runs once, to the longest of
     `lengths`, and scores only the frames in `lengths`. Returns the error
-    at each length (repeats included) as a (configs, strategies,
-    seeds, len(lengths)) float64 array and each session's mean mask over
-    all its frames as a (configs, strategies, seeds) array. An empty or
-    repeated strategy or seed list, which would run no session or the
-    same sessions twice, raises a ConfigError naming `op`; an item of the
-    wrong type raises one naming it.
+    at each length (repeats included) as a (sessions, seeds, len(lengths))
+    float64 array and each session's mean mask over all its frames as a
+    (sessions, seeds) array. An empty or repeated session or seed list,
+    which would run no session or the same session twice, raises a
+    ConfigError naming `op` (a repeated session as a repeated strategy);
+    an item of the wrong type raises one naming it.
     """
-    if not strategies:
+    if not sessions:
         raise ConfigError(f"{op} needs at least 1 strategy")
     if not seeds:
         raise ConfigError(f"{op} needs at least 1 seed")
-    for cfg in cfgs:
+    for cfg, strategy in sessions:
         check_type("cfg", cfg, GateConfig)
-    for strategy in strategies:
         check_type("strategy", strategy, Strategy)
     seeds = [check_int("experiment seed", seed) for seed in seeds]
-    for name, values in (("strategy", [s.value for s in strategies]), ("seed", seeds)):
-        if len(set(values)) < len(values):
-            raise ConfigError(f"{op}: repeated {name} in {list(values)}")
-    shape = (len(cfgs), len(strategies), len(seeds))
-    errors, mean_masks = np.empty((*shape, len(lengths))), np.empty(shape)
+    if len(set(sessions)) < len(sessions):
+        raise ConfigError(f"{op}: repeated strategy in {[s.value for _, s in sessions]}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{op}: repeated seed in {seeds}")
+    errors = np.empty((len(sessions), len(seeds), len(lengths)))
+    mean_masks = np.empty((len(sessions), len(seeds)))
     for k, seed in enumerate(seeds):
         tape = _StreamTape(seeded_stream(world, seed))
-        for c, s in np.ndindex(shape[:2]):
-            result = run_session(
-                tape.cursor(), weights, cfgs[c], strategies[s], max(lengths), scored=lengths
-            )
+        for b, (cfg, strategy) in enumerate(sessions):
+            result = run_session(tape.cursor(), weights, cfg, strategy, max(lengths), scored=lengths)
             # run_session has checked `lengths` and scored each distinct one, ascending.
             by_length = dict(zip(sorted(set(lengths)), result.per_frame_error))
-            errors[c, s, k] = [by_length[n] for n in lengths]
-            mean_masks[c, s, k] = np.mean([m[0] for m in result.mask_stats])
+            errors[b, k] = [by_length[n] for n in lengths]
+            mean_masks[b, k] = np.mean([m[0] for m in result.mask_stats])
         del tape  # one seed's tape alive at a time
     return errors, mean_masks
 
@@ -310,10 +307,11 @@ def run_ablation(
     seeds = list(check_items("seeds", seeds, "a sequence of experiment seeds"))
     if len(strategies) < 2:
         raise ConfigError("run_ablation needs at least 2 strategies")
-    errors, masks = _session_grid("run_ablation", world, weights, [cfg], strategies, [frames], seeds)
-    finals = errors[0, :, :, 0]
+    sessions = [(cfg, s) for s in strategies]
+    errors, masks = _session_grid("run_ablation", world, weights, sessions, [frames], seeds)
+    finals = errors[:, :, 0]
     rows = [
-        AblationRow(strategy, seed, frames, float(finals[s, k]), float(masks[0, s, k]))
+        AblationRow(strategy, seed, frames, float(finals[s, k]), float(masks[s, k]))
         for s, strategy in enumerate(strategies)
         for k, seed in enumerate(seeds)
     ]
@@ -349,11 +347,10 @@ def degradation_curve(
         raise ConfigError("degradation_curve needs at least 2 lengths")
     if any(b < a for a, b in zip(lengths, lengths[1:])):
         raise ConfigError(f"lengths must be sorted ascending, got {lengths}")
-    curves, _ = _session_grid(
-        "degradation_curve", world, weights, [cfg], strategies, lengths, seeds
-    )
+    sessions = [(cfg, s) for s in strategies]
+    curves, _ = _session_grid("degradation_curve", world, weights, sessions, lengths, seeds)
     errors = {
-        strategy: [float(np.median(curves[0, s, :, j])) for j in range(len(lengths))]
+        strategy: [float(np.median(curves[s, :, j])) for j in range(len(lengths))]
         for s, strategy in enumerate(strategies)
     }
     ratios = {s: e[-1] / e[0] if e[0] > 0 else math.inf for s, e in errors.items()}
@@ -370,15 +367,17 @@ def tau_sweep(
     frames: int,
     seeds: list[int],
 ) -> list[tuple[float, float]]:
-    """Median fused-strategy final error for each temporal threshold."""
+    """Median fused-strategy final error for each temporal threshold.
+
+    A repeated threshold runs its sessions once and repeats its row.
+    """
     taus = list(check_items("taus", taus, "a sequence of temporal thresholds"))
     seeds = list(check_items("seeds", seeds, "a sequence of experiment seeds"))
     if not taus:
         raise ConfigError("tau_sweep needs at least 1 tau value")
     check_type("cfg", cfg, GateConfig)
     cfgs = [replace(cfg, tau=tau) for tau in taus]
-    errors, _ = _session_grid("tau_sweep", world, weights, cfgs, [Strategy.FUSED], [frames], seeds)
-    return [
-        (float(tau_cfg.tau), float(np.median(errors[c, 0, :, 0])))
-        for c, tau_cfg in enumerate(cfgs)
-    ]
+    distinct = list(dict.fromkeys(cfgs))
+    sessions = [(c, Strategy.FUSED) for c in distinct]
+    errors, _ = _session_grid("tau_sweep", world, weights, sessions, [frames], seeds)
+    return [(c.tau, float(np.median(errors[distinct.index(c), :, 0]))) for c in cfgs]

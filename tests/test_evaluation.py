@@ -193,10 +193,16 @@ def test_degradation_curve_validation():
 def test_ablation_and_degradation_reject_repeated_strategies():
     w = small_weights()
     repeated = [Strategy.FUSED, Strategy.UNIFORM, Strategy.FUSED]
-    with pytest.raises(ConfigError, match="repeated"):
+    message = r" repeated strategy in \['fused', 'uniform', 'fused'\]$"
+    with pytest.raises(ConfigError, match="^run_ablation:" + message):
         run_ablation(SMALL_WORLD, w, GateConfig(), repeated, 3, [0])
-    with pytest.raises(ConfigError, match="repeated"):
+    with pytest.raises(ConfigError, match="^degradation_curve:" + message):
         degradation_curve(SMALL_WORLD, w, GateConfig(), repeated, [2, 3], [0])
+    # The grid refuses a repeated (config, strategy) pair; a strategy may
+    # repeat under distinct configs.
+    sessions = [(GateConfig(tau=tau), Strategy.FUSED) for tau in (0.5, 1.0, 0.5)]
+    with pytest.raises(ConfigError, match=r"^grid: repeated strategy in \['fused', 'fused', 'fused'\]$"):
+        evaluation._session_grid("grid", SMALL_WORLD, w, sessions, [3], [0])
 
 
 def test_experiments_reject_repeated_seeds():
@@ -488,8 +494,8 @@ def test_grids_run_each_session_once_and_read_only_their_lengths(monkeypatch):
     sessions.clear()
     readouts.clear()
     tau_sweep(SMALL_WORLD, small_weights(), GateConfig(), [0.5, 2.0, 0.5], 5, seeds)
-    assert sessions == [[5]] * 6
-    assert len(readouts) == 6
+    assert sessions == [[5]] * 4
+    assert len(readouts) == 4
 
 
 _GRID_WORLDS = {
@@ -537,32 +543,40 @@ def _grid_worlds(draw):
 
 
 # The grid runs a seed's sessions on one generation of its stream; each
-# session must read the bits it would read on a stream of its own.
+# session must read the bits it would read on a stream of its own, in
+# whatever order and mix of configs and strategies the list gives.
+_ALL_SESSIONS = list(itertools.product([GateConfig(attn_source=s) for s in AttnSource], Strategy))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     world=_grid_worlds(),
-    sources=st.lists(st.sampled_from(list(AttnSource)), min_size=1, unique=True),
-    strategies=st.lists(st.sampled_from(list(Strategy)), min_size=1, unique=True),
+    sessions=st.lists(
+        st.tuples(
+            st.builds(GateConfig, attn_source=st.sampled_from(list(AttnSource)),
+                      tau=st.sampled_from([0.5, 1.0, 2.0])),
+            st.sampled_from(list(Strategy)),
+        ),
+        min_size=1, max_size=8, unique=True,
+    ),
     lengths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
     seeds=st.lists(st.integers(0, 99), min_size=1, max_size=2, unique=True),
 )
-@example(world=_GRID_WORLDS["sliding"], sources=list(AttnSource), strategies=list(Strategy),
-         lengths=[3, 11, 3], seeds=[4, 1])
-@example(world=_GRID_WORLDS["revisit"], sources=list(AttnSource), strategies=list(Strategy),
-         lengths=[3, 11, 3], seeds=[4, 1])
-@example(world=_GRID_WORLDS["full-drift"], sources=list(AttnSource), strategies=list(Strategy),
-         lengths=[3, 11, 3], seeds=[4, 1])
-def test_session_grid_equals_sessions_on_their_own_streams(world, sources, strategies, lengths, seeds):
+@example(world=_GRID_WORLDS["sliding"], sessions=_ALL_SESSIONS, lengths=[3, 11, 3], seeds=[4, 1])
+@example(world=_GRID_WORLDS["revisit"], sessions=_ALL_SESSIONS, lengths=[3, 11, 3], seeds=[4, 1])
+@example(world=_GRID_WORLDS["full-drift"], sessions=_ALL_SESSIONS, lengths=[3, 11, 3], seeds=[4, 1])
+def test_session_grid_equals_sessions_on_their_own_streams(world, sessions, lengths, seeds):
     weights = make_weights(n_layers=2, channels=8, obs_channels=world.obs_channels)
-    cfgs = [GateConfig(attn_source=source) for source in sources]
-    errors, masks = evaluation._session_grid("grid", world, weights, cfgs, strategies, lengths, seeds)
-    for c, s, k in np.ndindex(masks.shape):
+    errors, masks = evaluation._session_grid("grid", world, weights, sessions, lengths, seeds)
+    assert masks.shape == (len(sessions), len(seeds))
+    for b, k in np.ndindex(masks.shape):
+        cfg, strategy = sessions[b]
         alone = run_session(
-            seeded_stream(world, seeds[k]), weights, cfgs[c], strategies[s], max(lengths), scored=lengths
+            seeded_stream(world, seeds[k]), weights, cfg, strategy, max(lengths), scored=lengths
         )
         by_length = dict(zip(sorted(set(lengths)), alone.per_frame_error))
-        assert errors[c, s, k].tolist() == [by_length[n] for n in lengths]
-        assert masks[c, s, k] == np.mean([m[0] for m in alone.mask_stats])
+        assert errors[b, k].tolist() == [by_length[n] for n in lengths]
+        assert masks[b, k] == np.mean([m[0] for m in alone.mask_stats])
 
 
 def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch):
@@ -576,15 +590,19 @@ def test_session_grid_calls_run_session_once_per_session_seed_major(monkeypatch)
 
     monkeypatch.setattr(evaluation, "run_session", recorded)
     monkeypatch.setattr(StreamCursor, "_advance", lambda self: advanced.append(self.seed) or advance(self))
-    cfgs = [GateConfig(tau=0.5), GateConfig(tau=2.0)]
-    strategies, lengths, seeds = [Strategy.UNIFORM, Strategy.FUSED], [4, 9, 2], [3, 0, 7]
-    evaluation._session_grid("grid", SMALL_WORLD, small_weights(), cfgs, strategies, lengths, seeds)
+    sessions = [
+        (GateConfig(tau=0.5), Strategy.UNIFORM),
+        (GateConfig(tau=2.0), Strategy.FUSED),
+        (GateConfig(tau=0.5), Strategy.FUSED),
+    ]
+    lengths, seeds = [4, 9, 2], [3, 0, 7]
+    evaluation._session_grid("grid", SMALL_WORLD, small_weights(), sessions, lengths, seeds)
     stream_seeds = [experiment_seeds(seed)[1] for seed in seeds]
     # Each seed's stream is generated once, to the longest length ...
     assert sorted(advanced) == sorted(stream_seeds * max(lengths))
-    # ... and each (config, strategy, seed) session runs once ...
-    ran = sorted((cfgs.index(c), strategies.index(s), stream_seeds.index(k)) for c, s, k in calls)
-    assert ran == list(np.ndindex(len(cfgs), len(strategies), len(seeds)))
+    # ... and each (session, seed) pair runs once ...
+    ran = sorted((sessions.index((c, s)), stream_seeds.index(k)) for c, s, k in calls)
+    assert ran == list(np.ndindex(len(sessions), len(seeds)))
     # ... with all sessions of one seed consecutive, in seed order.
     assert [k for k, _ in itertools.groupby(call[2] for call in calls)] == stream_seeds
 
