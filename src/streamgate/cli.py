@@ -1,12 +1,11 @@
 """Command-line entry point.
 
 Subcommands: run | ablate | degrade | sweep-tau | oracle-check. Options can
-come from flags, from a flat key=value config file (--config, or the
-STREAMGATE_CONFIG environment variable), or from defaults, with flags
-taking precedence over the file and the file over defaults. Unknown keys
-are rejected, as is a key given twice in one source (only --strategy
-repeats, as a flag), and every constraint violation names the offending
-key.
+come from flags, from a flat key=value config file (--config), or from
+defaults, with flags taking precedence over the file and the file over
+defaults. Unknown keys are rejected, as is a key given twice in one
+source, and every constraint violation names the offending key. A list
+option takes one comma-separated value.
 
 _OPTIONS maps each option key to its RunConfig field, a parser that also
 enforces the key's own bound, and its help text; COMMANDS maps each
@@ -43,8 +42,6 @@ from .gating import AttnSource, GateConfig, Strategy
 from .linalg import F32_MAX
 from .oracle import run_oracle_suite
 from .world import CoverageSchedule, ScheduleKind, _StreamTape, atomic_write, dump_stream
-
-ENV_CONFIG = "STREAMGATE_CONFIG"
 
 _WORLD = WorldSpec()
 _GATE = GateConfig()
@@ -139,10 +136,10 @@ def _choice(values):
 
 
 def _list(item, unique: bool = False):
-    """Parser for a comma-separated list of `item` values."""
+    """Parser for a comma-separated list of `item` values, spaces around each allowed."""
 
     def parser(key: str, raw: str) -> tuple:
-        values = tuple(item(key, s) for s in raw.replace(" ", "").split(",") if s)
+        values = tuple(item(key, s.strip()) for s in raw.split(",") if s.strip())
         if not values:
             raise ConfigError(f"{key}: expected a comma-separated list")
         if unique and len(set(values)) < len(values):
@@ -166,7 +163,6 @@ class _Option:
     parse: Callable[[str, str], object]
     help: str
     metavar: str = "V"
-    repeatable: bool = False
 
 
 _OPTIONS: dict[str, _Option] = {
@@ -195,17 +191,14 @@ _OPTIONS: dict[str, _Option] = {
     "strategy": _Option(
         "strategies",
         _list(_choice(_STRATEGIES), unique=True),
-        "update strategy (repeatable or comma-separated)",
+        "comma list of update strategies",
         _metavar(_STRATEGIES),
-        repeatable=True,
     ),
     "seeds": _Option("seeds", _list(_SEED, unique=True), "comma list of experiment seeds"),
     "out": _Option("out", _text, "output file path (required by every command but oracle-check)"),
     "format": _Option("fmt", _choice(_FORMATS), "output format", _metavar(_FORMATS)),
     "dump-stream": _Option("dump_stream", _text, "also write the run's stream trace to this path"),
 }
-
-_REPEATABLE = {key for key, opt in _OPTIONS.items() if opt.repeatable}
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         defaults = {**base, **command.defaults}
         options = sub.add_parser(name, help=command.help)
-        # Every flag collects its occurrences; parse_config rejects a repeat
-        # of any but a repeatable one. Each help shows the command's default.
+        # Every flag collects its occurrences, so parse_config can reject a
+        # repeat naming the key. Each help shows the command's default.
         options.add_argument("--config", action="append", default=[],
                              help="flat key=value config file")
         for key, opt in _OPTIONS.items():
@@ -494,13 +487,12 @@ def parse_config(argv=None) -> RunConfig:
     given = vars(_PARSER.parse_args(argv))
     command = given.pop("command")
     for key, raw in given.items():
-        if len(raw) > 1 and key not in _REPEATABLE:
+        if len(raw) > 1:
             raise ConfigError(f"{key}: given {len(raw)} times, at most once allowed")
-    config_path = "".join(given.pop("config")) or os.environ.get(ENV_CONFIG)  # at most one path
 
     merged = dict(COMMANDS[command].defaults)
-    sources = [_read_config_file(config_path)] if config_path else []
-    flags = {key: ",".join(raw) for key, raw in given.items()}  # a repeatable flag's values join
+    sources = [_read_config_file(path) for path in given.pop("config")]  # at most one
+    flags = {key: raw[0] for key, raw in given.items()}
     for values in (*sources, flags):
         for key, raw in values.items():
             option = _OPTIONS[key]

@@ -134,6 +134,18 @@ _GATE_BOUND = f"> 0 and <= float32's maximum {_F32_MAX}"
     (["run", "--spat-bias=-1e39"], None,
      f"spat-bias: must be of magnitude <= float32's maximum {_F32_MAX}, got -1e+39"),
     (["run"], "spat-bias=1e39\n", f"spat-bias: must be of magnitude <= float32's maximum {_F32_MAX}, got 1e+39"),
+    # A list splits only at commas: items separated by spaces are one value.
+    (["ablate", "--frames", "1", "--seeds", "0 1 2"], None, "seeds: expected an integer, got '0 1 2'"),
+    (["ablate", "--frames", "1"], "seeds=0 1 2\n", "seeds: expected an integer, got '0 1 2'"),
+    (["sweep-tau", "--frames", "1", "--seeds", "0", "--taus", "0.5 1"], None,
+     "taus: expected a number, got '0.5 1'"),
+    (["sweep-tau", "--frames", "1", "--seeds", "0"], "taus=0.5 1\n", "taus: expected a number, got '0.5 1'"),
+    (["degrade", "--seeds", "0", "--lengths", "2,5 50"], None, "lengths: expected an integer, got '5 50'"),
+    (["degrade", "--seeds", "0"], "lengths=2,5 50\n", "lengths: expected an integer, got '5 50'"),
+    (["ablate", "--strategy", "uni form"], None,
+     "strategy: must be one of ['fused', 'spatial', 'temporal', 'uniform'], got 'uni form'"),
+    (["ablate"], "strategy=uni form\n",
+     "strategy: must be one of ['fused', 'spatial', 'temporal', 'uniform'], got 'uni form'"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_a_named_error_exits_2_with_one_error_line(tmp_path, capsys, argv, config, message):
     argv = [*argv, "--out", str(tmp_path / "x.csv")]
@@ -174,20 +186,22 @@ def test_config_file_unknown_key_rejected(tmp_path, key):
         parse_config(["run", "--config", str(conf), "--out", "x.csv"])
 
 
-@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "empty-path"])
 def test_an_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, case):
     conf = tmp_path / "exp.conf"
     if case == "directory":
         conf.mkdir()
     elif case == "not-utf8":
         conf.write_bytes(b"tau=2.0\n# \xff\n")
-    assert run_cli(["run", "--config", str(conf), "--out", str(tmp_path / "x.csv")]) == 2
+    path = "" if case == "empty-path" else str(conf)
+    assert run_cli(["run", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: config: cannot read {str(conf)!r}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: config: cannot read {path!r}: ") and err.count("\n") == 1
 
 
-# Every option takes one value per source; only --strategy repeats, as a
-# flag. A repeat in the config file names the key and both lines.
+# Every option takes one value per source, --strategy too: a list is one
+# comma-separated value. A repeat in the config file names the key and
+# both lines.
 _DEFAULT = parse_config(["ablate", "--out", "x.csv"])
 _VALUES = {key: cli._fmt_value(getattr(_DEFAULT, opt.field)) for key, opt in cli._OPTIONS.items()}
 
@@ -197,7 +211,7 @@ def _flag_argv(key, times):
     return argv if key == "out" else [*argv, "--out", "x.csv"]
 
 
-@pytest.mark.parametrize("key", sorted(k for k, opt in cli._OPTIONS.items() if not opt.repeatable))
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
 def test_a_repeated_flag_is_rejected_naming_its_key(capsys, key):
     parse_config(_flag_argv(key, 1))
     assert run_cli(_flag_argv(key, 2)) == 2
@@ -235,12 +249,21 @@ def test_each_parse_of_the_one_parser_is_unaffected_by_the_one_before(tmp_path, 
     )
 
 
-def test_config_file_from_environment(tmp_path, monkeypatch):
+# A config file comes only from --config: the process environment, whatever
+# it holds, leaves the config and the output bytes as they are.
+def test_the_environment_does_not_reach_a_run(tmp_path, monkeypatch):
+    out = tmp_path / "run.csv"
+    argv = ["run", *small("--frames", "3"), "--out", str(out)]
+    monkeypatch.delenv("STREAMGATE_CONFIG", raising=False)
+    unset = parse_config(argv)
+    assert run_cli(argv) == 0
+    written = out.read_bytes()
     conf = tmp_path / "env.conf"
-    conf.write_text("frames=7\n")
+    conf.write_text("frames=7\ntau=2.0\n")
     monkeypatch.setenv("STREAMGATE_CONFIG", str(conf))
-    cfg = parse_config(["run", "--out", "x.csv"])
-    assert cfg.frames == 7
+    assert parse_config(argv) == unset
+    assert run_cli(argv) == 0
+    assert out.read_bytes() == written
 
 
 # argparse reads a negative number in exponent notation as a flag, so on
@@ -256,13 +279,14 @@ def test_a_negative_exponent_value_takes_the_key_value_form(tmp_path, capsys):
     assert parse_config(["run", "--config", str(conf), "--out", "x.csv"]).spat_bias == -1000.0
 
 
-def test_strategy_flag_repeatable_and_comma():
-    cfg = parse_config(["ablate", "--strategy", "uniform", "--strategy", "fused", "--out", "x.csv"])
-    assert cfg.strategies == ("uniform", "fused")
+def test_strategy_flag_takes_one_comma_list(capsys):
     cfg = parse_config(["ablate", "--strategy", "uniform,temporal", "--out", "x.csv"])
     assert cfg.strategies == ("uniform", "temporal")
-    with pytest.raises(SystemExit):
-        main(["ablate", "--strategy", "bogus", "--out", "x.csv"])
+    cfg = parse_config(["ablate", "--strategy", " uniform, fused ", "--out", "x.csv"])
+    assert cfg.strategies == ("uniform", "fused")
+    assert run_cli(["ablate", "--strategy", "bogus", "--out", "x.csv"]) == 2
+    assert run_cli(["ablate", "--strategy", "uniform", "--strategy", "fused", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.endswith("error: strategy: given 2 times, at most once allowed\n")
 
 
 def test_run_header_records_the_one_seed_and_strategy_it_ran(tmp_path):
